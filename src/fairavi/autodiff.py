@@ -72,22 +72,6 @@ class Node:
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar used throughout the layers
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return slice_(self, idx)
 
@@ -430,42 +414,6 @@ def grl(a, lam: float) -> Node:
     return out
 
 
-# ------------------------------------------------------------ op registry
-
-OPS = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "matmul": matmul,
-    "neg": neg,
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "clip": clip,
-    "softmax": softmax,
-    "concat": concat,
-    "stack": stack,
-    "reshape": reshape,
-    "transpose": transpose,
-    "slice": slice_,
-    "sum": sum_,
-    "mean": mean,
-    "grl": grl,
-}
-
-
-def forward_op(kind: str, inputs, attrs: dict | None = None) -> Node:
-    """Dispatch a registered op by name."""
-    if kind not in OPS:
-        raise KeyError(f"unknown op {kind!r}")
-    fn = OPS[kind]
-    attrs = attrs or {}
-    if kind in ("concat", "stack"):
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)
-
-
 # ----------------------------------------------------------------- backward
 
 def topo_order(root: Node) -> list[Node]:
@@ -512,49 +460,22 @@ def zero_grad(nodes) -> None:
 # -------------------------------------------------------------- grad check
 
 def grad_check(fn, point, h: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+    """grad_check_params over fresh parameter leaves holding copies of `point`.
 
-    fn maps a list of Nodes (one per array in `point`) to a scalar Node.
-    Relative error per coordinate is
-    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
+    fn maps a list of Nodes (one per array in `point`) to a scalar Node;
+    parameters are named by their position in `point`.
     """
-    arrays = [_as_array(p) for p in point]
-    leaves = [parameter(a.copy()) for a in arrays]
-    out = fn(leaves)
-    if out.value.size != 1:
-        raise ValueError("grad_check: function must be scalar-valued")
-    backward(out)
-    analytic = [lf.grad.copy() for lf in leaves]
-
-    def evaluate(pert):
-        val = fn([constant(p) for p in pert]).value
-        return float(np.asarray(val).reshape(()))
-
-    worst = 0.0
-    for pi, a in enumerate(arrays):
-        flat = a.ravel()
-        for ci in range(flat.size):
-            bumped = [x.copy() for x in arrays]
-            bumped[pi].ravel()[ci] = flat[ci] + h
-            f_plus = evaluate(bumped)
-            bumped[pi].ravel()[ci] = flat[ci] - h
-            f_minus = evaluate(bumped)
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic_c = analytic[pi].ravel()[ci]
-            if not (np.isfinite(numeric) and np.isfinite(analytic_c)):
-                raise GradCheckError(
-                    f"non-finite value at parameter {pi}, coordinate {ci}: "
-                    f"analytic={analytic_c}, numeric={numeric}")
-            err = abs(analytic_c - numeric) / max(1e-8, abs(analytic_c) + abs(numeric))
-            worst = max(worst, err)
-    return worst
+    leaves = [parameter(np.array(p, dtype=np.float64)) for p in point]
+    return grad_check_params(lambda: fn(leaves), dict(enumerate(leaves)), h)
 
 
 def grad_check_params(loss_fn, params: dict, h: float = 1e-5) -> float:
-    """grad_check against a live parameter dict, perturbing values in place.
+    """Max relative error between analytic and central-difference gradients
+    of a live parameter dict, perturbing values in place.
 
     loss_fn() must rebuild the graph from the current parameter values and
-    return a scalar Node.  Same relative-error definition as grad_check.
+    return a scalar Node.  Relative error per coordinate is
+    |analytic - numeric| / max(1e-8, |analytic| + |numeric|).
     """
     for p in params.values():
         p.zero_grad()

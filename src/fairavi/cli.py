@@ -30,13 +30,9 @@ from . import evaluation as ev
 from .data import (GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
 from .errors import ConfigError, ContractError
-from .model import (HireabilityModel, ModelDims, load_model,
-                    modality_contributions, predict, save_model)
+from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
+                    load_model, modality_contributions, predict, save_model)
 from .training import LAMBDA_GRID, TrainConfig, select_lambda, train_alternating
-
-MODALITY_CHOICES = ("language", "audio", "video", "multimodal")
-VARIANT_CHOICES = ("unprotected", "supervised-gender", "supervised-ethnicity",
-                   "static-faces", "negative-sampling")
 
 
 def _env_seed() -> int | None:
@@ -365,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train one variant")
     t.add_argument("--data", required=True)
-    t.add_argument("--variant", choices=VARIANT_CHOICES)
-    t.add_argument("--modality", choices=MODALITY_CHOICES)
+    t.add_argument("--variant", choices=VARIANTS)
+    t.add_argument("--modality", choices=MODALITIES + ("multimodal",))
     t.add_argument("--lambda", dest="lam", type=float)
-    t.add_argument("--face-dim", dest="face_dim", type=int, choices=(2, 16))
+    t.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
     t.add_argument("--k", type=int)
     t.add_argument("--face-targets", dest="face_targets",
                    help="JSON file of externally computed q-dim face embeddings "
@@ -381,10 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="train across the lambda grid")
     w.add_argument("--data", required=True)
-    w.add_argument("--variant", choices=VARIANT_CHOICES)
-    w.add_argument("--modality", choices=MODALITY_CHOICES)
+    w.add_argument("--variant", choices=VARIANTS)
+    w.add_argument("--modality", choices=MODALITIES + ("multimodal",))
     w.add_argument("--grid", default=",".join(str(v) for v in LAMBDA_GRID))
-    w.add_argument("--face-dim", dest="face_dim", type=int, choices=(2, 16))
+    w.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
     w.add_argument("--k", type=int)
     w.add_argument("--config", help="TrainConfig JSON")
     w.add_argument("--out-dir", required=True)

@@ -327,12 +327,16 @@ def load_jsonl(path) -> list[InterviewSample]:
             if face.shape != (FACE_DIM,):
                 raise ContractError(
                     f"{path}:{lineno}: face must have length {FACE_DIM}, got {face.shape}")
+            y, z = doc["y"], doc["z"]
+            if type(y) is not int or y not in (0, 1):
+                raise ContractError(f"{path}:{lineno}: y must be 0 or 1, got {y!r}")
+            if z is not None and (type(z) is not int or z < 0):
+                raise ContractError(
+                    f"{path}:{lineno}: z must be null or a non-negative integer, got {z!r}")
             samples.append(InterviewSample(
                 id=doc["id"], video_id=doc["video_id"],
                 seq_language=np.asarray(doc["seq_language"], dtype=np.float64),
                 seq_audio=np.asarray(doc["seq_audio"], dtype=np.float64),
                 seq_video=np.asarray(doc["seq_video"], dtype=np.float64),
-                face=face, y=int(doc["y"]),
-                z=None if doc["z"] is None else int(doc["z"]),
-                split=doc["split"]))
+                face=face, y=y, z=z, split=doc["split"]))
     return samples

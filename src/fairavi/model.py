@@ -29,6 +29,7 @@ from .errors import ContractError
 MODALITIES = ("language", "audio", "video")
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
             "static-faces", "negative-sampling")
+FACE_DIMS = (2, 16)
 
 
 @dataclass
@@ -72,8 +73,8 @@ class HireabilityModel:
             raise ContractError(f"unknown modality {modality!r}")
         if variant not in VARIANTS:
             raise ContractError(f"unknown variant {variant!r}")
-        if q not in (2, 16):
-            raise ContractError(f"face dimension q must be 2 or 16, got {q}")
+        if q not in FACE_DIMS:
+            raise ContractError(f"face dimension q must be one of {FACE_DIMS}, got {q}")
         self.modality = modality
         self.variant = variant
         self.dims = dims or ModelDims()
@@ -84,7 +85,8 @@ class HireabilityModel:
         self.params: dict[str, Node] = {}
         rng = np.random.default_rng(seed)
         self._build_trunk(rng)
-        self._build_adversary(rng)
+        for name, value in self._init_adversary_params(rng).items():
+            self.params[name] = ad.parameter(value)
 
     # ------------------------------------------------------------- building
 
@@ -122,28 +124,32 @@ class HireabilityModel:
                             "W_2": self.trunk2.W, "b_2": self.trunk2.b,
                             "W_v": self.hire_head.W, "b_v": self.hire_head.b})
 
-    def _init_adversary_params(self, rng) -> dict[str, np.ndarray]:
-        """Fresh adversarial weights for the current variant."""
-        d = self.dims
-        g = lambda o, i: ly.glorot(rng, o, i)
-        z = lambda n: np.zeros(n)
-        if self.variant in ("supervised-gender", "supervised-ethnicity"):
-            out = 1 if self.variant == "supervised-gender" else 3
-            return {"W_3": g(d.adv_hidden, d.trunk_width), "b_3": z(d.adv_hidden),
-                    "W_4": g(out, d.adv_hidden), "b_4": z(out)}
-        if self.variant == "static-faces":
-            return {"W_5": g(d.adv_hidden, d.trunk_width), "b_5": z(d.adv_hidden),
-                    "W_6": g(self.q, d.adv_hidden), "b_6": z(self.q)}
-        if self.variant == "negative-sampling":
-            return {"W_7": g(self.q, d.face_raw), "b_7": z(self.q),
-                    "W_8": g(d.ns_hidden, d.trunk_width), "b_8": z(d.ns_hidden),
-                    "W_9": g(self.q, d.ns_hidden), "b_9": z(self.q),
-                    "W_10": g(1, self.q), "b_10": z(1)}
-        return {}
+    def _adversary_shapes(self) -> dict[str, tuple]:
+        """Adversarial parameter shapes for the current variant.
 
-    def _build_adversary(self, rng) -> None:
-        for name, value in self._init_adversary_params(rng).items():
-            self.params[name] = ad.parameter(value)
+        Key order is the RNG draw order and the theta_a order; the names are
+        part of the model file format.
+        """
+        d, q = self.dims, self.q
+        supervised = lambda out: {"W_3": (d.adv_hidden, d.trunk_width), "b_3": (d.adv_hidden,),
+                                  "W_4": (out, d.adv_hidden), "b_4": (out,)}
+        table = {
+            "unprotected": {},
+            "supervised-gender": supervised(1),
+            "supervised-ethnicity": supervised(3),
+            "static-faces": {"W_5": (d.adv_hidden, d.trunk_width), "b_5": (d.adv_hidden,),
+                             "W_6": (q, d.adv_hidden), "b_6": (q,)},
+            "negative-sampling": {"W_7": (q, d.face_raw), "b_7": (q,),
+                                  "W_8": (d.ns_hidden, d.trunk_width), "b_8": (d.ns_hidden,),
+                                  "W_9": (q, d.ns_hidden), "b_9": (q,),
+                                  "W_10": (1, q), "b_10": (1,)},
+        }
+        return table[self.variant]
+
+    def _init_adversary_params(self, rng) -> dict[str, np.ndarray]:
+        """Fresh adversarial weights: Glorot draws for W_*, zeros for b_*."""
+        return {name: ly.glorot(rng, *shape) if name.startswith("W_") else np.zeros(shape)
+                for name, shape in self._adversary_shapes().items()}
 
     def reinit_adversary(self, seed: int) -> None:
         """Overwrite adversarial weights with a fresh seeded draw, in place."""
@@ -156,23 +162,15 @@ class HireabilityModel:
     # ---------------------------------------------------------- partitions
 
     def theta_h(self) -> dict[str, Node]:
-        head = {"W_v", "b_v"}
-        adv = set(self._adversary_names())
-        return {n: p for n, p in self.params.items() if n not in head and n not in adv}
+        adv = self._adversary_shapes()
+        return {n: p for n, p in self.params.items()
+                if n not in ("W_v", "b_v") and n not in adv}
 
     def theta_d(self) -> dict[str, Node]:
         return {"W_v": self.params["W_v"], "b_v": self.params["b_v"]}
 
     def theta_a(self) -> dict[str, Node]:
-        return {n: self.params[n] for n in self._adversary_names()}
-
-    def _adversary_names(self) -> list[str]:
-        groups = {"supervised-gender": ("W_3", "b_3", "W_4", "b_4"),
-                  "supervised-ethnicity": ("W_3", "b_3", "W_4", "b_4"),
-                  "static-faces": ("W_5", "b_5", "W_6", "b_6"),
-                  "negative-sampling": ("W_7", "b_7", "W_8", "b_8",
-                                        "W_9", "b_9", "W_10", "b_10")}
-        return list(groups.get(self.variant, ()))
+        return {n: self.params[n] for n in self._adversary_shapes()}
 
     # ------------------------------------------------------------- forward
 

@@ -31,8 +31,8 @@ from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import ConfigError, ContractError
-from .model import (HireabilityModel, NegativeSamplingBatch, batch_sequences,
-                    predict)
+from .model import (FACE_DIMS, HireabilityModel, NegativeSamplingBatch,
+                    batch_sequences, predict)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -71,8 +71,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
-        if self.q not in (2, 16):
-            raise ConfigError(f"face dimension q must be 2 or 16, got {self.q}")
+        if self.q not in FACE_DIMS:
+            raise ConfigError(f"face dimension q must be one of {FACE_DIMS}, got {self.q}")
         return self
 
 
@@ -142,21 +142,19 @@ class Adam:
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
+        """One update; a non-finite gradient raises before any state changes."""
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise ContractError(f"non-finite gradient for parameter {name}")
         lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient for parameter {name}")
             self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
             update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
             self.params[name].value -= lr * update
-
-
-def adam_step(state: Adam, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
-    state.step(grads, lr)
 
 
 # ---------------------------------------------------------------- train log
@@ -211,9 +209,8 @@ class _AdversaryTask:
     supervised variants ever look at the protected label.
     """
 
-    def __init__(self, model: HireabilityModel, cfg: TrainConfig, train, val, seed: int):
+    def __init__(self, cfg: TrainConfig, train, val, seed: int):
         self.variant = cfg.variant
-        self.k = cfg.k
         self.fingerprint = None
         self._ns = None
         if self.variant in SUPERVISED_VARIANTS:
@@ -241,7 +238,6 @@ class _AdversaryTask:
                 self.fingerprint = "external"
                 self.targets = {split: np.stack([lookup[s.video_id] for s in part])
                                 for split, part in (("train", train), ("val", val))}
-                self.compressor = None
             else:
                 train_faces = _candidate_faces(train)
                 proj = fit_compressor(np.stack(list(train_faces.values())), cfg.q,
@@ -251,7 +247,6 @@ class _AdversaryTask:
                     "train": apply_compressor(proj, np.stack([np.asarray(s.face) for s in train])),
                     "val": apply_compressor(proj, np.stack([np.asarray(s.face) for s in val])),
                 }
-                self.compressor = proj
         elif self.variant == "negative-sampling":
             self._ns = _NegativeSampler(train, val, cfg.k, seed)
 
@@ -270,6 +265,27 @@ class _AdversaryTask:
         faces, pos = self._ns.batch(split, idx)
         _, p = model.head_negative_sampling(h, NegativeSamplingBatch(faces, pos))
         return ns_loss(p, pos)
+
+    def evaluate(self, model: HireabilityModel, h_cache: np.ndarray, split: str,
+                 chunk: int = 512) -> float:
+        """Mean loss over cached representations; the negative-sampling
+        validation loss is averaged over the sampler's fixed draws."""
+        def one_pass() -> float:
+            n = h_cache.shape[0]
+            total = 0.0
+            for lo in range(0, n, chunk):
+                idx = np.arange(lo, min(lo + chunk, n))
+                loss = self.loss(model, ad.constant(h_cache[idx]), idx, split)
+                total += float(loss.value) * idx.size
+            return total / n
+
+        if split != "val" or self._ns is None:
+            return one_pass()
+        values = []
+        for i in range(len(self._ns.val_assignments)):
+            self._ns.use_val_draw(i)
+            values.append(one_pass())
+        return float(np.mean(values))
 
 
 def _candidate_faces(samples) -> dict:
@@ -355,26 +371,6 @@ def _eval_task(model, samples, chunk: int = 512) -> float:
     _, y_hat = predict(model, samples, chunk)
     y = np.array([s.y for s in samples], dtype=np.float64)
     return float(bce_loss(ad.constant(y_hat), y).value)
-
-
-def _eval_adv(model, task, h_cache, split: str, chunk: int = 512) -> float:
-    def one_pass() -> float:
-        n = h_cache.shape[0]
-        total = 0.0
-        for lo in range(0, n, chunk):
-            idx = np.arange(lo, min(lo + chunk, n))
-            loss = task.loss(model, ad.constant(h_cache[idx]), idx, split)
-            total += float(loss.value) * idx.size
-        return total / n
-
-    sampler = getattr(task, "_ns", None)
-    if split != "val" or sampler is None:
-        return one_pass()
-    values = []
-    for i in range(len(sampler.val_assignments)):
-        sampler.use_val_draw(i)
-        values.append(one_pass())
-    return float(np.mean(values))
 
 
 def _grads(params: dict[str, Node]) -> dict[str, np.ndarray]:
@@ -499,7 +495,7 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
         return model, log
 
     # ---- phase 2: adversary alone against the frozen trunk
-    task = _AdversaryTask(model, cfg, train, val, seed=cfg.seed)
+    task = _AdversaryTask(cfg, train, val, seed=cfg.seed)
     log.compressor_fingerprint = task.fingerprint
     h_train, h_val = _cache_h(model, train, val)
     epoch_no, l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
@@ -519,7 +515,7 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
                                             main_params, task, opt_adv_joint)
         l_t_val = _eval_task(model, val)
         h_train, h_val = _cache_h(model, train, val)
-        l_a_val = _eval_adv(model, task, h_val, "val")
+        l_a_val = task.evaluate(model, h_val, "val")
         log.add(epoch=epoch_no, phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
                 l_a_train=l_a_train, l_a_val=l_a_val,
                 objective_val=l_t_val - cfg.lam * l_a_val,
@@ -547,7 +543,7 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
     log.best_objective = best_obj
     log.final_l_t_val = _eval_task(model, val)
     h_train, h_val = _cache_h(model, train, val)
-    log.final_l_a_val = _eval_adv(model, task, h_val, "val")
+    log.final_l_a_val = task.evaluate(model, h_val, "val")
     return model, log
 
 
@@ -562,7 +558,7 @@ def _adv_phase(model, cfg, task, h_train, h_val, rng, log, epoch_no,
         t0 = time.perf_counter()
         task.resample(int(rng.integers(2 ** 31)))
         l_a_train = _adv_epoch(model, cfg, task, h_train, opt, rng)
-        l_a_val = _eval_adv(model, task, h_val, "val")
+        l_a_val = task.evaluate(model, h_val, "val")
         obj = None if l_t_val is None else l_t_val - cfg.lam * l_a_val
         log.add(epoch=epoch_no, phase=tag, l_t_train=None, l_t_val=l_t_val,
                 l_a_train=l_a_train, l_a_val=l_a_val, objective_val=obj,

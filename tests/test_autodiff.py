@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -45,15 +48,6 @@ class TestForwardOps:
             s = ad.softmax(ad.constant(x)).value
             assert (s > 0).all()
             assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-12
-
-    def test_forward_op_dispatch(self):
-        a = ad.constant([1.0, 2.0])
-        out = ad.forward_op("add", [a, ad.constant([3.0, 4.0])])
-        assert np.array_equal(out.value, [4.0, 6.0])
-        cat = ad.forward_op("concat", [a, a], {"axis": -1})
-        assert cat.value.shape == (4,)
-        with pytest.raises(KeyError):
-            ad.forward_op("conv2d", [a])
 
 
 class TestGrl:
@@ -183,7 +177,7 @@ class TestGradCheckHarness:
             ad.grad_check(fn, [np.array([1.0, 0.0])], h=1e-5)
 
 
-# every differentiable registered op passes grad_check on random instances;
+# every differentiable op passes grad_check on random instances;
 # grl is exercised separately above since its backward is a reversal by contract
 OP_CASES = {
     "add": lambda r: (lambda lv: ad.sum_(ad.mul(ad.add(lv[0], lv[1]), lv[0])),
@@ -234,4 +228,7 @@ def test_registered_op_gradients(op):
 
 
 def test_every_registered_op_is_covered():
-    assert set(OP_CASES) | {"grl"} == set(ad.OPS)
+    # the engine's ops are the names its Node constructors are tagged with
+    ops = set(re.findall(r'op="(\w+)"', inspect.getsource(ad))) - {"leaf"}
+    assert "matmul" in ops and "grl" in ops
+    assert set(OP_CASES) | {"grl"} == ops

@@ -123,6 +123,21 @@ class TestTrain:
         assert code == 3
         assert "protected" in capsys.readouterr().err
 
+    def test_bad_label_row_exits_3_with_line(self, tmp_path, dataset_path, capsys):
+        lines = dataset_path.read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc["y"] = 7
+        lines[1] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        tcfg = write_train_config(tmp_path / "t.json")
+        code = cli.main(["train", "--data", str(bad), "--variant", "unprotected",
+                         "--modality", "language", "--config", str(tcfg),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert f"{bad}:2: y must be 0 or 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_rerun_reproduces_model_bitwise(self, tmp_path, dataset_path):
         tcfg = write_train_config(tmp_path / "t.json")
         outs = []

@@ -201,6 +201,29 @@ class TestJsonl:
         with pytest.raises(ContractError, match=":3"):
             dt.load_jsonl(path)
 
+    @staticmethod
+    def _two_rows_with(tmp_path, field, value):
+        samples = dt.generate_synthetic(tiny_generator_config(n=2))
+        path = tmp_path / "d.jsonl"
+        dt.save_jsonl(samples, path)
+        first, second = path.read_text().splitlines()
+        doc = json.loads(second)
+        doc[field] = value
+        path.write_text(first + "\n" + json.dumps(doc) + "\n")
+        return path
+
+    def test_label_outside_zero_one_names_line(self, tmp_path):
+        for y in (7, -1, 0.5, "1", None, True):
+            path = self._two_rows_with(tmp_path, "y", y)
+            with pytest.raises(ContractError, match=r"d\.jsonl:2: y must be 0 or 1"):
+                dt.load_jsonl(path)
+
+    def test_bad_protected_label_names_line(self, tmp_path):
+        for z in (-1, 1.5, "0", [1], False):
+            path = self._two_rows_with(tmp_path, "z", z)
+            with pytest.raises(ContractError, match=r"d\.jsonl:2: z must be null or a non-neg"):
+                dt.load_jsonl(path)
+
     def test_null_z_round_trips(self, tmp_path):
         samples = dt.generate_synthetic(tiny_generator_config(n=3))
         for s in samples:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fairavi import autodiff as ad
+from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ContractError
 from fairavi.model import (HireabilityModel, ModelDims, NegativeSamplingBatch,
@@ -302,3 +303,28 @@ class TestPersistence:
         fresh = m._init_adversary_params(np.random.default_rng(12345))
         for n in after:
             assert np.array_equal(after[n], fresh[n]), n
+
+    def test_adversary_names_and_order_pinned(self):
+        # names are part of the model file format; theta_a order fixes the
+        # summation order of the global norm in clip_gradients
+        expected = {
+            "unprotected": [],
+            "supervised-gender": ["W_3", "b_3", "W_4", "b_4"],
+            "supervised-ethnicity": ["W_3", "b_3", "W_4", "b_4"],
+            "static-faces": ["W_5", "b_5", "W_6", "b_6"],
+            "negative-sampling": ["W_7", "b_7", "W_8", "b_8", "W_9", "b_9", "W_10", "b_10"],
+        }
+        for variant, names in expected.items():
+            m = HireabilityModel("multimodal", variant, TINY, q=2, seed=0)
+            assert list(m.theta_a()) == names, variant
+            assert not set(names) & set(m.theta_h()), variant
+            assert set(m.params) == set(m.theta_h()) | {"W_v", "b_v"} | set(names), variant
+        # W_* are Glorot draws in table order, b_* start at zero
+        m = HireabilityModel("language", "static-faces", TINY, q=2, seed=0)
+        rng = np.random.default_rng(7)
+        expected = {"W_5": ly.glorot(rng, 3, 3), "b_5": np.zeros(3),
+                    "W_6": ly.glorot(rng, 2, 3), "b_6": np.zeros(2)}
+        fresh = m._init_adversary_params(np.random.default_rng(7))
+        assert list(fresh) == list(expected)
+        for n, v in expected.items():
+            assert np.array_equal(fresh[n], v), n

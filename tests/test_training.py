@@ -120,6 +120,22 @@ class TestAdam:
         with pytest.raises(ContractError, match="W_2"):
             opt.step({"W_2": np.array([1.0, np.nan])})
 
+    def test_nonfinite_gradient_leaves_state_untouched(self):
+        p = {"a": ad.parameter(np.array([1.0, -2.0])), "b": ad.parameter(np.array([0.5]))}
+        opt = tr.Adam(p, lr=0.1)
+        opt.step({"a": np.array([0.3, -0.1]), "b": np.array([2.0])})
+        before = ({n: q.value.copy() for n, q in p.items()},
+                  {n: v.copy() for n, v in opt.m.items()},
+                  {n: v.copy() for n, v in opt.v.items()}, opt.t)
+        with pytest.raises(ContractError, match="parameter b"):
+            opt.step({"a": np.array([1.0, 1.0]), "b": np.array([np.nan])})
+        params, m, v, t = before
+        assert opt.t == t == 1
+        for n in p:
+            assert np.array_equal(p[n].value, params[n]), n
+            assert np.array_equal(opt.m[n], m[n]), n
+            assert np.array_equal(opt.v[n], v[n]), n
+
 
 class TestSelectLambda:
     def test_grid_constant(self):
@@ -204,7 +220,7 @@ class TestTrainAlternating:
             opt_main = tr.Adam(main, cfg.lr_joint)
             rng = np.random.default_rng(17)
             if joint:
-                task = tr._AdversaryTask(model, cfg, train, train, seed=1)
+                task = tr._AdversaryTask(cfg, train, train, seed=1)
                 opt_adv = tr.Adam(model.theta_a(), cfg.lr_joint)
                 tr._train_epoch(model, cfg, train, rng, opt_main, main, task, opt_adv)
             else:
