@@ -25,11 +25,6 @@ class GradCheckError(RuntimeError):
     """A non-finite value was met while finite-differencing."""
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Node:
     """One entry of the differentiation tape.
 
@@ -44,17 +39,17 @@ class Node:
     __slots__ = ("value", "_grad", "parents", "requires_grad", "op", "_backward")
 
     def __init__(self, value, parents=(), requires_grad=False, op="leaf", backward=None):
-        self.value = _as_array(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
-        self.parents = parents if isinstance(parents, tuple) else tuple(parents)
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in self.parents)
+        self.parents = parents if type(parents) is tuple else tuple(parents)
+        self.requires_grad = bool(requires_grad) or any([p.requires_grad for p in self.parents])
         self.op = op
         self._backward = backward
 
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            self._grad = np.zeros(self.value.shape)
         return self._grad
 
     @grad.setter
@@ -423,14 +418,10 @@ def topo_order(root: Node) -> list[Node]:
         node, expanded = work.pop()
         if expanded:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        work.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                work.append((p, False))
+        elif node not in seen:
+            seen.add(node)
+            work.append((node, True))
+            work.extend([(p, False) for p in node.parents if p not in seen])
     return order
 
 

@@ -123,21 +123,53 @@ def _gru_mix(p: GruParams, px: dict, h_prev: Node) -> Node:
     return ad.add(h_prev, ad.mul(z, ad.sub(hhat, h_prev)))
 
 
-def _gru_sequence(p: GruParams, x: Node, reverse: bool) -> list[Node]:
-    """Hidden state at every time step; input projections (with biases
-    folded in) are computed for the whole sequence up front."""
+def _gru_sequence(p: GruParams, x: Node, reverse: bool) -> Node:
+    """Hidden states (B, T, hidden) of one direction, starting from zeros.
+
+    The input projections are tape ops over the whole sequence; the
+    recurrence is one tape node running _gru_mix's rules in numpy.  Each
+    gradient buffer gets its terms in the order a tape of _gru_mix steps
+    adds them, so values and gradients match that tape bit for bit."""
     B, T, d = x.value.shape
     flat = ad.reshape(x, (B * T, d))
-    proj = {g: ad.reshape(ad.add(ad.matmul(flat, ad.transpose(W)), b), (B, T, p.hidden))
-            for g, W, b in (("r", p.W_r, p.b_r), ("z", p.W_z, p.b_z), ("h", p.W_h, p.b_h))}
-    h = ad.constant(np.zeros((B, p.hidden)))
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    out: list[Node | None] = [None] * T
-    for t in steps:
-        px = {g: proj[g][:, t, :] for g in ("r", "z", "h")}
-        h = _gru_mix(p, px, h)
-        out[t] = h
-    return out  # type: ignore[return-value]
+    proj = [ad.reshape(ad.add(ad.matmul(flat, ad.transpose(W)), b), (B, T, p.hidden))
+            for W, b in ((p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h))]
+    U = (p.U_r, p.U_z, p.U_h)
+    P, UT = [n.value for n in proj], [u.value.T for u in U]
+    hs, h, saved = np.zeros((B, T, p.hidden)), np.zeros((B, p.hidden)), []
+    with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
+        for t in (range(T - 1, -1, -1) if reverse else range(T)):
+            r = 1.0 / (1.0 + np.exp(-(P[0][:, t, :] + h @ UT[0])))
+            z = 1.0 / (1.0 + np.exp(-(P[1][:, t, :] + h @ UT[1])))
+            rh = r * h
+            hhat = np.tanh(P[2][:, t, :] + rh @ UT[2])
+            diff = hhat - h
+            saved.append((t, h, r, z, rh, hhat, diff))
+            h = hs[:, t, :] = h + z * diff
+    out = Node(hs, (*proj, *U), op="gru")
+
+    def backward(g):
+        grads = [n.grad if n.requires_grad else None for n in (*proj, *U)]
+        later = []          # terms the step after adds to this step's state
+        for t, h_prev, r, z, rh, hhat, diff in reversed(saved):
+            # a forward-direction state takes its output term first, a
+            # backward-direction state last, as on the unfused tape
+            terms = later + [g[:, t, :]] if reverse else [g[:, t, :]] + later
+            g_h = sum(terms[1:], terms[0] + 0.0)
+            g_z, g_d = g_h * diff, g_h * z
+            g_ah = g_d * (1.0 - hhat * hhat)
+            g_rh = g_ah @ UT[2].T
+            g_ar = g_rh * h_prev * r * (1.0 - r)
+            g_az = g_z * z * (1.0 - z)
+            for i, (g_a, a) in enumerate(((g_ar, h_prev), (g_az, h_prev), (g_ah, rh))):
+                if grads[i] is not None:
+                    grads[i][:, t, :] += g_a
+                if grads[3 + i] is not None:
+                    grads[3 + i] += (a.T @ g_a).T
+            later = [g_h, g_az @ UT[1].T, -g_d, g_rh * r, g_ar @ UT[0].T]
+
+    out._backward = backward
+    return out
 
 
 def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:
@@ -152,10 +184,8 @@ def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:
         x = ad.reshape(x, (1,) + x.value.shape)
     if x.value.shape[1] < 1:
         raise ShapeMismatch("bigru_encode: empty sequence")
-    hs_f = _gru_sequence(fwd, x, reverse=False)
-    hs_b = _gru_sequence(bwd, x, reverse=True)
-    rows = [ad.concat([hf, hb], axis=-1) for hf, hb in zip(hs_f, hs_b)]
-    out = ad.stack(rows, axis=1)
+    out = ad.concat([_gru_sequence(fwd, x, reverse=False),
+                     _gru_sequence(bwd, x, reverse=True)], axis=-1)
     if single:
         out = ad.reshape(out, out.value.shape[1:])
     return out

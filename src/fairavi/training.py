@@ -542,8 +542,7 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
     model.trained = True
     log.best_objective = best_obj
     log.final_l_t_val = _eval_task(model, val)
-    h_train, h_val = _cache_h(model, train, val)
-    log.final_l_a_val = task.evaluate(model, h_val, "val")
+    log.final_l_a_val = task.evaluate(model, predict(model, val)[0], "val")
     return model, log
 
 

@@ -153,6 +153,41 @@ class TestBigru:
         with pytest.raises(ad.ShapeMismatch, match="empty"):
             ly.bigru_encode(fwd, bwd, np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("T", [1, 2, 7])
+    def test_fused_recurrence_matches_stepwise_tape_bitwise(self, T):
+        # Saved models stay byte-identical only if every gradient buffer
+        # receives the same terms in the same order as a tape built from
+        # one _gru_mix step per time step.
+        rng = rng_of(20 + T)
+        fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
+        x = ad.constant(rng.standard_normal((5, T, 3)))
+        weight = ad.constant(rng.standard_normal((5, T, 8)))
+        params = {f"{tag}.{k}": v for tag, p in (("f", fwd), ("b", bwd))
+                  for k, v in vars(p).items() if k != "hidden"}
+
+        def tape_sequence(p, reverse):
+            flat = ad.reshape(x, (5 * T, 3))
+            proj = {g: ad.reshape(ad.add(ad.matmul(flat, ad.transpose(getattr(p, f"W_{g}"))),
+                                         getattr(p, f"b_{g}")), (5, T, 4)) for g in "rzh"}
+            h, out = ad.constant(np.zeros((5, 4))), [None] * T
+            for t in (range(T - 1, -1, -1) if reverse else range(T)):
+                h = out[t] = ly._gru_mix(p, {g: proj[g][:, t, :] for g in "rzh"}, h)
+            return out
+
+        def tape_encode():
+            rows = zip(tape_sequence(fwd, False), tape_sequence(bwd, True))
+            return ad.stack([ad.concat([hf, hb], axis=-1) for hf, hb in rows], axis=1)
+
+        results = []
+        for encode in (tape_encode, lambda: ly.bigru_encode(fwd, bwd, x)):
+            ad.zero_grad(params.values())
+            out = encode()
+            loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), weight)), ly.l2_penalty(params, 1e-3))
+            ad.backward(loss)
+            results.append((out.value.tobytes(),
+                            {k: v.grad.tobytes() for k, v in params.items()}))
+        assert results[0] == results[1]
+
 
 class TestAttention:
     def test_identical_rows_give_uniform_weights(self):
