@@ -107,7 +107,6 @@ def _combine(op, a, b):
 
 def add(a, b) -> Node:
     a, b = constant(a), constant(b)
-    out = Node(_combine(np.add, a, b), (a, b), op="add")
 
     def backward(g):
         if a.requires_grad:
@@ -115,13 +114,11 @@ def add(a, b) -> Node:
         if b.requires_grad:
             b.grad += _unbroadcast(g, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(_combine(np.add, a, b), (a, b), op="add", backward=backward)
 
 
 def sub(a, b) -> Node:
     a, b = constant(a), constant(b)
-    out = Node(_combine(np.subtract, a, b), (a, b), op="sub")
 
     def backward(g):
         if a.requires_grad:
@@ -129,14 +126,12 @@ def sub(a, b) -> Node:
         if b.requires_grad:
             b.grad -= _unbroadcast(g, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(_combine(np.subtract, a, b), (a, b), op="sub", backward=backward)
 
 
 def mul(a, b) -> Node:
     """Hadamard (elementwise, broadcasting) product."""
     a, b = constant(a), constant(b)
-    out = Node(_combine(np.multiply, a, b), (a, b), op="mul")
 
     def backward(g):
         if a.requires_grad:
@@ -144,8 +139,7 @@ def mul(a, b) -> Node:
         if b.requires_grad:
             b.grad += _unbroadcast(g * a.value, b.value.shape)
 
-    out._backward = backward
-    return out
+    return Node(_combine(np.multiply, a, b), (a, b), op="mul", backward=backward)
 
 
 def matmul(a, b) -> Node:
@@ -153,7 +147,6 @@ def matmul(a, b) -> Node:
     a, b = constant(a), constant(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeMismatch(f"matmul: shapes {a.value.shape} and {b.value.shape} are not aligned")
-    out = Node(a.value @ b.value, (a, b), op="matmul")
 
     def backward(g):
         if a.requires_grad:
@@ -161,35 +154,33 @@ def matmul(a, b) -> Node:
         if b.requires_grad:
             b.grad += a.value.T @ g
 
-    out._backward = backward
-    return out
+    return Node(a.value @ b.value, (a, b), op="matmul", backward=backward)
 
 
 # --------------------------------------------------------------- unary ops
 
+def _unary(a: Node, value, local, op: str) -> Node:
+    """A node with the single parent `a` whose backward adds local(g) to a.grad.
+
+    The rule runs without a requires_grad check on `a`: backward() only
+    calls the rule of a node that requires grad, and a one-parent node
+    requires grad exactly when its parent does.
+    """
+    def backward(g):
+        a.grad += local(g)
+
+    return Node(value, (a,), op=op, backward=backward)
+
+
 def neg(a) -> Node:
     a = constant(a)
-    out = Node(-a.value, (a,), op="neg")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad -= g
-
-    out._backward = backward
-    return out
+    return _unary(a, -a.value, lambda g: -g, op="neg")
 
 
 def tanh(a) -> Node:
     a = constant(a)
     y = np.tanh(a.value)
-    out = Node(y, (a,), op="tanh")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * (1.0 - y * y)
-
-    out._backward = backward
-    return out
+    return _unary(a, y, lambda g: g * (1.0 - y * y), op="tanh")
 
 
 def sigmoid(a) -> Node:
@@ -197,54 +188,25 @@ def sigmoid(a) -> Node:
     # exp overflow on the far-negative tail yields inf -> exactly 0.0
     with np.errstate(over="ignore"):
         y = 1.0 / (1.0 + np.exp(-a.value))
-    out = Node(y, (a,), op="sigmoid")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * y * (1.0 - y)
-
-    out._backward = backward
-    return out
+    return _unary(a, y, lambda g: g * y * (1.0 - y), op="sigmoid")
 
 
 def exp(a) -> Node:
     a = constant(a)
     y = np.exp(a.value)
-    out = Node(y, (a,), op="exp")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * y
-
-    out._backward = backward
-    return out
+    return _unary(a, y, lambda g: g * y, op="exp")
 
 
 def log(a) -> Node:
     a = constant(a)
-    out = Node(np.log(a.value), (a,), op="log")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g / a.value
-
-    out._backward = backward
-    return out
+    return _unary(a, np.log(a.value), lambda g: g / a.value, op="log")
 
 
 def clip(a, lo: float, hi: float) -> Node:
     """Clamp values to [lo, hi]; gradient passes only where unclamped."""
     a = constant(a)
-    y = np.clip(a.value, lo, hi)
     mask = (a.value >= lo) & (a.value <= hi)
-    out = Node(y, (a,), op="clip")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g * mask
-
-    out._backward = backward
-    return out
+    return _unary(a, np.clip(a.value, lo, hi), lambda g: g * mask, op="clip")
 
 
 def softmax(a) -> Node:
@@ -253,14 +215,8 @@ def softmax(a) -> Node:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Node(y, (a,), op="softmax")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    out._backward = backward
-    return out
+    return _unary(a, y, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True)),
+                  op="softmax")
 
 
 # ------------------------------------------------------------ shape ops
@@ -274,7 +230,6 @@ def concat(nodes, axis: int = -1) -> Node:
     except ValueError:
         raise ShapeMismatch(
             f"concat: shapes {[n.value.shape for n in nodes]} do not align on axis {axis}")
-    out = Node(value, tuple(nodes), op="concat")
     ax = axis if axis >= 0 else value.ndim + axis
     sizes = [n.value.shape[ax] for n in nodes]
     offsets = np.cumsum([0] + sizes)
@@ -286,8 +241,7 @@ def concat(nodes, axis: int = -1) -> Node:
                 sl[ax] = slice(start, stop)
                 n.grad += g[tuple(sl)]
 
-    out._backward = backward
-    return out
+    return Node(value, tuple(nodes), op="concat", backward=backward)
 
 
 def stack(nodes, axis: int = 0) -> Node:
@@ -296,7 +250,6 @@ def stack(nodes, axis: int = 0) -> Node:
     if len(shapes) != 1:
         raise ShapeMismatch(f"stack: mismatched shapes {sorted(shapes)}")
     value = np.stack([n.value for n in nodes], axis=axis)
-    out = Node(value, tuple(nodes), op="stack")
 
     def backward(g):
         moved = np.moveaxis(g, axis, 0)
@@ -304,33 +257,19 @@ def stack(nodes, axis: int = 0) -> Node:
             if n.requires_grad:
                 n.grad += moved[i]
 
-    out._backward = backward
-    return out
+    return Node(value, tuple(nodes), op="stack", backward=backward)
 
 
 def reshape(a, shape) -> Node:
     a = constant(a)
-    out = Node(a.value.reshape(shape), (a,), op="reshape")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g.reshape(a.value.shape)
-
-    out._backward = backward
-    return out
+    return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape), op="reshape")
 
 
 def transpose(a, axes=None) -> Node:
     a = constant(a)
-    out = Node(np.transpose(a.value, axes), (a,), op="transpose")
     inv = None if axes is None else np.argsort(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += np.transpose(g, inv)
-
-    out._backward = backward
-    return out
+    return _unary(a, np.transpose(a.value, axes), lambda g: np.transpose(g, inv),
+                  op="transpose")
 
 
 def _is_basic_index(idx) -> bool:
@@ -341,46 +280,31 @@ def _is_basic_index(idx) -> bool:
 
 def slice_(a, idx) -> Node:
     a = constant(a)
-    out = Node(a.value[idx], (a,), op="slice")
     basic = _is_basic_index(idx)
 
-    def backward(g):
-        if a.requires_grad:
-            if basic:  # basic indexing never repeats elements
-                a.grad[idx] += g
-            else:
-                np.add.at(a.grad, idx, g)
+    def backward(g):   # one parent: runs only when a requires grad
+        if basic:  # basic indexing never repeats elements
+            a.grad[idx] += g
+        else:
+            np.add.at(a.grad, idx, g)
 
-    out._backward = backward
-    return out
+    return Node(a.value[idx], (a,), op="slice", backward=backward)
 
 
 # --------------------------------------------------------------- reductions
 
 def sum_(a, axis=None, keepdims: bool = False) -> Node:
     a = constant(a)
-    out = Node(a.value.sum(axis=axis, keepdims=keepdims), (a,), op="sum")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += _spread(g, a.value.shape, axis, keepdims)
-
-    out._backward = backward
-    return out
+    return _unary(a, a.value.sum(axis=axis, keepdims=keepdims),
+                  lambda g: _spread(g, a.value.shape, axis, keepdims), op="sum")
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Node:
     a = constant(a)
-    out = Node(a.value.mean(axis=axis, keepdims=keepdims), (a,), op="mean")
     count = a.value.size if axis is None else np.prod(
         [a.value.shape[ax] for ax in np.atleast_1d(axis)])
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += _spread(g, a.value.shape, axis, keepdims) / count
-
-    out._backward = backward
-    return out
+    return _unary(a, a.value.mean(axis=axis, keepdims=keepdims),
+                  lambda g: _spread(g, a.value.shape, axis, keepdims) / count, op="mean")
 
 
 def _spread(g, shape, axis, keepdims):
@@ -399,14 +323,7 @@ def grl(a, lam: float) -> Node:
     if lam < 0:
         raise ValueError(f"grl: lambda must be nonnegative, got {lam}")
     a = constant(a)
-    out = Node(a.value, (a,), op="grl")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += (-lam) * g
-
-    out._backward = backward
-    return out
+    return _unary(a, a.value, lambda g: (-lam) * g, op="grl")
 
 
 # ----------------------------------------------------------------- backward

@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -130,6 +129,8 @@ def _build_train_config(args) -> TrainConfig:
 
 
 def _dims_from_data(samples) -> ModelDims:
+    if not samples:
+        raise ContractError("dataset is empty")
     s = samples[0]
     return ModelDims(input_dims={
         "language": np.asarray(s.seq_language).shape[1],
@@ -171,38 +172,36 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"invalid lambda grid {args.grid!r}")
     if not grid:
         raise ConfigError("empty lambda grid")
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"duplicate values in lambda grid {args.grid!r}")
+    # every grid value's config is checked before any training starts
+    configs = {lam: _build_train_config(argparse.Namespace(**vars(args), lam=lam))
+               for lam in grid}
     dataset = load_jsonl(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def run_one(lam: float):
-        one = argparse.Namespace(**vars(args), lam=lam)
-        cfg = _build_train_config(one)
-        model, log = run_training(cfg, dataset)
-        out = os.path.join(args.out_dir, f"model_lambda{lam:g}.json")
-        save_model(model, out)
-        log.to_csv(out + ".log.csv")
-        return lam, out, log
-
     results, failures = {}, {}
-    with ThreadPoolExecutor(max_workers=len(grid)) as pool:
-        futures = {lam: pool.submit(run_one, lam) for lam in grid}
-        for lam, fut in futures.items():
-            try:
-                results[lam] = fut.result()
-            except Exception as e:  # keep partial results
-                failures[lam] = repr(e)
-    outputs = [path for _, path, _ in results.values()]
+    for lam, cfg in configs.items():
+        try:
+            model, log = run_training(cfg, dataset)
+            out = os.path.join(args.out_dir, f"model_lambda{lam:g}.json")
+            save_model(model, out)
+            log.to_csv(out + ".log.csv")
+            results[lam] = out, log
+        except Exception as e:  # keep partial results
+            failures[lam] = repr(e)
+    outputs = [path for path, _ in results.values()]
     selected = None
     if results:
         selected = select_lambda({lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
-                                  for lam, (_, _, log) in results.items()})
+                                  for lam, (_, log) in results.items()})
         marker = os.path.join(args.out_dir, "selected.json")
         with open(marker, "w") as fh:
             json.dump({"selected_lambda": selected,
-                       "model": results[selected][1],
+                       "model": results[selected][0],
                        "objective_by_lambda": {
-                           str(lam): results[lam][2].final_l_t_val
-                           - (results[lam][2].final_l_a_val or 0.0)
+                           str(lam): results[lam][1].final_l_t_val
+                           - (results[lam][1].final_l_a_val or 0.0)
                            for lam in results}}, fh, indent=1, sort_keys=True)
             fh.write("\n")
         outputs.append(marker)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-JSONL_FIELDS = ("id", "video_id", "seq_language", "seq_audio", "seq_video",
-                "face", "y", "z", "split")
+SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
+JSONL_FIELDS = ("id", "video_id", *SEQ_FIELDS, "face", "y", "z", "split")
 
 FACE_DIM = 512
 
@@ -310,33 +310,52 @@ def save_jsonl(samples, path) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
+def _float_array(doc, name: str, where: str) -> np.ndarray:
+    """A field as a finite float64 array; ragged or non-numeric input is
+    rejected as not being an array."""
+    try:
+        arr = np.asarray(doc[name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ContractError(f"{where}: {name} is not a numeric array")
+    if not np.all(np.isfinite(arr)):
+        raise ContractError(f"{where}: {name} has a non-finite value")
+    return arr
+
+
 def load_jsonl(path) -> list[InterviewSample]:
-    samples = []
+    """Read samples, checking each row against the first row's sequence shapes."""
+    samples, seq_shapes = [], None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ContractError(f"{path}:{lineno}: malformed JSON ({e.msg})")
+                raise ContractError(f"{where}: malformed JSON ({e.msg})")
             missing = [f for f in JSONL_FIELDS if f not in doc]
             if missing:
-                raise ContractError(f"{path}:{lineno}: missing field(s) {missing}")
-            face = np.asarray(doc["face"], dtype=np.float64)
+                raise ContractError(f"{where}: missing field(s) {missing}")
+            face = _float_array(doc, "face", where)
             if face.shape != (FACE_DIM,):
                 raise ContractError(
-                    f"{path}:{lineno}: face must have length {FACE_DIM}, got {face.shape}")
+                    f"{where}: face must have length {FACE_DIM}, got {face.shape}")
+            seqs = {f: _float_array(doc, f, where) for f in SEQ_FIELDS}
+            seq_shapes = seq_shapes or {f: seq.shape for f, seq in seqs.items()}
+            for f, seq in seqs.items():
+                if seq.ndim != 2:
+                    raise ContractError(f"{where}: {f} must be 2-D, got shape {seq.shape}")
+                if seq.shape != seq_shapes[f]:
+                    raise ContractError(f"{where}: {f} has shape {seq.shape}, but the "
+                                        f"first row's is {seq_shapes[f]}")
             y, z = doc["y"], doc["z"]
             if type(y) is not int or y not in (0, 1):
-                raise ContractError(f"{path}:{lineno}: y must be 0 or 1, got {y!r}")
+                raise ContractError(f"{where}: y must be 0 or 1, got {y!r}")
             if z is not None and (type(z) is not int or z < 0):
                 raise ContractError(
-                    f"{path}:{lineno}: z must be null or a non-negative integer, got {z!r}")
+                    f"{where}: z must be null or a non-negative integer, got {z!r}")
             samples.append(InterviewSample(
-                id=doc["id"], video_id=doc["video_id"],
-                seq_language=np.asarray(doc["seq_language"], dtype=np.float64),
-                seq_audio=np.asarray(doc["seq_audio"], dtype=np.float64),
-                seq_video=np.asarray(doc["seq_video"], dtype=np.float64),
+                id=doc["id"], video_id=doc["video_id"], **seqs,
                 face=face, y=y, z=z, split=doc["split"]))
     return samples

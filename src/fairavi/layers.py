@@ -146,7 +146,6 @@ def _gru_sequence(p: GruParams, x: Node, reverse: bool) -> Node:
             diff = hhat - h
             saved.append((t, h, r, z, rh, hhat, diff))
             h = hs[:, t, :] = h + z * diff
-    out = Node(hs, (*proj, *U), op="gru")
 
     def backward(g):
         grads = [n.grad if n.requires_grad else None for n in (*proj, *U)]
@@ -168,8 +167,7 @@ def _gru_sequence(p: GruParams, x: Node, reverse: bool) -> Node:
                     grads[3 + i] += (a.T @ g_a).T
             later = [g_h, g_az @ UT[1].T, -g_d, g_rh * r, g_ar @ UT[0].T]
 
-    out._backward = backward
-    return out
+    return Node(hs, (*proj, *U), op="gru", backward=backward)
 
 
 def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:

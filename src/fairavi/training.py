@@ -31,8 +31,8 @@ from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import ConfigError, ContractError
-from .model import (FACE_DIMS, HireabilityModel, NegativeSamplingBatch,
-                    batch_sequences, predict)
+from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel,
+                    NegativeSamplingBatch, batch_sequences, predict)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -61,12 +61,22 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.modality not in MODALITIES + ("multimodal",):
+            raise ConfigError(f"unknown modality {self.modality!r}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
         for name in ("lr_joint", "lr_adv", "batch_size", "clip",
                      "patience_pretrain", "patience_adv", "patience_outer"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.l2 < 0:
+            raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
+        # with no adversary epoch the starting objective is -inf and no joint
+        # epoch could ever be kept
+        if self.max_epochs_adv < 1:
+            raise ConfigError(f"max_epochs_adv must be at least 1, got {self.max_epochs_adv}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.k < 2:
@@ -184,7 +194,7 @@ class TrainLog:
     best_objective: float | None = None
 
     def add(self, **kw) -> None:
-        self.rows.append(LogRow(**kw))
+        self.rows.append(LogRow(epoch=len(self.rows), **kw))
 
     def phases(self) -> list[str]:
         return [r.phase for r in self.rows]
@@ -367,10 +377,11 @@ def _labels(samples, idx) -> np.ndarray:
     return np.array([samples[i].y for i in idx], dtype=np.float64)
 
 
-def _eval_task(model, samples, chunk: int = 512) -> float:
-    _, y_hat = predict(model, samples, chunk)
-    y = np.array([s.y for s in samples], dtype=np.float64)
-    return float(bce_loss(ad.constant(y_hat), y).value)
+def _val_pass(model, val) -> tuple[np.ndarray, float]:
+    """Inference-mode H over the val split and its task loss, from one predict."""
+    h_val, y_hat = predict(model, val)
+    y = np.array([s.y for s in val], dtype=np.float64)
+    return h_val, float(bce_loss(ad.constant(y_hat), y).value)
 
 
 def _grads(params: dict[str, Node]) -> dict[str, np.ndarray]:
@@ -429,15 +440,29 @@ def _adv_epoch(model, cfg, adv_task, h_cache, opt, rng) -> float:
     return total / n_seen
 
 
-def _cache_h(model, train, val) -> tuple[np.ndarray, np.ndarray]:
-    h_train, _ = predict(model, train)
-    h_val, _ = predict(model, val)
-    return h_train, h_val
-
-
 def _notify(observer, event: str, **payload) -> None:
     if observer is not None:
         observer(event, payload)
+
+
+def _until_stale(model, names, epoch, max_epochs: int, patience: int,
+                 best: float = np.inf) -> float:
+    """Call epoch() until `patience` calls in a row fail to beat `best`.
+
+    Restores the parameters `names` (all when None) to their values at the
+    best epoch, or at entry when none beat `best`, and returns that value.
+    """
+    bad, snap = 0, model.snapshot(names)
+    for _ in range(max_epochs):
+        value = epoch()
+        if value < best:
+            best, bad, snap = value, 0, model.snapshot(names)
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    model.restore(snap)
+    return best
 
 
 # ------------------------------------------------------------ the strategy
@@ -464,63 +489,54 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
 
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    epoch_no = 0
 
     # ---- phase 1: pretrain trunk + hireability head on the task loss
     main_params = {**model.theta_h(), **model.theta_d()}
     opt_main = Adam(main_params, cfg.lr_joint)
-    _notify(observer, "phase_start", phase="pretrain-main")
-    best, bad, snap = np.inf, 0, model.snapshot(main_params)
-    for _ in range(cfg.max_epochs_pretrain):
+
+    def pretrain_epoch() -> float:
         t0 = time.perf_counter()
         l_t_train, _ = _train_epoch(model, cfg, train, rng, opt_main, main_params)
-        l_t_val = _eval_task(model, val)
-        log.add(epoch=epoch_no, phase="pretrain-main", l_t_train=l_t_train,
-                l_t_val=l_t_val, l_a_train=None, l_a_val=None,
-                objective_val=l_t_val, seconds=time.perf_counter() - t0)
-        epoch_no += 1
-        if l_t_val < best:
-            best, bad, snap = l_t_val, 0, model.snapshot(main_params)
-        else:
-            bad += 1
-            if bad >= cfg.patience_pretrain:
-                break
-    model.restore(snap)
+        _, l_t_val = _val_pass(model, val)
+        log.add(phase="pretrain-main", l_t_train=l_t_train, l_t_val=l_t_val,
+                l_a_train=None, l_a_val=None, objective_val=l_t_val,
+                seconds=time.perf_counter() - t0)
+        return l_t_val
+
+    _notify(observer, "phase_start", phase="pretrain-main")
+    _until_stale(model, main_params, pretrain_epoch, cfg.max_epochs_pretrain,
+                 cfg.patience_pretrain)
     _notify(observer, "phase_end", phase="pretrain-main")
 
     if cfg.variant == "unprotected":
         model.trained = True
-        log.final_l_t_val = _eval_task(model, val)
+        _, log.final_l_t_val = _val_pass(model, val)
         log.best_objective = log.final_l_t_val
         return model, log
 
     # ---- phase 2: adversary alone against the frozen trunk
     task = _AdversaryTask(cfg, train, val, seed=cfg.seed)
     log.compressor_fingerprint = task.fingerprint
-    h_train, h_val = _cache_h(model, train, val)
-    epoch_no, l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
-                                   epoch_no, "pretrain-adv", observer)
+    h_train, _ = predict(model, train)
+    h_val, l_t_val = _val_pass(model, val)
+    l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "pretrain-adv",
+                         observer)
 
     # ---- phase 3: alternate joint epochs with adversary re-fits
-    l_t_val = _eval_task(model, val)
-    best_obj = l_t_val - cfg.lam * l_a_val
-    best_snap = model.snapshot()
-    bad = 0
-    for _ in range(cfg.max_outer):
+    def outer_epoch() -> float:
         t0 = time.perf_counter()
         opt_adv_joint = Adam(model.theta_a(), cfg.lr_joint)
         _notify(observer, "phase_start", phase="joint")
         task.resample(int(rng.integers(2 ** 31)))
         l_t_train, l_a_train = _train_epoch(model, cfg, train, rng, opt_main,
                                             main_params, task, opt_adv_joint)
-        l_t_val = _eval_task(model, val)
-        h_train, h_val = _cache_h(model, train, val)
+        h_train, _ = predict(model, train)
+        h_val, l_t_val = _val_pass(model, val)
         l_a_val = task.evaluate(model, h_val, "val")
-        log.add(epoch=epoch_no, phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
+        log.add(phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
                 l_a_train=l_a_train, l_a_val=l_a_val,
                 objective_val=l_t_val - cfg.lam * l_a_val,
                 seconds=time.perf_counter() - t0)
-        epoch_no += 1
         _notify(observer, "phase_end", phase="joint")
 
         reinit_seed = int(rng.integers(2 ** 31))
@@ -528,50 +544,38 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
         log.adv_reinit_seeds.append(reinit_seed)
         _notify(observer, "adv_reinit", seed=reinit_seed)
 
-        epoch_no, l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
-                                       epoch_no, "adv-refit", observer, l_t_val=l_t_val)
-        objective = l_t_val - cfg.lam * l_a_val
-        if objective < best_obj:
-            best_obj, best_snap, bad = objective, model.snapshot(), 0
-        else:
-            bad += 1
-            if bad >= cfg.patience_outer:
-                break
+        l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "adv-refit",
+                             observer, l_t_val=l_t_val)
+        return l_t_val - cfg.lam * l_a_val
 
-    model.restore(best_snap)
+    log.best_objective = _until_stale(model, None, outer_epoch, cfg.max_outer,
+                                      cfg.patience_outer, best=l_t_val - cfg.lam * l_a_val)
     model.trained = True
-    log.best_objective = best_obj
-    log.final_l_t_val = _eval_task(model, val)
-    log.final_l_a_val = task.evaluate(model, predict(model, val)[0], "val")
+    h_val, log.final_l_t_val = _val_pass(model, val)
+    log.final_l_a_val = task.evaluate(model, h_val, "val")
     return model, log
 
 
-def _adv_phase(model, cfg, task, h_train, h_val, rng, log, epoch_no,
-               tag, observer, l_t_val=None) -> tuple[int, float]:
+def _adv_phase(model, cfg, task, h_train, h_val, rng, log, tag, observer,
+               l_t_val=None) -> float:
     """Train the adversary to validation convergence on cached H."""
     adv_params = model.theta_a()
     opt = Adam(adv_params, cfg.lr_adv)
-    _notify(observer, "phase_start", phase=tag)
-    best, bad, snap = np.inf, 0, model.snapshot(adv_params)
-    for _ in range(cfg.max_epochs_adv):
+
+    def epoch() -> float:
         t0 = time.perf_counter()
         task.resample(int(rng.integers(2 ** 31)))
         l_a_train = _adv_epoch(model, cfg, task, h_train, opt, rng)
         l_a_val = task.evaluate(model, h_val, "val")
         obj = None if l_t_val is None else l_t_val - cfg.lam * l_a_val
-        log.add(epoch=epoch_no, phase=tag, l_t_train=None, l_t_val=l_t_val,
-                l_a_train=l_a_train, l_a_val=l_a_val, objective_val=obj,
-                seconds=time.perf_counter() - t0)
-        epoch_no += 1
-        if l_a_val < best:
-            best, bad, snap = l_a_val, 0, model.snapshot(adv_params)
-        else:
-            bad += 1
-            if bad >= cfg.patience_adv:
-                break
-    model.restore(snap)
+        log.add(phase=tag, l_t_train=None, l_t_val=l_t_val, l_a_train=l_a_train,
+                l_a_val=l_a_val, objective_val=obj, seconds=time.perf_counter() - t0)
+        return l_a_val
+
+    _notify(observer, "phase_start", phase=tag)
+    best = _until_stale(model, adv_params, epoch, cfg.max_epochs_adv, cfg.patience_adv)
     _notify(observer, "phase_end", phase=tag)
-    return epoch_no, best
+    return best
 
 
 # --------------------------------------------------------- lambda selection

@@ -138,6 +138,44 @@ class TestTrain:
         assert f"{bad}:2: y must be 0 or 1" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_short_sequence_row_exits_3_with_line(self, tmp_path, dataset_path, capsys):
+        lines = dataset_path.read_text().splitlines()
+        doc = json.loads(lines[0])
+        doc["seq_audio"] = doc["seq_audio"][:-1]
+        lines[0] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        tcfg = write_train_config(tmp_path / "t.json")
+        code = cli.main(["train", "--data", str(bad), "--variant", "unprotected",
+                         "--modality", "audio", "--config", str(tcfg),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        # rows are held to the first row's shapes, so line 2 is the one named
+        assert f"{bad}:2: seq_audio has shape" in capsys.readouterr().err
+
+    def test_empty_dataset_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code = cli.main(["train", "--data", str(empty), "--variant", "unprotected",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert "dataset is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("variant", "foo", "unknown variant 'foo'"),
+        ("modality", "smell", "unknown modality 'smell'"),
+        ("l2", -1.0, "l2 must be nonnegative"),
+        ("max_epochs_adv", 0, "max_epochs_adv must be at least 1"),
+    ])
+    def test_bad_config_field_exits_2(self, tmp_path, dataset_path, capsys, field, value,
+                                      message):
+        tcfg = write_train_config(tmp_path / "t.json", **{field: value})
+        code = cli.main(["train", "--data", str(dataset_path), "--config", str(tcfg),
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_rerun_reproduces_model_bitwise(self, tmp_path, dataset_path):
         tcfg = write_train_config(tmp_path / "t.json")
         outs = []
@@ -219,9 +257,22 @@ class TestSweep:
                          "--grid", "0.5,1,2", "--config", str(tcfg),
                          "--out-dir", str(out_dir)])
         assert code == 0
-        assert sorted(calls) == [0.5, 1.0, 2.0]
+        assert calls == [0.5, 1.0, 2.0]
         selected = json.loads((out_dir / "selected.json").read_text())
         assert selected["selected_lambda"] == 1.0
+
+    @pytest.mark.parametrize("grid", ["-1,2", "2,5,2"])
+    def test_bad_grid_exits_2_before_training(self, tmp_path, dataset_path, monkeypatch,
+                                              grid):
+        calls = []
+        monkeypatch.setattr(cli, "run_training", lambda cfg, *a, **k: calls.append(cfg))
+        tcfg = write_train_config(tmp_path / "t.json")
+        out_dir = tmp_path / "sweep"
+        code = cli.main(["sweep", "--data", str(dataset_path), "--variant",
+                         "supervised-gender", "--modality", "language",
+                         f"--grid={grid}", "--config", str(tcfg), "--out-dir", str(out_dir)])
+        assert code == 2
+        assert calls == [] and not out_dir.exists()
 
 
 class TestProbe:

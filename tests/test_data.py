@@ -224,6 +224,24 @@ class TestJsonl:
             with pytest.raises(ContractError, match=r"d\.jsonl:2: z must be null or a non-neg"):
                 dt.load_jsonl(path)
 
+    @pytest.mark.parametrize("field, edit, message", [
+        ("seq_audio", lambda seq: seq[0], "seq_audio must be 2-D"),
+        ("seq_audio", lambda seq: [row[:-1] for row in seq][:1] + seq[1:],
+         "seq_audio is not a numeric array"),
+        ("seq_audio", lambda seq: seq[:-1], "seq_audio has shape"),
+        ("seq_video", lambda seq: [row[:-1] for row in seq], "seq_video has shape"),
+        ("seq_language", lambda seq: [[float("nan")] + row[1:] for row in seq],
+         "seq_language has a non-finite value"),
+        ("face", lambda face: face[:-1] + [float("inf")], "face has a non-finite value"),
+    ])
+    def test_bad_sequence_or_face_names_line_and_field(self, tmp_path, field, edit,
+                                                       message):
+        samples = dt.generate_synthetic(tiny_generator_config(n=2))
+        value = edit(np.asarray(getattr(samples[1], field)).tolist())
+        path = self._two_rows_with(tmp_path, field, value)
+        with pytest.raises(ContractError, match=rf"d\.jsonl:2: {message}"):
+            dt.load_jsonl(path)
+
     def test_null_z_round_trips(self, tmp_path):
         samples = dt.generate_synthetic(tiny_generator_config(n=3))
         for s in samples:

@@ -158,6 +158,57 @@ class TestSelectLambda:
             tr.select_lambda({})
 
 
+class _Params:
+    """Just enough of a model for _until_stale: named parameters that
+    snapshot and restore like HireabilityModel's."""
+    snapshot = HireabilityModel.snapshot
+    restore = HireabilityModel.restore
+
+    def __init__(self):
+        self.params = {"w": ad.parameter(np.array([-1.0])),
+                       "v": ad.parameter(np.array([-1.0]))}
+
+
+class TestUntilStale:
+    @staticmethod
+    def _epochs(box, values):
+        """epoch() sets both parameters to its call index and returns the next value."""
+        calls = []
+
+        def epoch():
+            for p in box.params.values():
+                p.value[...] = len(calls)
+            calls.append(values[len(calls)])
+            return calls[-1]
+        return epoch, calls
+
+    def test_stops_after_patience_stale_calls_and_restores_best(self):
+        box = _Params()
+        epoch, calls = self._epochs(box, [3.0, 2.0, 2.5, 4.0, 1.0])
+        best = tr._until_stale(box, None, epoch, max_epochs=10, patience=2)
+        assert best == 2.0 and calls == [3.0, 2.0, 2.5, 4.0]
+        assert box.params["w"].value[0] == 1.0 and box.params["v"].value[0] == 1.0
+
+    def test_restores_only_named_parameters(self):
+        box = _Params()
+        epoch, _ = self._epochs(box, [3.0, 2.0, 2.5, 4.0, 1.0])
+        tr._until_stale(box, ["w"], epoch, max_epochs=10, patience=2)
+        assert box.params["w"].value[0] == 1.0 and box.params["v"].value[0] == 3.0
+
+    def test_honours_starting_best(self):
+        box = _Params()
+        epoch, calls = self._epochs(box, [3.0, 2.0, 1.0])
+        best = tr._until_stale(box, None, epoch, max_epochs=10, patience=2, best=1.5)
+        assert best == 1.5 and calls == [3.0, 2.0]
+        assert box.params["w"].value[0] == -1.0   # the state at entry
+
+    def test_stops_at_max_epochs(self):
+        box = _Params()
+        epoch, calls = self._epochs(box, [3.0, 2.0, 1.0, 0.5])
+        assert tr._until_stale(box, None, epoch, max_epochs=3, patience=2) == 1.0
+        assert calls == [3.0, 2.0, 1.0] and box.params["w"].value[0] == 2.0
+
+
 def short_cfg(**kw):
     base = dict(modality="multimodal", batch_size=16, max_epochs_pretrain=4,
                 patience_pretrain=2, max_epochs_adv=3, patience_adv=2,
@@ -254,6 +305,24 @@ class TestTrainAlternating:
         model = HireabilityModel("multimodal", "supervised-gender", tiny_dims(), seed=6)
         tr.train_alternating(cfg, model, tiny_dataset)
         assert recorded and max(recorded) <= 1.0 + 1e-12
+
+    def test_one_val_pass_per_trunk_state(self, tiny_dataset, monkeypatch):
+        calls = []
+        real_predict = tr.predict
+
+        def counting_predict(model, samples, *args, **kwargs):
+            calls.append(samples)
+            return real_predict(model, samples, *args, **kwargs)
+
+        monkeypatch.setattr(tr, "predict", counting_predict)
+        # patience above every cap fixes P pretrain epochs and O outer iterations
+        cfg = short_cfg(variant="supervised-gender", max_epochs_pretrain=2,
+                        patience_pretrain=5, max_epochs_adv=1, max_outer=2)
+        model = HireabilityModel("multimodal", "supervised-gender", tiny_dims(), seed=2)
+        _, log = tr.train_alternating(cfg, model, tiny_dataset)
+        n_pre, n_outer = log.phases().count("pretrain-main"), log.phases().count("joint")
+        assert (n_pre, n_outer) == (2, 2)
+        assert len(calls) == n_pre + 2 * n_outer + 3
 
     def test_overlapping_splits_rejected(self, tiny_dataset):
         for s in tiny_dataset[:3]:
