@@ -6,10 +6,11 @@ parents and a backward rule.  ``backward`` walks the tape in reverse
 topological order.  Gradients accumulate; call ``zero_grad`` between
 optimizer steps.
 
-The op set covers what the network needs: matrix product, (broadcast)
-add, subtract, Hadamard product, tanh, sigmoid, softmax over the last
-axis, exp, log, clip, concatenate/stack, sum, mean, slicing, transpose,
-reshape, and the gradient reversal node ``grl``.
+The op set covers what the network needs: matrix product, the affine map
+``linear``, (broadcast) add, subtract, Hadamard product, tanh, sigmoid,
+softmax over the last axis, exp, log, clip, concatenate/stack, sum, mean,
+slicing, transpose, reshape, the L2 penalty ``l2`` and the gradient
+reversal node ``grl``.
 """
 
 from __future__ import annotations
@@ -155,6 +156,31 @@ def matmul(a, b) -> Node:
             b.grad += a.value.T @ g
 
     return Node(a.value @ b.value, (a, b), op="matmul", backward=backward)
+
+
+def linear(x, W, b=None) -> Node:
+    """x @ W.T (+ b) for a 2-D batch x and a weight W stored [out, in]."""
+    x, W = constant(x), constant(W)
+    if x.value.ndim != 2 or W.value.ndim != 2 or x.value.shape[1] != W.value.shape[1]:
+        raise ShapeMismatch(f"linear: input {x.value.shape} does not fit weight {W.value.shape}")
+    value = x.value @ W.value.T
+    if b is not None:
+        b = constant(b)
+        if b.value.shape != (W.value.shape[0],):
+            raise ShapeMismatch(f"linear: bias {b.value.shape} does not fit weight "
+                                f"{W.value.shape}")
+        value = value + b.value
+
+    def backward(g):
+        if b is not None and b.requires_grad:
+            b.grad += _unbroadcast(g, b.value.shape)
+        if x.requires_grad:
+            x.grad += g @ W.value
+        if W.requires_grad:
+            W.grad += (x.value.T @ g).T
+
+    parents = (x, W) if b is None else (x, W, b)
+    return Node(value, parents, op="linear", backward=backward)
 
 
 # --------------------------------------------------------------- unary ops
@@ -314,6 +340,25 @@ def _spread(g, shape, axis, keepdims):
     if not keepdims:
         g = np.expand_dims(g, tuple(np.atleast_1d(axis)))
     return np.broadcast_to(g, shape)
+
+
+# ------------------------------------------------------------ penalties
+
+def l2(weights, coeff: float) -> Node:
+    """coeff * the sum, in order, of each weight's sum of squared entries."""
+    weights = tuple(weights)
+    total = np.float64(0.0)
+    for w in weights:
+        total = total + (w.value * w.value).sum()
+
+    def backward(g):
+        gc = g * coeff
+        for w in weights:
+            if w.requires_grad:   # twice, as d(w*w) reaches both factors
+                w.grad += gc * w.value
+                w.grad += gc * w.value
+
+    return Node(total * coeff, weights, op="l2", backward=backward)
 
 
 # ------------------------------------------------------- gradient reversal

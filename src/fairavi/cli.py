@@ -26,9 +26,10 @@ import sys
 import numpy as np
 
 from . import evaluation as ev
-from .data import (GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
+from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
 from .errors import ConfigError, ContractError
+from .fileio import atomic_write
 from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
                     load_model, modality_contributions, predict, save_model)
 from .training import LAMBDA_GRID, TrainConfig, select_lambda, train_alternating
@@ -71,7 +72,7 @@ def _write_manifest(primary_out, command: str, config: dict, seed: int,
         "ended_utc": _now(),
         "outputs": [str(p) for p in outputs],
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
@@ -196,7 +197,7 @@ def cmd_sweep(args) -> int:
         selected = select_lambda({lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
                                   for lam, (_, log) in results.items()})
         marker = os.path.join(args.out_dir, "selected.json")
-        with open(marker, "w") as fh:
+        with atomic_write(marker) as fh:
             json.dump({"selected_lambda": selected,
                        "model": results[selected][0],
                        "objective_by_lambda": {
@@ -235,7 +236,7 @@ def _require_target(dataset, target: str) -> np.ndarray:
 
 def build_report(model, dataset, target: str) -> ev.MetricsReport:
     _require_target(dataset, target)
-    split = {t: [s for s in dataset if s.split == t] for t in ("train", "val", "test")}
+    split = {t: [s for s in dataset if s.split == t] for t in SPLITS}
     for tag, part in split.items():
         if not part:
             raise ContractError(f"dataset has no {tag!r} split")
@@ -269,7 +270,7 @@ def cmd_probe(args) -> int:
     csv_path = os.path.join(args.out_dir, "metrics.csv")
     md_path = os.path.join(args.out_dir, "report.md")
     report.to_csv(csv_path)
-    with open(md_path, "w") as fh:
+    with atomic_write(md_path) as fh:
         fh.write(report.to_markdown())
     _write_manifest(csv_path, "probe",
                     {"model": args.model, "target": args.target},
@@ -283,16 +284,15 @@ def cmd_probe(args) -> int:
 
 def cmd_audit(args) -> int:
     dataset = load_jsonl(args.data)
-    split = {t: [s for s in dataset if s.split == t] for t in ("train", "val", "test")}
-    if not any(split.values()):
-        raise ContractError("dataset has no split tags")
+    if not dataset:
+        raise ContractError("dataset is empty")
+    split = {t: [s for s in dataset if s.split == t] for t in SPLITS}
     overlap = ev.audit_overlap(split["train"], split["test"], key=args.key)
     print(f"test/train group overlap: {overlap:.4f}")
     has_z = all(s.z is not None for s in dataset)
     lines = []
     if has_z:
-        scopes = [("complete", dataset)] + [(t, split[t]) for t in ("train", "val", "test")
-                                            if split[t]]
+        scopes = [("complete", dataset)] + [(t, split[t]) for t in SPLITS if split[t]]
         header = f"{'group':<12}" + "".join(f"{name:>14}" for name, _ in scopes)
         print(header)
         lines.append("group," + ",".join(name for name, _ in scopes))
@@ -315,7 +315,7 @@ def cmd_audit(args) -> int:
         print(f"{'DI':<12}" + "".join(f"{v:>14}" for v in shown))
         lines.append("DI," + ",".join(f"{v!r}" for v in dis))
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write(f"overlap,{overlap!r}\n")
             for line in lines:
                 fh.write(line + "\n")
@@ -332,7 +332,7 @@ def cmd_contributions(args) -> int:
     dataset = load_jsonl(args.data)
     part = [s for s in dataset if s.split == args.split] or dataset
     _, summary = modality_contributions(model, part)
-    with open(args.out, "w") as fh:
+    with atomic_write(args.out) as fh:
         fh.write("modality,mean,q25,median,q75\n")
         for m, stats in summary.items():
             fh.write(f"{m},{stats['mean']!r},{stats['q25']!r},"

@@ -18,11 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractError
+from .fileio import atomic_write
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
 JSONL_FIELDS = ("id", "video_id", *SEQ_FIELDS, "face", "y", "z", "split")
 
 FACE_DIM = 512
+SPLITS = ("train", "val", "test")
 
 
 @dataclass
@@ -205,7 +207,7 @@ def split_group_disjoint(samples, ratios=(0.7, 0.15, 0.15), seed: int = 0):
         for s in groups[vid]:
             s.split = tag
         assigned += len(groups[vid])
-    out = {t: [s for s in samples if s.split == t] for t in ("train", "val", "test")}
+    out = {t: [s for s in samples if s.split == t] for t in SPLITS}
     return out["train"], out["val"], out["test"]
 
 
@@ -294,7 +296,7 @@ def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
 
 def save_jsonl(samples, path) -> None:
     """One JSON object per line with the full sample schema."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         for s in samples:
             doc = {
                 "id": s.id,
@@ -323,8 +325,12 @@ def _float_array(doc, name: str, where: str) -> np.ndarray:
 
 
 def load_jsonl(path) -> list[InterviewSample]:
-    """Read samples, checking each row against the first row's sequence shapes."""
-    samples, seq_shapes = [], None
+    """Read samples, checking each row against the first row's sequence shapes.
+
+    Ids must be unique strings and every row must carry a split tag; a
+    video id may span splits (``fairavi audit`` measures that leak).
+    """
+    samples, seq_shapes, id_lines = [], None, {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -337,6 +343,13 @@ def load_jsonl(path) -> list[InterviewSample]:
             missing = [f for f in JSONL_FIELDS if f not in doc]
             if missing:
                 raise ContractError(f"{where}: missing field(s) {missing}")
+            for f in ("id", "video_id"):
+                if type(doc[f]) is not str:
+                    raise ContractError(f"{where}: {f} must be a string, got {doc[f]!r}")
+            if doc["id"] in id_lines:
+                raise ContractError(f"{where}: duplicate id {doc['id']!r} "
+                                    f"(first on line {id_lines[doc['id']]})")
+            id_lines[doc["id"]] = lineno
             face = _float_array(doc, "face", where)
             if face.shape != (FACE_DIM,):
                 raise ContractError(
@@ -355,6 +368,9 @@ def load_jsonl(path) -> list[InterviewSample]:
             if z is not None and (type(z) is not int or z < 0):
                 raise ContractError(
                     f"{where}: z must be null or a non-negative integer, got {z!r}")
+            if doc["split"] not in SPLITS:
+                raise ContractError(
+                    f"{where}: split must be one of {list(SPLITS)}, got {doc['split']!r}")
             samples.append(InterviewSample(
                 id=doc["id"], video_id=doc["video_id"], **seqs,
                 face=face, y=y, z=z, split=doc["split"]))

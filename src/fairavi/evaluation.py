@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError
+from .fileio import atomic_write
 from .model import HireabilityModel, predict
 
 
@@ -313,7 +314,7 @@ class MetricsReport:
                get(self.di_predictions, "gender"), get(self.di_predictions, "ethnicity"),
                get(self.di_labels, "gender"), get(self.di_labels, "ethnicity"),
                repr(self.threshold), self.di_convention, self.probe_note]
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(",".join(cols) + "\n")
             fh.write(",".join(row) + "\n")
 

@@ -54,7 +54,7 @@ def dense_forward(p: DenseParams, x) -> Node:
         raise ShapeMismatch(f"dense: input width {x.value.shape[-1]} != {n_in}")
     if single:
         x = ad.reshape(x, (1, n_in))
-    y = ad.add(ad.matmul(x, ad.transpose(p.W)), p.b)
+    y = ad.linear(x, p.W, p.b)
     y = _ACTIVATIONS[p.activation](y)
     if single:
         y = ad.reshape(y, (n_out,))
@@ -123,51 +123,94 @@ def _gru_mix(p: GruParams, px: dict, h_prev: Node) -> Node:
     return ad.add(h_prev, ad.mul(z, ad.sub(hhat, h_prev)))
 
 
-def _gru_sequence(p: GruParams, x: Node, reverse: bool) -> Node:
-    """Hidden states (B, T, hidden) of one direction, starting from zeros.
+def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
+    """Both directions' hidden states as one (B, T, 2h) tape node.
 
-    The input projections are tape ops over the whole sequence; the
-    recurrence is one tape node running _gru_mix's rules in numpy.  Each
-    gradient buffer gets its terms in the order a tape of _gru_mix steps
-    adds them, so values and gradients match that tape bit for bit."""
-    B, T, d = x.value.shape
-    flat = ad.reshape(x, (B * T, d))
-    proj = [ad.reshape(ad.add(ad.matmul(flat, ad.transpose(W)), b), (B, T, p.hidden))
-            for W, b in ((p.W_r, p.b_r), (p.W_z, p.b_z), (p.W_h, p.b_h))]
-    U = (p.U_r, p.U_z, p.U_h)
-    P, UT = [n.value for n in proj], [u.value.T for u in U]
-    hs, h, saved = np.zeros((B, T, p.hidden)), np.zeros((B, p.hidden)), []
+    The input projections are linear ops over the (B*T, d) sequence; the
+    recurrence runs _gru_mix's rules in numpy, with both directions
+    stacked time-major as (T, 2, B, h) and the backward direction's
+    inputs reversed in time, so step s advances the forward direction at
+    t = s and the backward one at t = T-1-s.  Each gradient buffer gets
+    its terms in the order a tape of _gru_mix steps adds them, so values
+    and gradients match that tape bit for bit."""
+    h = fwd.hidden
+    gates = [[ad.linear(flat, getattr(p, f"W_{g}"), getattr(p, f"b_{g}")) for p in (fwd, bwd)]
+             for g in "rzh"]
+    U = [getattr(p, f"U_{g}") for g in "rzh" for p in (fwd, bwd)]
+
+    def time_major(pf, pb):
+        out = np.empty((T, 2, B, h))
+        out[:, 0] = pf.reshape(B, T, h).transpose(1, 0, 2)
+        out[:, 1] = pb.reshape(B, T, h)[:, ::-1].transpose(1, 0, 2)
+        return out
+
+    P = [time_major(pf.value, pb.value) for pf, pb in gates]
+    Us = np.stack([u.value for u in U]).reshape(3, 2, h, h)
+    UT = Us.swapaxes(-1, -2)
+    # saved per step, not in (T, 2, B, h) buffers: at inference batch sizes
+    # those would be fresh pages on every call
+    state, value, saved = np.zeros((2, B, h)), np.empty((B, T, 2 * h)), []
     with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
-        for t in (range(T - 1, -1, -1) if reverse else range(T)):
-            r = 1.0 / (1.0 + np.exp(-(P[0][:, t, :] + h @ UT[0])))
-            z = 1.0 / (1.0 + np.exp(-(P[1][:, t, :] + h @ UT[1])))
-            rh = r * h
-            hhat = np.tanh(P[2][:, t, :] + rh @ UT[2])
-            diff = hhat - h
-            saved.append((t, h, r, z, rh, hhat, diff))
-            h = hs[:, t, :] = h + z * diff
+        for s in range(T):
+            r = np.add(P[0][s], state @ UT[0])
+            np.divide(1.0, 1.0 + np.exp(-r), out=r)
+            z = np.add(P[1][s], state @ UT[1])
+            np.divide(1.0, 1.0 + np.exp(-z), out=z)
+            hhat = np.add(P[2][s], (r * state) @ UT[2])
+            np.tanh(hhat, out=hhat)
+            saved.append((state, r, z, hhat))
+            state = state + z * (hhat - state)
+            value[:, s, :h], value[:, T - 1 - s, h:] = state
 
     def backward(g):
-        grads = [n.grad if n.requires_grad else None for n in (*proj, *U)]
-        later = []          # terms the step after adds to this step's state
-        for t, h_prev, r, z, rh, hhat, diff in reversed(saved):
-            # a forward-direction state takes its output term first, a
-            # backward-direction state last, as on the unfused tape
-            terms = later + [g[:, t, :]] if reverse else [g[:, t, :]] + later
-            g_h = sum(terms[1:], terms[0] + 0.0)
-            g_z, g_d = g_h * diff, g_h * z
-            g_ah = g_d * (1.0 - hhat * hhat)
-            g_rh = g_ah @ UT[2].T
-            g_ar = g_rh * h_prev * r * (1.0 - r)
-            g_az = g_z * z * (1.0 - z)
-            for i, (g_a, a) in enumerate(((g_ar, h_prev), (g_az, h_prev), (g_ah, rh))):
-                if grads[i] is not None:
-                    grads[i][:, t, :] += g_a
-                if grads[3 + i] is not None:
-                    grads[3 + i] += (a.T @ g_a).T
-            later = [g_h, g_az @ UT[1].T, -g_d, g_rh * r, g_ar @ UT[0].T]
+        # a forward-direction state takes its output term first and a
+        # backward-direction state last, as on the unfused tape
+        first, last = np.zeros((T, 2, B, h)), np.zeros((T, 2, B, h))
+        first[:, 0] = g[:, :, :h].transpose(1, 0, 2)
+        first += 0.0        # -0.0 -> 0.0, as the tape's first sum did
+        last[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
+        S, R, Z, HH = (np.stack(a) for a in zip(*saved))    # S[s]: state entering step s
+        RH = R * S
+        diff, d_r, d_z, d_hh = HH - S, 1.0 - R, 1.0 - Z, 1.0 - HH * HH
+        g_proj = np.empty((3, T, 2, B, h))      # d(loss)/d(W x + b) per gate and step
+        later = None        # terms the step after adds to this step's state
+        for s in range(T - 1, -1, -1):
+            if later is None:
+                g_h = first[s] + last[s]
+            else:
+                g_next, g_uz, g_d, g_rr, g_ur = later
+                g_h = first[s] + g_next
+                g_h += g_uz
+                g_h -= g_d
+                g_h += g_rr
+                g_h += g_ur
+                g_h += last[s]
+            g_z, g_d = g_h * diff[s], g_h * Z[s]
+            g_ah = np.multiply(g_d, d_hh[s], out=g_proj[2, s])
+            g_rh = g_ah @ Us[2]
+            g_ar = np.multiply(g_rh * S[s] * R[s], d_r[s], out=g_proj[0, s])
+            g_az = np.multiply(g_z * Z[s], d_z[s], out=g_proj[1, s])
+            later = g_h, g_az @ Us[1], g_d, g_rh * R[s], g_ar @ Us[0]
+        for (pf, pb), gp in zip(gates, g_proj):
+            if pf.requires_grad:
+                pf.grad.reshape(B, T, h)[...] += gp[:, 0].transpose(1, 0, 2)
+            if pb.requires_grad:
+                pb.grad.reshape(B, T, h)[...] += gp[::-1, 1].transpose(1, 0, 2)
+        # each step's U term (a.T @ g_a).T, a = h_prev for r and z and r*h_prev
+        # for the candidate, added last step first
+        terms = np.empty((3, T, 2, h, h))
+        np.matmul(S.swapaxes(-1, -2), g_proj[:2], out=terms[:2])
+        np.matmul(RH.swapaxes(-1, -2), g_proj[2], out=terms[2])
+        terms = terms.swapaxes(-1, -2)
+        g_U = np.stack([u.grad for u in U]).reshape(3, 2, h, h)
+        for s in range(T - 1, -1, -1):
+            g_U += terms[:, s]
+        for u, g_u in zip(U, g_U.reshape(6, h, h)):
+            if u.requires_grad:
+                u.grad[...] = g_u
 
-    return Node(hs, (*proj, *U), op="gru", backward=backward)
+    parents = (*(n for pair in gates for n in pair), *U)
+    return Node(value, parents, op="gru", backward=backward)
 
 
 def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:
@@ -180,10 +223,10 @@ def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:
     single = x.value.ndim == 2
     if single:
         x = ad.reshape(x, (1,) + x.value.shape)
-    if x.value.shape[1] < 1:
+    B, T, d = x.value.shape
+    if T < 1:
         raise ShapeMismatch("bigru_encode: empty sequence")
-    out = ad.concat([_gru_sequence(fwd, x, reverse=False),
-                     _gru_sequence(bwd, x, reverse=True)], axis=-1)
+    out = _bigru(fwd, bwd, ad.reshape(x, (B * T, d)), B, T)
     if single:
         out = ad.reshape(out, out.value.shape[1:])
     return out
@@ -217,7 +260,7 @@ def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
     B, T, w = z.value.shape
     proj = p.u_p.value.shape[0]
     flat = ad.reshape(z, (B * T, w))
-    u = ad.tanh(ad.add(ad.matmul(flat, ad.transpose(p.W_A)), p.b))
+    u = ad.tanh(ad.linear(flat, p.W_A, p.b))
     scores = ad.reshape(ad.matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T))
     alpha = ad.softmax(scores)
     o = ad.sum_(ad.mul(z, ad.reshape(alpha, (B, T, 1))), axis=1)
@@ -264,14 +307,14 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
             raise ShapeMismatch(f"gmu_fuse: {name} width {o.value.shape[-1]} != {width}")
     cat = ad.concat([o_a, o_l, o_v], axis=-1)
     proj = {
-        "audio": ad.tanh(ad.matmul(o_a, ad.transpose(p.W_aproj))),
-        "language": ad.tanh(ad.matmul(o_l, ad.transpose(p.W_lproj))),
-        "video": ad.tanh(ad.matmul(o_v, ad.transpose(p.W_vproj))),
+        "audio": ad.tanh(ad.linear(o_a, p.W_aproj)),
+        "language": ad.tanh(ad.linear(o_l, p.W_lproj)),
+        "video": ad.tanh(ad.linear(o_v, p.W_vproj)),
     }
     gates = {
-        "audio": ad.sigmoid(ad.matmul(cat, ad.transpose(p.W_agating))),
-        "language": ad.sigmoid(ad.matmul(cat, ad.transpose(p.W_lgating))),
-        "video": ad.sigmoid(ad.matmul(cat, ad.transpose(p.W_vgating))),
+        "audio": ad.sigmoid(ad.linear(cat, p.W_agating)),
+        "language": ad.sigmoid(ad.linear(cat, p.W_lgating)),
+        "video": ad.sigmoid(ad.linear(cat, p.W_vgating)),
     }
     contributions = {m: ad.mul(gates[m], proj[m]) for m in proj}
     o_mm = ad.add(ad.add(contributions["audio"], contributions["language"]),
@@ -305,12 +348,7 @@ def l2_penalty(params: dict[str, Node], coeff: float) -> Node:
     recognized by a final name component starting with 'b', excluded)."""
     if coeff < 0:
         raise ValueError(f"l2_penalty: coeff must be nonnegative, got {coeff}")
-    total = ad.constant(0.0)
-    for name, node in sorted(params.items()):
-        if is_bias(name):
-            continue
-        total = ad.add(total, ad.sum_(ad.mul(node, node)))
-    return ad.mul(total, ad.constant(coeff))
+    return ad.l2([node for name, node in sorted(params.items()) if not is_bias(name)], coeff)
 
 
 def is_bias(name: str) -> bool:

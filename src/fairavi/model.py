@@ -25,6 +25,7 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .errors import ContractError
+from .fileio import atomic_write
 
 MODALITIES = ("language", "audio", "video")
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
@@ -209,17 +210,16 @@ class HireabilityModel:
     def head_supervised(self, H) -> Node:
         """Protected-class prediction: (B,) sigmoid for gender, (B, 3) softmax
         for ethnicity, over a shared sigmoid hidden layer."""
-        hidden = ad.sigmoid(ad.add(ad.matmul(H, ad.transpose(self.params["W_3"])),
-                                   self.params["b_3"]))
-        logits = ad.add(ad.matmul(hidden, ad.transpose(self.params["W_4"])), self.params["b_4"])
+        hidden = ad.sigmoid(ad.linear(H, self.params["W_3"], self.params["b_3"]))
+        logits = ad.linear(hidden, self.params["W_4"], self.params["b_4"])
         if self.variant == "supervised-gender":
             return ad.reshape(ad.sigmoid(logits), (logits.value.shape[0],))
         return ad.softmax(logits)
 
     def head_static_faces(self, H) -> Node:
         """Two stacked affine maps, no nonlinearity: W_6 (W_5 H + b_5) + b_6."""
-        inner = ad.add(ad.matmul(H, ad.transpose(self.params["W_5"])), self.params["b_5"])
-        return ad.add(ad.matmul(inner, ad.transpose(self.params["W_6"])), self.params["b_6"])
+        inner = ad.linear(H, self.params["W_5"], self.params["b_5"])
+        return ad.linear(inner, self.params["W_6"], self.params["b_6"])
 
     def head_negative_sampling(self, H, batch: NegativeSamplingBatch) -> tuple[Node, Node]:
         """Score H against k faces; returns (scores, p) of shape (B, k).
@@ -231,15 +231,13 @@ class HireabilityModel:
         faces = np.asarray(batch.faces, dtype=np.float64)
         B, k, fd = faces.shape
         flat = ad.constant(faces.reshape(B * k, fd))
-        w_hat = ad.tanh(ad.add(ad.matmul(flat, ad.transpose(self.params["W_7"])),
-                               self.params["b_7"]))
+        w_hat = ad.tanh(ad.linear(flat, self.params["W_7"], self.params["b_7"]))
         w_hat = ad.reshape(w_hat, (B, k, self.q))
-        inner = ad.add(ad.matmul(H, ad.transpose(self.params["W_8"])), self.params["b_8"])
-        h_hat = ad.tanh(ad.add(ad.matmul(inner, ad.transpose(self.params["W_9"])),
-                               self.params["b_9"]))
+        inner = ad.linear(H, self.params["W_8"], self.params["b_8"])
+        h_hat = ad.tanh(ad.linear(inner, self.params["W_9"], self.params["b_9"]))
         prod = ad.add(ad.mul(w_hat, ad.reshape(h_hat, (B, 1, self.q))), self.params["b_10"])
-        scores = ad.reshape(ad.matmul(ad.reshape(prod, (B * k, self.q)),
-                                      ad.transpose(self.params["W_10"])), (B, k))
+        scores = ad.reshape(ad.linear(ad.reshape(prod, (B * k, self.q)), self.params["W_10"]),
+                            (B, k))
         return scores, ad.softmax(scores)
 
     # ------------------------------------------------------------ snapshot
@@ -311,7 +309,7 @@ def save_model(model: HireabilityModel, path) -> None:
                           "data": [v.hex() for v in node.value.ravel().tolist()]}
                    for name, node in sorted(model.params.items())},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

@@ -31,6 +31,7 @@ from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import ConfigError, ContractError
+from .fileio import atomic_write
 from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel,
                     NegativeSamplingBatch, batch_sequences, predict)
 
@@ -140,31 +141,49 @@ def onehot(z, n_classes: int) -> np.ndarray:
 # -------------------------------------------------------------------- Adam
 
 class Adam:
-    """Bias-corrected Adam over a named parameter dict."""
+    """Bias-corrected Adam over a named parameter dict.
+
+    The first and second moments of all parameters live in one flat buffer
+    each, in parameter order; m[name] and v[name] are views into them.
+    """
 
     def __init__(self, params: dict[str, Node], lr: float,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {n: np.zeros_like(p.value) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.value) for n, p in params.items()}
+        offsets = np.cumsum([0] + [p.value.size for p in params.values()])
+        self._slices = {n: slice(lo, hi) for n, lo, hi in zip(params, offsets[:-1], offsets[1:])}
+        self._m, self._v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+        self.m = {n: self._m[sl].reshape(params[n].value.shape) for n, sl in self._slices.items()}
+        self.v = {n: self._v[sl].reshape(params[n].value.shape) for n, sl in self._slices.items()}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
-        """One update; a non-finite gradient raises before any state changes."""
-        for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
-                raise ContractError(f"non-finite gradient for parameter {name}")
+        """One update; mismatched names or shapes and non-finite gradients
+        raise before any state changes."""
+        if grads.keys() != self.params.keys():
+            missing = [n for n in self.params if n not in grads]
+            extra = [n for n in grads if n not in self.params]
+            raise ContractError(f"Adam.step: gradients missing for {missing}, "
+                                f"unexpected gradients for {extra}")
+        for name, p in self.params.items():
+            if np.shape(grads[name]) != p.value.shape:
+                raise ContractError(f"Adam.step: gradient for {name} has shape "
+                                    f"{np.shape(grads[name])}, parameter {p.value.shape}")
+        g = np.concatenate([np.ravel(grads[n]) for n in self.params])
+        if not np.all(np.isfinite(g)):
+            name = next(n for n, sl in self._slices.items() if not np.all(np.isfinite(g[sl])))
+            raise ContractError(f"non-finite gradient for parameter {name}")
         lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, g in grads.items():
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / c1) / (np.sqrt(self.v[name] / c2) + self.eps)
-            self.params[name].value -= lr * update
+        self._m[...] = self.beta1 * self._m + (1.0 - self.beta1) * g
+        self._v[...] = self.beta2 * self._v + (1.0 - self.beta2) * g * g
+        step = lr * ((self._m / c1) / (np.sqrt(self._v / c2) + self.eps))
+        for name, p in self.params.items():
+            p.value -= step[self._slices[name]].reshape(p.value.shape)
 
 
 # ---------------------------------------------------------------- train log
@@ -202,7 +221,7 @@ class TrainLog:
     def to_csv(self, path) -> None:
         def fmt(v):
             return "" if v is None else repr(float(v))
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(CSV_HEADER + "\n")
             for r in self.rows:
                 fh.write(",".join([str(r.epoch), r.phase, fmt(r.l_t_train),

@@ -188,6 +188,13 @@ OP_CASES = {
                       [r.standard_normal((2, 3)), r.standard_normal((2, 3))]),
     "matmul": lambda r: (lambda lv: ad.sum_(ad.matmul(lv[0], lv[1])),
                          [r.standard_normal((2, 3)), r.standard_normal((3, 2))]),
+    # with and without the bias, sharing x and W
+    "linear": lambda r: (lambda lv: ad.sum_(ad.mul(ad.linear(lv[0], lv[1], lv[2]),
+                                                   ad.linear(lv[0], lv[1]))),
+                         [r.standard_normal((3, 4)), r.standard_normal((2, 4)),
+                          r.standard_normal(2)]),
+    "l2": lambda r: (lambda lv: ad.add(ad.l2(lv, 0.7), ad.sum_(ad.tanh(lv[0]))),
+                     [r.standard_normal((2, 3)), r.standard_normal(4)]),
     "neg": lambda r: (lambda lv: ad.sum_(ad.mul(ad.neg(lv[0]), lv[0])),
                       [r.standard_normal(5)]),
     "tanh": lambda r: (lambda lv: ad.sum_(ad.tanh(lv[0])), [r.standard_normal(5)]),
@@ -232,3 +239,61 @@ def test_every_registered_op_is_covered():
     ops = set(re.findall(r'op="(\w+)"', inspect.getsource(ad))) - {"leaf"}
     assert "matmul" in ops and "grl" in ops
     assert set(OP_CASES) | {"grl"} == ops
+
+
+class TestFusedOps:
+    """linear and l2 give the bytes of the op chains they replace."""
+
+    @staticmethod
+    def _run(build, leaves):
+        for leaf in leaves:
+            leaf.zero_grad()
+        out = build()
+        ad.backward(out)
+        return out.value.tobytes(), [leaf.grad.tobytes() for leaf in leaves]
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_linear_matches_matmul_transpose_add_bitwise(self, with_bias):
+        rng = np.random.default_rng(41)
+        x, W, b = (ad.parameter(rng.standard_normal(s)) for s in ((32, 20), (8, 20), (8,)))
+        c = ad.constant(rng.standard_normal((32, 8)))
+
+        def loss(y):
+            return ad.sum_(ad.mul(ad.tanh(y), c))
+
+        def chain():
+            y = ad.matmul(x, ad.transpose(W))
+            return loss(ad.add(y, b) if with_bias else y)
+
+        fused = lambda: loss(ad.linear(x, W, b if with_bias else None))
+        assert self._run(chain, [x, W, b]) == self._run(fused, [x, W, b])
+
+    def test_l2_matches_sum_of_squares_chain_bitwise(self):
+        # W_a and W_c also feed the data term, so their buffers get three
+        # terms whose order decides the bytes: the data term first, the two
+        # L2 terms last; three weights also pin the order of the value's sum
+        rng = np.random.default_rng(42)
+        W_a, W_b, W_c = (ad.parameter(rng.standard_normal(s))
+                         for s in ((8, 20), (30, 16), (5, 8)))
+        x = ad.constant(rng.standard_normal((32, 20)))
+        coeff = 0.37
+
+        def chain():
+            total = ad.constant(0.0)
+            for w in (W_a, W_b, W_c):
+                total = ad.add(total, ad.sum_(ad.mul(w, w)))
+            return ad.mul(total, ad.constant(coeff))
+
+        def loss(penalty):
+            return ad.add(ad.sum_(ad.tanh(ad.linear(ad.tanh(ad.linear(x, W_a)), W_c))),
+                          penalty())
+
+        fused = lambda: ad.l2([W_a, W_b, W_c], coeff)
+        leaves = [W_a, W_b, W_c]
+        assert self._run(lambda: loss(chain), leaves) == self._run(lambda: loss(fused), leaves)
+
+    def test_linear_rejects_misfit_shapes(self):
+        with pytest.raises(ad.ShapeMismatch, match="linear"):
+            ad.linear(np.zeros((2, 3)), np.zeros((4, 2)))
+        with pytest.raises(ad.ShapeMismatch, match="bias"):
+            ad.linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))

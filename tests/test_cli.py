@@ -330,6 +330,17 @@ class TestAudit:
         assert cli.main(["audit", "--data", str(dataset_path)]) == 0
         assert "overlap: 0.0000" in capsys.readouterr().out
 
+    def test_empty_or_untagged_dataset_exits_3(self, tmp_path, dataset_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert cli.main(["audit", "--data", str(empty)]) == 3
+        assert "dataset is empty" in capsys.readouterr().err
+        untagged = tmp_path / "untagged.jsonl"
+        doc = json.loads(dataset_path.read_text().splitlines()[0])
+        untagged.write_text(json.dumps(dict(doc, split="")) + "\n")
+        assert cli.main(["audit", "--data", str(untagged)]) == 3
+        assert "untagged.jsonl:1: split must be one of" in capsys.readouterr().err
+
     def test_injected_rate_table_prints_di(self, tmp_path, capsys):
         # candidate-level labels mirroring the reported gender rates
         from fairavi.data import InterviewSample, save_jsonl

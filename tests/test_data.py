@@ -192,8 +192,17 @@ class TestJsonl:
         with pytest.raises(ContractError, match="face"):
             dt.load_jsonl(path)
 
+    @staticmethod
+    def _tagged(n):
+        """n generated samples tagged for the train split; load_jsonl
+        rejects untagged rows."""
+        samples = dt.generate_synthetic(tiny_generator_config(n=n))
+        for s in samples:
+            s.split = "train"
+        return samples
+
     def test_malformed_line_numbered(self, tmp_path):
-        samples = dt.generate_synthetic(tiny_generator_config(n=2))
+        samples = self._tagged(2)
         path = tmp_path / "d.jsonl"
         dt.save_jsonl(samples, path)
         with open(path, "a") as fh:
@@ -203,7 +212,7 @@ class TestJsonl:
 
     @staticmethod
     def _two_rows_with(tmp_path, field, value):
-        samples = dt.generate_synthetic(tiny_generator_config(n=2))
+        samples = TestJsonl._tagged(2)
         path = tmp_path / "d.jsonl"
         dt.save_jsonl(samples, path)
         first, second = path.read_text().splitlines()
@@ -242,8 +251,35 @@ class TestJsonl:
         with pytest.raises(ContractError, match=rf"d\.jsonl:2: {message}"):
             dt.load_jsonl(path)
 
+    def test_bad_split_names_line(self, tmp_path):
+        for split in ("", "holdout", "Train", None, 1):
+            path = self._two_rows_with(tmp_path, "split", split)
+            with pytest.raises(ContractError, match=r"d\.jsonl:2: split must be one of"):
+                dt.load_jsonl(path)
+
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        first_id = self._tagged(1)[0].id
+        path = self._two_rows_with(tmp_path, "id", first_id)
+        message = rf"d\.jsonl:2: duplicate id '{first_id}' \(first on line 1\)"
+        with pytest.raises(ContractError, match=message):
+            dt.load_jsonl(path)
+
+    def test_non_string_ids_name_line(self, tmp_path):
+        for field, value in (("id", 5), ("id", None), ("video_id", ["v"]), ("video_id", 1.0)):
+            path = self._two_rows_with(tmp_path, field, value)
+            with pytest.raises(ContractError, match=rf"d\.jsonl:2: {field} must be a string"):
+                dt.load_jsonl(path)
+
+    def test_video_spanning_splits_loads(self, tmp_path):
+        # a leak between splits is data for `fairavi audit`, not a format error
+        samples = self._tagged(2)
+        samples[1].video_id, samples[1].split = samples[0].video_id, "test"
+        path = tmp_path / "d.jsonl"
+        dt.save_jsonl(samples, path)
+        assert [s.split for s in dt.load_jsonl(path)] == ["train", "test"]
+
     def test_null_z_round_trips(self, tmp_path):
-        samples = dt.generate_synthetic(tiny_generator_config(n=3))
+        samples = self._tagged(3)
         for s in samples:
             s.z = None
         path = tmp_path / "d.jsonl"

@@ -153,25 +153,28 @@ class TestBigru:
         with pytest.raises(ad.ShapeMismatch, match="empty"):
             ly.bigru_encode(fwd, bwd, np.zeros((0, 2)))
 
-    @pytest.mark.parametrize("T", [1, 2, 7])
-    def test_fused_recurrence_matches_stepwise_tape_bitwise(self, T):
+    @pytest.mark.parametrize("B, T, d, h", [(5, 1, 3, 4), (5, 2, 3, 4), (5, 7, 3, 4),
+                                            (32, 25, 20, 8)],
+                             ids=["1", "2", "7", "default-width"])
+    def test_fused_recurrence_matches_stepwise_tape_bitwise(self, B, T, d, h):
         # Saved models stay byte-identical only if every gradient buffer
         # receives the same terms in the same order as a tape built from
-        # one _gru_mix step per time step.
+        # one _gru_mix step per time step.  The last case is the training
+        # batch of the default model: B=32 clips, audio's T=25 and d=20.
         rng = rng_of(20 + T)
-        fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
-        x = ad.constant(rng.standard_normal((5, T, 3)))
-        weight = ad.constant(rng.standard_normal((5, T, 8)))
+        fwd, bwd = ly.init_gru(rng, h, d), ly.init_gru(rng, h, d)
+        x = ad.constant(rng.standard_normal((B, T, d)))
+        weight = ad.constant(rng.standard_normal((B, T, 2 * h)))
         params = {f"{tag}.{k}": v for tag, p in (("f", fwd), ("b", bwd))
                   for k, v in vars(p).items() if k != "hidden"}
 
         def tape_sequence(p, reverse):
-            flat = ad.reshape(x, (5 * T, 3))
+            flat = ad.reshape(x, (B * T, d))
             proj = {g: ad.reshape(ad.add(ad.matmul(flat, ad.transpose(getattr(p, f"W_{g}"))),
-                                         getattr(p, f"b_{g}")), (5, T, 4)) for g in "rzh"}
-            h, out = ad.constant(np.zeros((5, 4))), [None] * T
+                                         getattr(p, f"b_{g}")), (B, T, h)) for g in "rzh"}
+            state, out = ad.constant(np.zeros((B, h))), [None] * T
             for t in (range(T - 1, -1, -1) if reverse else range(T)):
-                h = out[t] = ly._gru_mix(p, {g: proj[g][:, t, :] for g in "rzh"}, h)
+                state = out[t] = ly._gru_mix(p, {g: proj[g][:, t, :] for g in "rzh"}, state)
             return out
 
         def tape_encode():
@@ -187,6 +190,14 @@ class TestBigru:
             results.append((out.value.tobytes(),
                             {k: v.grad.tobytes() for k, v in params.items()}))
         assert results[0] == results[1]
+
+    def test_one_tape_node_per_encoder(self):
+        rng = rng_of(3)
+        fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
+        out = ly.bigru_encode(fwd, bwd, rng.standard_normal((2, 6, 3)))
+        assert out.op == "gru" and out.value.shape == (2, 6, 8)
+        ops = sorted(n.op for n in ad.topo_order(out) if n.parents)
+        assert ops == ["gru"] + ["linear"] * 6 + ["reshape"]
 
 
 class TestAttention:

@@ -137,6 +137,50 @@ class TestAdam:
             assert np.array_equal(opt.v[n], v[n]), n
 
 
+    def test_flat_buffers_match_per_parameter_reference(self):
+        # the update each parameter got from its own m, v arrays before the
+        # moments moved into one flat buffer per optimizer
+        def reference_step(m, v, t, g, lr=0.01, b1=0.9, b2=0.999, eps=1e-8):
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            return m, v, lr * ((m / c1) / (np.sqrt(v / c2) + eps))
+
+        rng = np.random.default_rng(8)
+        shapes = {"W_1": (3, 4), "b_1": (3,), "gru.U_r": (8, 8), "s": (1,)}
+        p = {n: ad.parameter(rng.standard_normal(sh)) for n, sh in shapes.items()}
+        ref = {n: (q.value.copy(), np.zeros(sh), np.zeros(sh)) for (n, q), sh
+               in zip(p.items(), shapes.values())}
+        opt = tr.Adam(p, lr=0.01)
+        for t in range(1, 6):
+            grads = {n: rng.standard_normal(sh) for n, sh in shapes.items()}
+            opt.step(grads)
+            for n in shapes:
+                value, m, v = ref[n]
+                m, v, update = reference_step(m, v, t, grads[n])
+                ref[n] = value - update, m, v
+                assert p[n].value.tobytes() == ref[n][0].tobytes(), (t, n)
+                assert opt.m[n].tobytes() == m.tobytes(), (t, n)
+                assert opt.v[n].tobytes() == v.tobytes(), (t, n)
+
+    @pytest.mark.parametrize("grads, message", [
+        ({"a": np.ones(2)}, r"missing for \['b'\], unexpected gradients for \[\]"),
+        ({"a": np.ones(2), "b": np.ones(1), "c": np.ones(3)},
+         r"missing for \[\], unexpected gradients for \['c'\]"),
+        ({"a": np.ones(3), "b": np.ones(1)}, r"gradient for a has shape \(3,\)"),
+    ])
+    def test_mismatched_gradients_raise_before_any_change(self, grads, message):
+        p = {"a": ad.parameter(np.array([1.0, -2.0])), "b": ad.parameter(np.array([0.5]))}
+        opt = tr.Adam(p, lr=0.1)
+        opt.step({"a": np.array([0.3, -0.1]), "b": np.array([2.0])})
+        before = [q.value.copy() for q in p.values()], opt._m.copy(), opt._v.copy()
+        with pytest.raises(ContractError, match=message):
+            opt.step(grads)
+        assert opt.t == 1
+        assert all(np.array_equal(q.value, old) for q, old in zip(p.values(), before[0]))
+        assert np.array_equal(opt._m, before[1]) and np.array_equal(opt._v, before[2])
+
+
 class TestSelectLambda:
     def test_grid_constant(self):
         assert tr.LAMBDA_GRID == (0.5, 1.0, 2.0, 5.0, 10.0)
