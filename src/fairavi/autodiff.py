@@ -8,7 +8,7 @@ optimizer steps.
 
 The op set covers what the network needs: matrix product, the affine map
 ``linear``, (broadcast) add, subtract, Hadamard product, tanh, sigmoid,
-softmax over the last axis, exp, log, clip, concatenate/stack, sum, mean,
+softmax over the last axis, log, clip, concatenate, sum, mean,
 slicing, transpose, reshape, the L2 penalty ``l2`` and the gradient
 reversal node ``grl``.
 """
@@ -217,12 +217,6 @@ def sigmoid(a) -> Node:
     return _unary(a, y, lambda g: g * y * (1.0 - y), op="sigmoid")
 
 
-def exp(a) -> Node:
-    a = constant(a)
-    y = np.exp(a.value)
-    return _unary(a, y, lambda g: g * y, op="exp")
-
-
 def log(a) -> Node:
     a = constant(a)
     return _unary(a, np.log(a.value), lambda g: g / a.value, op="log")
@@ -268,22 +262,6 @@ def concat(nodes, axis: int = -1) -> Node:
                 n.grad += g[tuple(sl)]
 
     return Node(value, tuple(nodes), op="concat", backward=backward)
-
-
-def stack(nodes, axis: int = 0) -> Node:
-    nodes = [constant(n) for n in nodes]
-    shapes = {n.value.shape for n in nodes}
-    if len(shapes) != 1:
-        raise ShapeMismatch(f"stack: mismatched shapes {sorted(shapes)}")
-    value = np.stack([n.value for n in nodes], axis=axis)
-
-    def backward(g):
-        moved = np.moveaxis(g, axis, 0)
-        for i, n in enumerate(nodes):
-            if n.requires_grad:
-                n.grad += moved[i]
-
-    return Node(value, tuple(nodes), op="stack", backward=backward)
 
 
 def reshape(a, shape) -> Node:

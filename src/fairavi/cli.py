@@ -30,8 +30,9 @@ from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save
                    split_group_disjoint)
 from .errors import ConfigError, ContractError
 from .fileio import atomic_write
-from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
-                    load_model, modality_contributions, predict, save_model)
+from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims, infer,
+                    load_model, modality_contributions, predict, save_model,
+                    summarize_contributions)
 from .training import LAMBDA_GRID, TrainConfig, select_lambda, train_alternating
 
 
@@ -240,12 +241,12 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
     for tag, part in split.items():
         if not part:
             raise ContractError(f"dataset has no {tag!r} split")
-    reps = {t: ev.extract_representations(model, split[t]) for t in split}
-    _, y_hat = predict(model, split["test"])
-    y_test = reps["test"].y
-    z_test = reps["test"].z
+    reps = {t: ev.extract_representations(model, split[t]) for t in ("train", "val")}
+    h_test, y_hat, norms = infer(model, split["test"])
+    y_test = np.array([s.y for s in split["test"]], dtype=int)
+    z_test = np.array([s.z for s in split["test"]], dtype=int)
     diag = ev.diagnose(reps["train"].h, reps["train"].z, reps["val"].h, reps["val"].z,
-                       reps["test"].h, z_test)
+                       h_test, z_test)
     preds = (y_hat >= 0.5).astype(int)
     report = ev.MetricsReport(
         model_name=f"{model.variant}/{model.modality}",
@@ -255,9 +256,8 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
         diag_acc={target: diag["acc"]},
         di_labels={target: ev.disparate_impact(y_test, z_test)},
         di_predictions={target: ev.disparate_impact(preds, z_test)})
-    if model.modality == "multimodal":
-        _, summary = modality_contributions(model, split["test"])
-        report.gmu_contributions = summary
+    if norms is not None:
+        report.gmu_contributions = summarize_contributions(norms)
     return report
 
 

@@ -11,7 +11,7 @@ two-group case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,15 +29,11 @@ class UndefinedMetricError(ContractError):
 def _midranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks with ties given their average rank."""
     order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -161,69 +157,93 @@ class OvrProbe:
     strength: float
 
 
-def _soft_threshold(x, t):
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
 def _sigmoid(x):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _fit_binary(h, y, penalty, strength, cfg) -> LogisticProbe:
-    """Full-batch gradient descent (l2) / proximal gradient (l1) on the
-    regularized logistic loss; the intercept is never penalized."""
+def _fit_logistic(h, targets, strengths, cfg: ProbeConfig) -> list[LogisticProbe]:
+    """One regularized logistic regression per row of `targets` (R, n),
+    row r at strength strengths[r], all rows fitted in one loop.
+
+    Full-batch gradient descent (l2) / proximal gradient (l1); the
+    intercept is never penalized.  A row stops once its own step falls
+    below cfg.tol.  Stacked matmuls make the BLAS calls of `h @ w`,
+    `h.T @ r` and `norm` on one row (a 2-D `h @ W.T` or an einsum norm
+    would not), so each row's bytes equal a fit of that row alone."""
     n, d = h.shape
     aug = np.hstack([h, np.ones((n, 1))])
     lipschitz = np.linalg.norm(aug, 2) ** 2 / (4.0 * n)
-    step = 1.0 / (lipschitz + (strength if penalty == "l2" else 0.0))
-    rng = np.random.default_rng(cfg.seed)
-    w = 1e-3 * rng.standard_normal(d)
-    b = 0.0
+    lam = np.asarray(strengths, dtype=np.float64)[:, None]
+    step = 1.0 / (lipschitz + (lam if cfg.penalty == "l2" else np.zeros_like(lam)))
+    w = np.tile(1e-3 * np.random.default_rng(cfg.seed).standard_normal(d), (len(lam), 1))
+    b = np.zeros(len(lam))
+    y = np.asarray(targets, dtype=np.float64)
+    w_out, b_out = np.empty_like(w), np.empty_like(b)
+    live = np.arange(len(lam))           # output index of every row still fitting
     for _ in range(cfg.max_iter):
-        p = _sigmoid(h @ w + b)
-        gw = h.T @ (p - y) / n
-        gb = float((p - y).mean())
-        if penalty == "l2":
-            new_w = w - step * (gw + strength * w)
+        r = _sigmoid(np.matmul(h, w[:, :, None])[:, :, 0] + b[:, None]) - y
+        gw = np.matmul(h.T, r[:, :, None])[:, :, 0] / n
+        gb = r.mean(axis=1)
+        if cfg.penalty == "l2":
+            new_w = w - step * (gw + lam * w)
         else:
-            new_w = _soft_threshold(w - step * gw, step * strength)
-        new_b = b - step * gb
-        delta = np.linalg.norm(new_w - w) + abs(new_b - b)
+            shrunk = w - step * gw     # soft threshold at step * lam
+            new_w = np.sign(shrunk) * np.maximum(np.abs(shrunk) - step * lam, 0.0)
+        new_b = b - step[:, 0] * gb
+        dw = new_w - w
+        delta = np.sqrt(np.matmul(dw[:, None, :], dw[:, :, None]))[:, 0, 0] + np.abs(new_b - b)
         w, b = new_w, new_b
-        if delta < cfg.tol:
-            break
-    return LogisticProbe(w=w, b=b, penalty=penalty, strength=strength)
+        done = delta < cfg.tol
+        if done.any():
+            w_out[live[done]], b_out[live[done]] = w[done], b[done]
+            live, w, b, y, step, lam = (a[~done] for a in (live, w, b, y, step, lam))
+            if not live.size:
+                break
+    w_out[live], b_out[live] = w, b
+    return [LogisticProbe(w=w_out[i], b=b_out[i], penalty=cfg.penalty, strength=s)
+            for i, s in enumerate(strengths)]
+
+
+def _scores_auc(scores, z, positive) -> float:
+    """AUC of class `positive` for (n,) scores, macro OvR AUC for (n, C)."""
+    if scores.ndim == 2:
+        return macro_ovr_auc(scores, z)
+    return auc(scores, (z == positive).astype(int))
 
 
 def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
     """Fit probes over the strength grid; keep the best validation AUC.
 
     Binary targets give a LogisticProbe, multiclass targets a one-vs-rest
-    OvrProbe scored by macro OvR AUC.
+    OvrProbe scored by macro OvR AUC.  Every (strength, class) row is
+    fitted in one stacked loop.
     """
     cfg = cfg or ProbeConfig()
     if cfg.penalty not in ("l1", "l2"):
         raise ContractError(f"unknown probe penalty {cfg.penalty!r}")
+    if len(cfg.strengths) == 0 or not all(np.isfinite(s) and s >= 0 for s in cfg.strengths):
+        raise ContractError("probe strengths must be a non-empty grid of finite values >= 0, "
+                            f"got {cfg.strengths}")
+    if cfg.max_iter < 1 or not cfg.tol >= 0:
+        raise ContractError(f"probe needs max_iter >= 1, tol >= 0; got {cfg.max_iter}, {cfg.tol}")
     h_train = np.asarray(h_train, dtype=np.float64)
-    h_val = np.asarray(h_val, dtype=np.float64)
     z_train = np.asarray(z_train).astype(int)
     z_val = np.asarray(z_val).astype(int)
     classes = np.unique(z_train)
     if classes.size < 2:
         raise ContractError("probe training data has a single class")
+    positive = classes.max()
+    labels = [positive] if classes.size == 2 else range(positive + 1)
+    targets = np.array([z_train == c for c in labels])
+    k = len(targets)
+    fitted = _fit_logistic(h_train, np.tile(targets, (len(cfg.strengths), 1)),
+                           [s for s in cfg.strengths for _ in range(k)], cfg)
     best, best_auc = None, -np.inf
-    for strength in cfg.strengths:
-        if classes.size == 2:
-            probe = _fit_binary(h_train, (z_train == classes.max()).astype(float),
-                                cfg.penalty, strength, cfg)
-            val_auc = auc(probe_scores(probe, h_val), (z_val == classes.max()).astype(int))
-        else:
-            probe = OvrProbe(probes=[_fit_binary(h_train, (z_train == c).astype(float),
-                                                 cfg.penalty, strength, cfg)
-                                     for c in range(classes.max() + 1)],
-                             penalty=cfg.penalty, strength=strength)
-            val_auc = macro_ovr_auc(probe_scores(probe, h_val), z_val)
+    for i, strength in enumerate(cfg.strengths):
+        rows = fitted[i * k:(i + 1) * k]
+        probe = rows[0] if k == 1 else OvrProbe(rows, cfg.penalty, strength)
+        val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
         if val_auc > best_auc:
             best, best_auc = probe, val_auc
     return best
@@ -241,20 +261,15 @@ def diagnose(h_train, z_train, h_val, z_val, h_test, z_test,
     """Best validation-selected probe over both penalty norms; reports its
     test AUC and accuracy."""
     base = cfg or ProbeConfig()
-    multiclass = np.unique(np.asarray(z_train).astype(int)).size > 2
+    z_val, z_test = np.asarray(z_val).astype(int), np.asarray(z_test).astype(int)
+    positive = np.asarray(z_train).astype(int).max()
     best = None
     for penalty in ("l2", "l1"):
-        pc = ProbeConfig(penalty=penalty, strengths=base.strengths,
-                         max_iter=base.max_iter, tol=base.tol, seed=base.seed)
-        probe = fit_probe(h_train, z_train, h_val, z_val, pc)
-        scores_val = probe_scores(probe, h_val)
-        val_auc = (macro_ovr_auc(scores_val, z_val) if multiclass
-                   else auc(scores_val, (np.asarray(z_val) == np.asarray(z_train).max()).astype(int)))
+        probe = fit_probe(h_train, z_train, h_val, z_val, replace(base, penalty=penalty))
+        val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
         if best is None or val_auc > best["val_auc"]:
             scores_test = probe_scores(probe, h_test)
-            test_auc = (macro_ovr_auc(scores_test, z_test) if multiclass
-                        else auc(scores_test, (np.asarray(z_test) == np.asarray(z_train).max()).astype(int)))
-            best = {"val_auc": val_auc, "auc": test_auc,
+            best = {"val_auc": val_auc, "auc": _scores_auc(scores_test, z_test, positive),
                     "acc": accuracy(scores_test, z_test),
                     "penalty": penalty, "strength": probe.strength}
     return best
@@ -267,8 +282,6 @@ class Representations:
     h: np.ndarray
     y: np.ndarray
     z: np.ndarray          # -1 where absent
-    video_id: list
-    split: list
 
 
 def extract_representations(model: HireabilityModel, samples) -> Representations:
@@ -279,9 +292,7 @@ def extract_representations(model: HireabilityModel, samples) -> Representations
     return Representations(
         h=h,
         y=np.array([s.y for s in samples], dtype=int),
-        z=np.array([-1 if s.z is None else int(s.z) for s in samples], dtype=int),
-        video_id=[s.video_id for s in samples],
-        split=[s.split for s in samples])
+        z=np.array([-1 if s.z is None else int(s.z) for s in samples], dtype=int))
 
 
 # ------------------------------------------------------------------ report

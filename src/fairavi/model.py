@@ -259,15 +259,36 @@ def batch_sequences(samples, modalities) -> dict[str, np.ndarray]:
                          for s in samples]) for m in modalities}
 
 
-def predict(model: HireabilityModel, samples, chunk: int = 512):
-    """Inference-mode H and y_hat over a sample list (no dropout)."""
-    hs, ys = [], []
+def infer(model: HireabilityModel, samples, chunk: int = 512):
+    """One inference-mode pass (no dropout) over a sample list.
+
+    Returns (H, y_hat, norms): norms maps modality -> (n,) L2 norms of the
+    gated modality vectors for a multimodal model, and is None otherwise.
+    """
+    hs, ys, norms = [], [], {m: [] for m in MODALITIES}
     for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        res = model.forward_base(batch_sequences(part, model.active_modalities))
+        res = model.forward_base(batch_sequences(samples[lo:lo + chunk], model.active_modalities))
         hs.append(res.H.value)
         ys.append(res.y_hat.value)
-    return np.concatenate(hs), np.concatenate(ys)
+        for m, c in (res.contributions or {}).items():
+            norms[m].append(np.linalg.norm(c.value, axis=-1))
+    if model.modality != "multimodal":
+        return np.concatenate(hs), np.concatenate(ys), None
+    return np.concatenate(hs), np.concatenate(ys), {m: np.concatenate(v) for m, v in norms.items()}
+
+
+def predict(model: HireabilityModel, samples, chunk: int = 512):
+    """Inference-mode H and y_hat over a sample list (no dropout)."""
+    return infer(model, samples, chunk)[:2]
+
+
+def summarize_contributions(norms: dict) -> dict:
+    """Mean and quartiles of each modality's contribution norms."""
+    return {m: {"mean": float(n.mean()),
+                "q25": float(np.quantile(n, 0.25)),
+                "median": float(np.quantile(n, 0.5)),
+                "q75": float(np.quantile(n, 0.75))}
+            for m, n in norms.items()}
 
 
 def modality_contributions(model: HireabilityModel, samples, chunk: int = 512):
@@ -278,19 +299,8 @@ def modality_contributions(model: HireabilityModel, samples, chunk: int = 512):
     """
     if model.modality != "multimodal":
         raise ContractError("modality contributions require a multimodal model")
-    per_mod = {m: [] for m in MODALITIES}
-    for lo in range(0, len(samples), chunk):
-        part = samples[lo:lo + chunk]
-        res = model.forward_base(batch_sequences(part, MODALITIES))
-        for m in MODALITIES:
-            per_mod[m].append(np.linalg.norm(res.contributions[m].value, axis=-1))
-    norms = {m: np.concatenate(v) for m, v in per_mod.items()}
-    summary = {m: {"mean": float(n.mean()),
-                   "q25": float(np.quantile(n, 0.25)),
-                   "median": float(np.quantile(n, 0.5)),
-                   "q75": float(np.quantile(n, 0.75))}
-               for m, n in norms.items()}
-    return norms, summary
+    _, _, norms = infer(model, samples, chunk)
+    return norms, summarize_contributions(norms)
 
 
 # ------------------------------------------------------------- persistence

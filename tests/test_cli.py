@@ -5,8 +5,9 @@ import pytest
 
 from fairavi import cli
 from fairavi import training as tr
-from fairavi.data import load_jsonl
-from tests.conftest import TINY_DIM, TINY_SEQ
+from fairavi.data import generate_synthetic, load_jsonl, split_group_disjoint
+from fairavi.model import HireabilityModel
+from tests.conftest import TINY_DIM, TINY_SEQ, tiny_dims, tiny_generator_config
 
 
 def write_gen_config(path, **overrides):
@@ -323,6 +324,30 @@ class TestProbe:
                          "--out-dir", str(tmp_path / "p")])
         assert code == 3
         assert "ethnicity" in capsys.readouterr().err
+
+
+class TestBuildReport:
+    def test_one_forward_pass_per_split(self, monkeypatch):
+        # 2,800 clips split 60/20/20 put more than one 512-clip chunk in
+        # every split, so a second pass over any of them would show.
+        samples = generate_synthetic(tiny_generator_config(n=2800))
+        parts = split_group_disjoint(samples, ratios=(0.6, 0.2, 0.2), seed=3)
+        model = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=4)
+        model.trained = True
+        seen = []
+        original = HireabilityModel.forward_base
+
+        def counted(self, batch, *args, **kwargs):
+            seen.append(batch["audio"])
+            return original(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(HireabilityModel, "forward_base", counted)
+        report = cli.build_report(model, samples, "gender")
+        assert report.gmu_contributions is not None
+        assert len(seen) == sum(-(-len(p) // 512) for p in parts) == 8
+        passes = np.concatenate(seen)
+        ordered = np.stack([s.seq_audio for p in parts for s in p])
+        assert np.array_equal(passes, ordered)
 
 
 class TestAudit:

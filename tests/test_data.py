@@ -22,8 +22,8 @@ def raw_probe_auc(samples, seed=0):
     x = pooled_features(samples)
     z = np.array([s.z for s in samples])
     half = len(samples) // 2
-    probe = ev._fit_binary(x[:half], (z[:half] == 1).astype(float), "l2", 1e-2,
-                           ev.ProbeConfig(seed=seed))
+    probe, = ev._fit_logistic(x[:half], (z[:half] == 1)[None], [1e-2],
+                              ev.ProbeConfig(penalty="l2", seed=seed))
     return ev.auc(ev.probe_scores(probe, x[half:]), (z[half:] == 1).astype(int))
 
 

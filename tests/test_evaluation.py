@@ -21,7 +21,30 @@ def brute_force_auc(scores, labels):
     return (wins + 0.5 * ties) / (len(pos) * len(neg))
 
 
+def loop_midranks(x):
+    """Reference: walk the sorted scores, one tie run at a time."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sx = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sx[j + 1] == sx[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestAuc:
+    @pytest.mark.parametrize("kind", ["tied", "all-tied", "no-ties"])
+    def test_midranks_match_loop_bitwise(self, kind):
+        rng = np.random.default_rng(3)
+        x = {"tied": np.round(rng.standard_normal(299), 1),
+             "all-tied": np.full(57, 0.25),
+             "no-ties": rng.standard_normal(299)}[kind]
+        assert ev._midranks(x).tobytes() == loop_midranks(x).tobytes()
+
     def test_perfect_ranking(self):
         scores = np.array([0.1, 0.2, 0.8, 0.9])
         assert ev.auc(scores, [0, 0, 1, 1]) == 1.0
@@ -233,8 +256,8 @@ class TestProbes:
         x = rng.standard_normal((200, 5))
         z = (x[:, 0] > 0).astype(float)
         for penalty in ("l1", "l2"):
-            probe = ev._fit_binary(x, z, penalty, 1e12,
-                                   ev.ProbeConfig(max_iter=2000))
+            probe, = ev._fit_logistic(x, z[None], [1e12],
+                                      ev.ProbeConfig(penalty=penalty, max_iter=2000))
             assert np.abs(probe.w).max() < 1e-6, penalty
 
     def test_diagnose_reports_selected_penalty(self):
@@ -246,6 +269,122 @@ class TestProbes:
         assert set(out) == {"val_auc", "auc", "acc", "penalty", "strength"}
         assert out["auc"] > 0.9
         assert out["penalty"] in ("l1", "l2")
+
+
+def reference_fit(h, y, penalty, strength, cfg):
+    """One logistic fit at one strength, as a plain per-row loop; returns
+    (w, b, iterations run, the step size of every iteration)."""
+    n, d = h.shape
+    aug = np.hstack([h, np.ones((n, 1))])
+    lipschitz = np.linalg.norm(aug, 2) ** 2 / (4.0 * n)
+    step = 1.0 / (lipschitz + (strength if penalty == "l2" else 0.0))
+    w = 1e-3 * np.random.default_rng(cfg.seed).standard_normal(d)
+    b = 0.0
+    deltas = []
+    for it in range(1, cfg.max_iter + 1):
+        p = ev._sigmoid(h @ w + b)
+        gw = h.T @ (p - y) / n
+        gb = float((p - y).mean())
+        if penalty == "l2":
+            new_w = w - step * (gw + strength * w)
+        else:
+            x, t = w - step * gw, step * strength
+            new_w = np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        new_b = b - step * gb
+        delta = np.linalg.norm(new_w - w) + abs(new_b - b)
+        deltas.append(delta)
+        w, b = new_w, new_b
+        if delta < cfg.tol:
+            break
+    return w, b, it, deltas
+
+
+class TestStackedProbeFit:
+    """The stacked fit gives every (strength, class) row the bytes of a fit
+    of that row alone."""
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_rows_match_per_strength_loop_bitwise(self, penalty, n_classes):
+        rng = np.random.default_rng(40 + n_classes)
+        h = np.tanh(rng.standard_normal((180, 6)))
+        z = (h[:, 0] + h[:, 1] + 0.5 * rng.standard_normal(180) > 0).astype(int)
+        if n_classes == 3:
+            z = z + (h[:, 2] > 0.6)
+        targets = (z == 1)[None] if n_classes == 2 else np.stack([z == c for c in range(3)])
+        cfg = ev.ProbeConfig(penalty=penalty, max_iter=150, tol=1e-7)
+        k = len(targets)
+        rows = [(s, c) for s in cfg.strengths for c in range(k)]
+        fitted = ev._fit_logistic(h, np.tile(targets, (len(cfg.strengths), 1)),
+                                  [s for s, _ in rows], cfg)
+        stops = set()
+        for probe, (s, c) in zip(fitted, rows):
+            w, b, iters, _ = reference_fit(h, targets[c].astype(float), penalty, s, cfg)
+            assert probe.w.tobytes() == w.tobytes(), (s, c)
+            assert np.float64(probe.b).tobytes() == np.float64(b).tobytes(), (s, c)
+            assert probe.strength == s and probe.penalty == penalty
+            stops.add(iters < cfg.max_iter)
+        assert stops == {True, False}   # some rows froze early, others ran out
+
+    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    def test_stops_on_the_same_iteration_at_the_tolerance_edge(self, penalty):
+        # tol set to a step size the loop produces, and to the next float
+        # above it: a step norm one ulp off the reference stops a row one
+        # iteration early or late.
+        rng = np.random.default_rng(45)
+        h = np.tanh(rng.standard_normal((120, 7)))
+        y = (h[:, 0] - h[:, 3] + 0.3 * rng.standard_normal(120) > 0).astype(float)
+        base = ev.ProbeConfig(penalty=penalty, max_iter=40, tol=0.0)
+        *_, deltas = reference_fit(h, y, penalty, 1e-2, base)
+        for k in range(4, 40, 3):
+            for tol in (deltas[k], np.nextafter(deltas[k], np.inf)):
+                cfg = ev.ProbeConfig(penalty=penalty, max_iter=40, tol=tol)
+                w, b, iters, _ = reference_fit(h, y, penalty, 1e-2, cfg)
+                for probe in ev._fit_logistic(h, np.tile(y, (3, 1)), [1e-2] * 3, cfg):
+                    assert probe.w.tobytes() == w.tobytes(), (k, tol, iters)
+                    assert np.float64(probe.b).tobytes() == np.float64(b).tobytes()
+
+    def test_fit_probe_selects_the_per_strength_loop_choice(self):
+        rng = np.random.default_rng(44)
+        h = rng.standard_normal((300, 6))
+        z = rng.integers(0, 3, 300)
+        h[:, 0] += z
+        cfg = ev.ProbeConfig(penalty="l1", max_iter=100)
+        best = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], cfg)
+        aucs = []
+        for s in cfg.strengths:
+            fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s, cfg)
+                    for c in range(3)]
+            scores = np.stack([ev._sigmoid(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
+            aucs.append(ev.macro_ovr_auc(scores, z[200:]))
+        assert best.strength == cfg.strengths[int(np.argmax(aucs))]
+        chosen = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1",
+                                best.strength, cfg)[0] for c in range(3)]
+        assert [p.w.tobytes() for p in best.probes] == [w.tobytes() for w in chosen]
+
+
+class TestProbeConfigChecks:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"strengths": ()}, "empty"),
+        ({"strengths": (1.0, -1.0)}, "strengths"),
+        ({"strengths": (1.0, float("nan"))}, "strengths"),
+        ({"strengths": (float("inf"),)}, "strengths"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"tol": -1e-9}, "tol"),
+    ], ids=["empty-grid", "negative", "nan", "inf", "max-iter-0", "negative-tol"])
+    def test_bad_config_rejected_before_fitting(self, overrides, message, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the config was checked")
+        monkeypatch.setattr(ev, "_fit_logistic", no_fit)
+        rng = np.random.default_rng(15)
+        x, z = rng.standard_normal((40, 3)), np.arange(40) % 2
+        with pytest.raises(ContractError, match=message):
+            ev.fit_probe(x, z, x, z, ev.ProbeConfig(**overrides))
+
+    def test_diagnose_empty_grid_is_a_contract_error(self):
+        x, z = np.random.default_rng(16).standard_normal((40, 3)), np.arange(40) % 2
+        with pytest.raises(ContractError, match="empty"):
+            ev.diagnose(x, z, x, z, x, z, ev.ProbeConfig(strengths=()))
 
 
 class TestRepresentations:

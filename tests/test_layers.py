@@ -179,7 +179,8 @@ class TestBigru:
 
         def tape_encode():
             rows = zip(tape_sequence(fwd, False), tape_sequence(bwd, True))
-            return ad.stack([ad.concat([hf, hb], axis=-1) for hf, hb in rows], axis=1)
+            flat = ad.concat([ad.concat([hf, hb], axis=-1) for hf, hb in rows], axis=-1)
+            return ad.reshape(flat, (B, T, 2 * h))
 
         results = []
         for encode in (tape_encode, lambda: ly.bigru_encode(fwd, bwd, x)):
