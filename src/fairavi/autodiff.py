@@ -57,10 +57,6 @@ class Node:
     def grad(self, v):
         self._grad = v
 
-    @property
-    def shape(self):
-        return self.value.shape
-
     def zero_grad(self):
         if self._grad is not None:
             self._grad[...] = 0.0

@@ -33,7 +33,8 @@ from .fileio import atomic_write
 from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims, infer,
                     load_model, modality_contributions, predict, save_model,
                     summarize_contributions)
-from .training import LAMBDA_GRID, TrainConfig, select_lambda, train_alternating
+from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
+                       select_lambda, train_alternating)
 
 
 def _env_seed() -> int | None:
@@ -130,21 +131,22 @@ def _build_train_config(args) -> TrainConfig:
     return cfg.validate()
 
 
-def _dims_from_data(samples) -> ModelDims:
+def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:
+    """An untrained model for cfg, sized to the first sample's feature widths."""
     if not samples:
         raise ContractError("dataset is empty")
-    s = samples[0]
-    return ModelDims(input_dims={
-        "language": np.asarray(s.seq_language).shape[1],
-        "audio": np.asarray(s.seq_audio).shape[1],
-        "video": np.asarray(s.seq_video).shape[1]})
+    widths = {m: np.asarray(getattr(samples[0], f"seq_{m}")).shape[1] for m in MODALITIES}
+    return HireabilityModel(cfg.modality, cfg.variant, ModelDims(input_dims=widths),
+                            q=cfg.q, k=cfg.k, seed=cfg.seed)
 
 
-def run_training(cfg: TrainConfig, dataset, observer=None):
-    """Library entry point behind `fairavi train`."""
-    model = HireabilityModel(cfg.modality, cfg.variant, _dims_from_data(dataset),
-                             q=cfg.q, k=cfg.k, seed=cfg.seed)
-    return train_alternating(cfg, model, dataset, observer=observer)
+def run_training(cfg: TrainConfig, dataset, observer=None,
+                 pretrained: Pretrained | None = None):
+    """Library entry point behind `fairavi train`.  Given a `pretrained`
+    state, it runs only the joint/refit loop, on a fork of that state."""
+    if pretrained is not None:
+        return alternate(pretrained.fork(), cfg, observer)
+    return train_alternating(cfg, _new_model(cfg, dataset), dataset, observer=observer)
 
 
 def cmd_train(args) -> int:
@@ -172,20 +174,22 @@ def cmd_sweep(args) -> int:
         grid = tuple(float(v) for v in args.grid.split(","))
     except ValueError:
         raise ConfigError(f"invalid lambda grid {args.grid!r}")
-    if not grid:
-        raise ConfigError("empty lambda grid")
     if len(set(grid)) != len(grid):
         raise ConfigError(f"duplicate values in lambda grid {args.grid!r}")
     # every grid value's config is checked before any training starts
-    configs = {lam: _build_train_config(argparse.Namespace(**vars(args), lam=lam))
-               for lam in grid}
+    cfg = _build_train_config(args)
+    configs = {lam: dataclasses.replace(cfg, lam=lam).validate() for lam in grid}
     dataset = load_jsonl(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
 
     results, failures = {}, {}
-    for lam, cfg in configs.items():
+    try:  # lambda is first read in the joint epochs, so one pretrain serves the grid
+        state = pretrain(cfg, _new_model(cfg, dataset), dataset)
+    except Exception as e:  # a failed pretrain fails every grid value
+        failures, configs = dict.fromkeys(grid, repr(e)), {}
+    for lam, lam_cfg in configs.items():
         try:
-            model, log = run_training(cfg, dataset)
+            model, log = run_training(lam_cfg, dataset, pretrained=state)
             out = os.path.join(args.out_dir, f"model_lambda{lam:g}.json")
             save_model(model, out)
             log.to_csv(out + ".log.csv")
@@ -195,16 +199,15 @@ def cmd_sweep(args) -> int:
     outputs = [path for path, _ in results.values()]
     selected = None
     if results:
-        selected = select_lambda({lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
-                                  for lam, (_, log) in results.items()})
+        losses = {lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
+                  for lam, (_, log) in results.items()}
+        selected = select_lambda(losses)
         marker = os.path.join(args.out_dir, "selected.json")
         with atomic_write(marker) as fh:
-            json.dump({"selected_lambda": selected,
-                       "model": results[selected][0],
-                       "objective_by_lambda": {
-                           str(lam): results[lam][1].final_l_t_val
-                           - (results[lam][1].final_l_a_val or 0.0)
-                           for lam in results}}, fh, indent=1, sort_keys=True)
+            json.dump({"selected_lambda": selected, "model": results[selected][0],
+                       "objective_by_lambda": {str(lam): l_t - l_a
+                                               for lam, (l_t, l_a) in losses.items()}},
+                      fh, indent=1, sort_keys=True)
             fh.write("\n")
         outputs.append(marker)
     primary = os.path.join(args.out_dir, "sweep")
@@ -358,32 +361,27 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int)
     g.set_defaults(fn=cmd_gen)
 
-    t = sub.add_parser("train", help="train one variant")
-    t.add_argument("--data", required=True)
-    t.add_argument("--variant", choices=VARIANTS)
-    t.add_argument("--modality", choices=MODALITIES + ("multimodal",))
+    training = argparse.ArgumentParser(add_help=False)   # flags train and sweep share
+    training.add_argument("--data", required=True)
+    training.add_argument("--variant", choices=VARIANTS)
+    training.add_argument("--modality", choices=MODALITIES + ("multimodal",))
+    training.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
+    training.add_argument("--k", type=int)
+    training.add_argument("--config", help="TrainConfig JSON")
+    training.add_argument("--seed", type=int)
+
+    t = sub.add_parser("train", help="train one variant", parents=[training])
     t.add_argument("--lambda", dest="lam", type=float)
-    t.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
-    t.add_argument("--k", type=int)
     t.add_argument("--face-targets", dest="face_targets",
                    help="JSON file of externally computed q-dim face embeddings "
                         "(video_id -> vector), replacing the built-in compressor")
-    t.add_argument("--config", help="TrainConfig JSON")
     t.add_argument("--out", required=True)
     t.add_argument("--log")
-    t.add_argument("--seed", type=int)
     t.set_defaults(fn=cmd_train)
 
-    w = sub.add_parser("sweep", help="train across the lambda grid")
-    w.add_argument("--data", required=True)
-    w.add_argument("--variant", choices=VARIANTS)
-    w.add_argument("--modality", choices=MODALITIES + ("multimodal",))
+    w = sub.add_parser("sweep", help="train across the lambda grid", parents=[training])
     w.add_argument("--grid", default=",".join(str(v) for v in LAMBDA_GRID))
-    w.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
-    w.add_argument("--k", type=int)
-    w.add_argument("--config", help="TrainConfig JSON")
     w.add_argument("--out-dir", required=True)
-    w.add_argument("--seed", type=int)
     w.set_defaults(fn=cmd_sweep)
 
     r = sub.add_parser("probe", help="diagnostic probes and fairness report")

@@ -81,7 +81,6 @@ class HireabilityModel:
         self.dims = dims or ModelDims()
         self.q = q
         self.k = k
-        self.seed = seed
         self.trained = False
         self.params: dict[str, Node] = {}
         rng = np.random.default_rng(seed)

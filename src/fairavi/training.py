@@ -21,8 +21,9 @@ frozen trunk in inference mode, so they are deterministic and cheap.
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,18 +67,22 @@ class TrainConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.modality not in MODALITIES + ("multimodal",):
             raise ConfigError(f"unknown modality {self.modality!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        # written so that NaN fails every comparison
+        for name in ("lam", "l2"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, "
+                                  f"got {getattr(self, name)}")
         for name in ("lr_joint", "lr_adv", "batch_size", "clip",
                      "patience_pretrain", "patience_adv", "patience_outer"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.l2 < 0:
-            raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
+        # the adversary fit starts from the best pretrain epoch's val pass, and
         # with no adversary epoch the starting objective is -inf and no joint
         # epoch could ever be kept
-        if self.max_epochs_adv < 1:
-            raise ConfigError(f"max_epochs_adv must be at least 1, got {self.max_epochs_adv}")
+        for name in ("max_epochs_pretrain", "max_epochs_adv"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.k < 2:
@@ -155,11 +160,15 @@ class Adam:
         offsets = np.cumsum([0] + [p.value.size for p in params.values()])
         self._slices = {n: slice(lo, hi) for n, lo, hi in zip(params, offsets[:-1], offsets[1:])}
         self._m, self._v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
-        self.m = {n: self._m[sl].reshape(params[n].value.shape) for n, sl in self._slices.items()}
-        self.v = {n: self._v[sl].reshape(params[n].value.shape) for n, sl in self._slices.items()}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], lr: float | None = None) -> None:
+    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {n: flat[sl].reshape(self.params[n].value.shape) for n, sl in self._slices.items()}
+
+    m = property(lambda self: self._views(self._m))
+    v = property(lambda self: self._views(self._v))
+
+    def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update; mismatched names or shapes and non-finite gradients
         raise before any state changes."""
         if grads.keys() != self.params.keys():
@@ -175,13 +184,12 @@ class Adam:
         if not np.all(np.isfinite(g)):
             name = next(n for n, sl in self._slices.items() if not np.all(np.isfinite(g[sl])))
             raise ContractError(f"non-finite gradient for parameter {name}")
-        lr = self.lr if lr is None else lr
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         self._m[...] = self.beta1 * self._m + (1.0 - self.beta1) * g
         self._v[...] = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        step = lr * ((self._m / c1) / (np.sqrt(self._v / c2) + self.eps))
+        step = self.lr * ((self._m / c1) / (np.sqrt(self._v / c2) + self.eps))
         for name, p in self.params.items():
             p.value -= step[self._slices[name]].reshape(p.value.shape)
 
@@ -208,9 +216,8 @@ class TrainLog:
     rows: list = field(default_factory=list)
     adv_reinit_seeds: list = field(default_factory=list)
     compressor_fingerprint: str | None = None
-    final_l_t_val: float | None = None
+    final_l_t_val: float | None = None    # validation losses of the state kept so far
     final_l_a_val: float | None = None
-    best_objective: float | None = None
 
     def add(self, **kw) -> None:
         self.rows.append(LogRow(epoch=len(self.rows), **kw))
@@ -242,77 +249,68 @@ class _AdversaryTask:
         self.variant = cfg.variant
         self.fingerprint = None
         self._ns = None
+        splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
             n_classes = 2 if self.variant == "supervised-gender" else 3
-            for s in list(train) + list(val):
-                if s.z is None:
-                    raise ContractError("protected variable required for the supervised variant")
-            zs = {"train": np.array([s.z for s in train], dtype=int),
-                  "val": np.array([s.z for s in val], dtype=int)}
-            observed = int(max(zs["train"].max(), zs["val"].max())) + 1
+            if any(s.z is None for s in [*train, *val]):
+                raise ContractError("protected variable required for the supervised variant")
+            zs = {k: np.array([s.z for s in part], dtype=int) for k, part in splits.items()}
+            observed = int(max(z.max() for z in zs.values())) + 1
             if observed > n_classes:
                 raise ContractError(
                     f"{self.variant} expects at most {n_classes} protected classes, "
                     f"data has {observed}")
-            self.z = zs
-            self.n_classes = n_classes
+            self.targets = zs if n_classes == 2 else {k: onehot(z, 3) for k, z in zs.items()}
         elif self.variant == "static-faces":
             if cfg.face_targets:
                 lookup = load_face_targets(cfg.face_targets, cfg.q)
-                missing = {s.video_id for s in list(train) + list(val)} - set(lookup)
+                missing = {s.video_id for s in [*train, *val]} - set(lookup)
                 if missing:
                     raise ContractError(
                         f"face targets file lacks {len(missing)} video id(s), "
                         f"e.g. {sorted(missing)[:3]}")
                 self.fingerprint = "external"
-                self.targets = {split: np.stack([lookup[s.video_id] for s in part])
-                                for split, part in (("train", train), ("val", val))}
+                code = lambda part: np.stack([lookup[s.video_id] for s in part])
             else:
-                train_faces = _candidate_faces(train)
-                proj = fit_compressor(np.stack(list(train_faces.values())), cfg.q,
+                proj = fit_compressor(np.stack(list(_candidate_faces(train).values())), cfg.q,
                                       seed=seed)
                 self.fingerprint = proj.fingerprint
-                self.targets = {
-                    "train": apply_compressor(proj, np.stack([np.asarray(s.face) for s in train])),
-                    "val": apply_compressor(proj, np.stack([np.asarray(s.face) for s in val])),
-                }
+                code = lambda part: apply_compressor(proj, np.stack([s.face for s in part]))
+            self.targets = {k: code(part) for k, part in splits.items()}
         elif self.variant == "negative-sampling":
             self._ns = _NegativeSampler(train, val, cfg.k, seed)
 
     def resample(self, seed: int) -> None:
         if self._ns is not None:
-            self._ns.resample_train(seed)
+            self._ns.assignment["train"] = self._ns.draw("train", seed)
 
     def loss(self, model: HireabilityModel, h: Node, idx: np.ndarray, split: str) -> Node:
-        if self.variant == "supervised-gender":
-            return bce_loss(model.head_supervised(h), self.z[split][idx])
-        if self.variant == "supervised-ethnicity":
-            return cce_loss(model.head_supervised(h),
-                            onehot(self.z[split][idx], self.n_classes))
+        if self._ns is not None:
+            faces, pos = self._ns.batch(split, idx)
+            _, p = model.head_negative_sampling(h, NegativeSamplingBatch(faces, pos))
+            return ns_loss(p, pos)
         if self.variant == "static-faces":
             return mse_face_loss(model.head_static_faces(h), self.targets[split][idx])
-        faces, pos = self._ns.batch(split, idx)
-        _, p = model.head_negative_sampling(h, NegativeSamplingBatch(faces, pos))
-        return ns_loss(p, pos)
+        loss = bce_loss if self.variant == "supervised-gender" else cce_loss
+        return loss(model.head_supervised(h), self.targets[split][idx])
 
-    def evaluate(self, model: HireabilityModel, h_cache: np.ndarray, split: str,
-                 chunk: int = 512) -> float:
-        """Mean loss over cached representations; the negative-sampling
-        validation loss is averaged over the sampler's fixed draws."""
+    def evaluate(self, model: HireabilityModel, h_val: np.ndarray, chunk: int = 512) -> float:
+        """Mean validation loss over cached representations; the negative-
+        sampling loss is averaged over the sampler's fixed draws."""
         def one_pass() -> float:
-            n = h_cache.shape[0]
+            n = h_val.shape[0]
             total = 0.0
             for lo in range(0, n, chunk):
                 idx = np.arange(lo, min(lo + chunk, n))
-                loss = self.loss(model, ad.constant(h_cache[idx]), idx, split)
+                loss = self.loss(model, ad.constant(h_val[idx]), idx, "val")
                 total += float(loss.value) * idx.size
             return total / n
 
-        if split != "val" or self._ns is None:
+        if self._ns is None:
             return one_pass()
         values = []
-        for i in range(len(self._ns.val_assignments)):
-            self._ns.use_val_draw(i)
+        for draw in self._ns.val_assignments:
+            self._ns.assignment["val"] = draw
             values.append(one_pass())
         return float(np.mean(values))
 
@@ -349,18 +347,12 @@ class _NegativeSampler:
                 "faces": np.stack([faces[v] for v in vids]),
                 "owner": np.array([vid_index[s.video_id] for s in samples]),
             }
-        self.assignment = {"train": self._draw("train", seed)}
-        self.val_assignments = [self._draw("val", seed + 1 + i)
+        self.assignment = {"train": self.draw("train", seed)}
+        self.val_assignments = [self.draw("val", seed + 1 + i)
                                 for i in range(self.VAL_DRAWS)]
         self.assignment["val"] = self.val_assignments[0]
 
-    def resample_train(self, seed: int) -> None:
-        self.assignment["train"] = self._draw("train", seed)
-
-    def use_val_draw(self, index: int) -> None:
-        self.assignment["val"] = self.val_assignments[index]
-
-    def _draw(self, split: str, seed: int):
+    def draw(self, split: str, seed: int):
         rng = np.random.default_rng(seed)
         data = self.split_data[split]
         n = data["owner"].size
@@ -370,12 +362,7 @@ class _NegativeSampler:
         for i, own in enumerate(data["owner"]):
             others = rng.permutation(n_cand - 1)[: self.k - 1]
             others = others + (others >= own)  # skip the anchor's own slot
-            row = np.empty(self.k, dtype=int)
-            mask = np.ones(self.k, dtype=bool)
-            mask[pos[i]] = False
-            row[pos[i]] = own
-            row[mask] = others
-            choice[i] = row
+            choice[i] = np.insert(others, pos[i], own)
         return choice, pos
 
     def batch(self, split: str, idx: np.ndarray):
@@ -392,10 +379,6 @@ def _batches(n: int, size: int, rng: np.random.Generator):
         yield order[lo:lo + size]
 
 
-def _labels(samples, idx) -> np.ndarray:
-    return np.array([samples[i].y for i in idx], dtype=np.float64)
-
-
 def _val_pass(model, val) -> tuple[np.ndarray, float]:
     """Inference-mode H over the val split and its task loss, from one predict."""
     h_val, y_hat = predict(model, val)
@@ -403,30 +386,25 @@ def _val_pass(model, val) -> tuple[np.ndarray, float]:
     return h_val, float(bce_loss(ad.constant(y_hat), y).value)
 
 
-def _grads(params: dict[str, Node]) -> dict[str, np.ndarray]:
-    return {n: p.grad for n, p in params.items()}
+def _step(opts, clip: float) -> None:
+    """Clip each optimizer's gradients by their global norm, then step it."""
+    for opt in opts:
+        opt.step(ly.clip_gradients({n: p.grad for n, p in opt.params.items()}, clip))
 
 
-def _step_groups(opt_groups, clip: float) -> None:
-    """Clip each parameter group's gradients by global norm, then step."""
-    for opt, params in opt_groups:
-        opt.step(ly.clip_gradients(_grads(params), clip))
-
-
-def _train_epoch(model, cfg, samples, rng, opt_main, main_params,
+def _train_epoch(model, cfg, samples, rng, opt_main,
                  adv_task=None, opt_adv=None) -> tuple[float, float | None]:
     """One epoch over the task loss, optionally joint with the adversary."""
     mods = model.active_modalities
     sum_t, sum_a, n_seen = 0.0, 0.0, 0
     joint = adv_task is not None
-    trained = dict(main_params)
-    if joint:
-        trained.update(model.theta_a())
+    opts = [opt_main, opt_adv] if joint else [opt_main]
+    trained = {n: p for opt in opts for n, p in opt.params.items()}
     for idx in _batches(len(samples), cfg.batch_size, rng):
         part = [samples[i] for i in idx]
         res = model.forward_base(batch_sequences(part, mods), training=True,
                                  rng=rng, dropout_rate=cfg.dropout)
-        loss_t = bce_loss(res.y_hat, _labels(samples, idx))
+        loss_t = bce_loss(res.y_hat, [samples[i].y for i in idx])
         total = loss_t
         if joint:
             loss_a = adv_task.loss(model, ad.grl(res.H, cfg.lam), idx, "train")
@@ -435,10 +413,7 @@ def _train_epoch(model, cfg, samples, rng, opt_main, main_params,
         total = ad.add(total, ly.l2_penalty(trained, cfg.l2))
         ad.zero_grad(model.params.values())
         ad.backward(total)
-        groups = [(opt_main, main_params)]
-        if joint:
-            groups.append((opt_adv, model.theta_a()))
-        _step_groups(groups, cfg.clip)
+        _step(opts, cfg.clip)
         sum_t += float(loss_t.value) * idx.size
         n_seen += idx.size
     return sum_t / n_seen, (sum_a / n_seen if joint else None)
@@ -453,7 +428,7 @@ def _adv_epoch(model, cfg, adv_task, h_cache, opt, rng) -> float:
         full = ad.add(loss, ly.l2_penalty(adv_params, cfg.l2))
         ad.zero_grad(adv_params.values())
         ad.backward(full)
-        _step_groups([(opt, adv_params)], cfg.clip)
+        _step([opt], cfg.clip)
         total += float(loss.value) * idx.size
         n_seen += idx.size
     return total / n_seen
@@ -465,30 +440,56 @@ def _notify(observer, event: str, **payload) -> None:
 
 
 def _until_stale(model, names, epoch, max_epochs: int, patience: int,
-                 best: float = np.inf) -> float:
+                 best: float = np.inf, info=None):
     """Call epoch() until `patience` calls in a row fail to beat `best`.
 
-    Restores the parameters `names` (all when None) to their values at the
-    best epoch, or at entry when none beat `best`, and returns that value.
+    epoch() returns (value, info).  Restores the parameters `names` (all
+    when None) to their values at the best epoch, or at entry when none beat
+    `best`, and returns that epoch's (value, info), or (best, info) as given.
     """
     bad, snap = 0, model.snapshot(names)
     for _ in range(max_epochs):
-        value = epoch()
+        value, extra = epoch()
         if value < best:
-            best, bad, snap = value, 0, model.snapshot(names)
+            best, info, bad, snap = value, extra, 0, model.snapshot(names)
         else:
             bad += 1
             if bad >= patience:
                 break
     model.restore(snap)
-    return best
+    return best, info
 
 
 # ------------------------------------------------------------ the strategy
 
+@dataclass
+class Pretrained:
+    """The state after pretrain-main and pretrain-adv, which never read lambda.
+    `task` is None for the unprotected variant, whose training ends here."""
+    cfg: TrainConfig
+    model: HireabilityModel
+    opt_main: Adam
+    rng: np.random.Generator
+    task: _AdversaryTask | None
+    train: list
+    val: list
+    log: TrainLog
+
+    def fork(self) -> "Pretrained":
+        """A copy to run on; the blinded samples are only read, so stay shared."""
+        return copy.deepcopy(self, {id(self.train): self.train, id(self.val): self.val})
+
+
 def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
                       observer=None) -> tuple[HireabilityModel, TrainLog]:
-    """Run the full alternating strategy and return the best-validation model.
+    """Run the full alternating strategy and return the best-validation model."""
+    return alternate(pretrain(cfg, model, dataset, observer), cfg, observer)
+
+
+def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
+             observer=None) -> Pretrained:
+    """Pretrain the trunk and hireability head, then fit the adversary alone
+    against the frozen trunk.
 
     `dataset` is a list of samples carrying split tags; only the train and
     val splits are consumed.  The indirect variants (and the unprotected
@@ -508,91 +509,97 @@ def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
 
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
+    opt_main = Adam({**model.theta_h(), **model.theta_d()}, cfg.lr_joint)
 
-    # ---- phase 1: pretrain trunk + hireability head on the task loss
-    main_params = {**model.theta_h(), **model.theta_d()}
-    opt_main = Adam(main_params, cfg.lr_joint)
-
-    def pretrain_epoch() -> float:
+    def pretrain_epoch():
         t0 = time.perf_counter()
-        l_t_train, _ = _train_epoch(model, cfg, train, rng, opt_main, main_params)
-        _, l_t_val = _val_pass(model, val)
+        l_t_train, _ = _train_epoch(model, cfg, train, rng, opt_main)
+        h_val, l_t_val = _val_pass(model, val)
         log.add(phase="pretrain-main", l_t_train=l_t_train, l_t_val=l_t_val,
                 l_a_train=None, l_a_val=None, objective_val=l_t_val,
                 seconds=time.perf_counter() - t0)
-        return l_t_val
+        return l_t_val, h_val
 
     _notify(observer, "phase_start", phase="pretrain-main")
-    _until_stale(model, main_params, pretrain_epoch, cfg.max_epochs_pretrain,
-                 cfg.patience_pretrain)
+    log.final_l_t_val, h_val = _until_stale(model, opt_main.params, pretrain_epoch,
+                                            cfg.max_epochs_pretrain, cfg.patience_pretrain)
     _notify(observer, "phase_end", phase="pretrain-main")
 
-    if cfg.variant == "unprotected":
-        model.trained = True
-        _, log.final_l_t_val = _val_pass(model, val)
-        log.best_objective = log.final_l_t_val
-        return model, log
-
-    # ---- phase 2: adversary alone against the frozen trunk
-    task = _AdversaryTask(cfg, train, val, seed=cfg.seed)
-    log.compressor_fingerprint = task.fingerprint
-    h_train, _ = predict(model, train)
-    h_val, l_t_val = _val_pass(model, val)
-    l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "pretrain-adv",
-                         observer)
-
-    # ---- phase 3: alternate joint epochs with adversary re-fits
-    def outer_epoch() -> float:
-        t0 = time.perf_counter()
-        opt_adv_joint = Adam(model.theta_a(), cfg.lr_joint)
-        _notify(observer, "phase_start", phase="joint")
-        task.resample(int(rng.integers(2 ** 31)))
-        l_t_train, l_a_train = _train_epoch(model, cfg, train, rng, opt_main,
-                                            main_params, task, opt_adv_joint)
+    task = None
+    if cfg.variant != "unprotected":
+        task = _AdversaryTask(cfg, train, val, seed=cfg.seed)
+        log.compressor_fingerprint = task.fingerprint
         h_train, _ = predict(model, train)
-        h_val, l_t_val = _val_pass(model, val)
-        l_a_val = task.evaluate(model, h_val, "val")
-        log.add(phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
-                l_a_train=l_a_train, l_a_val=l_a_val,
-                objective_val=l_t_val - cfg.lam * l_a_val,
-                seconds=time.perf_counter() - t0)
-        _notify(observer, "phase_end", phase="joint")
+        log.final_l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
+                                       "pretrain-adv", observer)
+    return Pretrained(cfg, model, opt_main, rng, task, train, val, log)
 
-        reinit_seed = int(rng.integers(2 ** 31))
-        model.reinit_adversary(reinit_seed)
-        log.adv_reinit_seeds.append(reinit_seed)
-        _notify(observer, "adv_reinit", seed=reinit_seed)
 
-        l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "adv-refit",
-                             observer, l_t_val=l_t_val)
-        return l_t_val - cfg.lam * l_a_val
+def alternate(state: Pretrained, cfg: TrainConfig,
+              observer=None) -> tuple[HireabilityModel, TrainLog]:
+    """Run the outer loop from `state` under cfg.lam and return the
+    best-validation model.  The run mutates `state`; cfg may differ from the
+    pretrain's config in lambda only."""
+    if replace(cfg.validate(), lam=state.cfg.lam) != state.cfg:
+        raise ConfigError("alternate: config differs from the pretrain's beyond lambda")
+    log = state.log
+    if state.task is not None:
+        kept = log.final_l_t_val, log.final_l_a_val
+        _, (log.final_l_t_val, log.final_l_a_val) = _until_stale(
+            state.model, None, lambda: _outer_epoch(state, cfg, observer), cfg.max_outer,
+            cfg.patience_outer, best=kept[0] - cfg.lam * kept[1], info=kept)
+    state.model.trained = True
+    return state.model, log
 
-    log.best_objective = _until_stale(model, None, outer_epoch, cfg.max_outer,
-                                      cfg.patience_outer, best=l_t_val - cfg.lam * l_a_val)
-    model.trained = True
-    h_val, log.final_l_t_val = _val_pass(model, val)
-    log.final_l_a_val = task.evaluate(model, h_val, "val")
-    return model, log
+
+def _outer_epoch(state: Pretrained, cfg: TrainConfig, observer):
+    """One joint epoch, then a fresh adversary fitted to convergence; returns
+    the validation objective and (L_T, L_A) of the state it leaves."""
+    t0 = time.perf_counter()
+    model, task, rng, log = state.model, state.task, state.rng, state.log
+    opt_adv_joint = Adam(model.theta_a(), cfg.lr_joint)
+    _notify(observer, "phase_start", phase="joint")
+    task.resample(int(rng.integers(2 ** 31)))
+    l_t_train, l_a_train = _train_epoch(model, cfg, state.train, rng, state.opt_main,
+                                        task, opt_adv_joint)
+    h_train, _ = predict(model, state.train)
+    h_val, l_t_val = _val_pass(model, state.val)
+    l_a_val = task.evaluate(model, h_val)
+    log.add(phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
+            l_a_train=l_a_train, l_a_val=l_a_val,
+            objective_val=l_t_val - cfg.lam * l_a_val,
+            seconds=time.perf_counter() - t0)
+    _notify(observer, "phase_end", phase="joint")
+
+    reinit_seed = int(rng.integers(2 ** 31))
+    model.reinit_adversary(reinit_seed)
+    log.adv_reinit_seeds.append(reinit_seed)
+    _notify(observer, "adv_reinit", seed=reinit_seed)
+
+    l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "adv-refit",
+                         observer, l_t_val=l_t_val)
+    return l_t_val - cfg.lam * l_a_val, (l_t_val, l_a_val)
 
 
 def _adv_phase(model, cfg, task, h_train, h_val, rng, log, tag, observer,
                l_t_val=None) -> float:
-    """Train the adversary to validation convergence on cached H."""
+    """Train the adversary to validation convergence on cached H; returns the
+    validation loss of the adversary it keeps."""
     adv_params = model.theta_a()
     opt = Adam(adv_params, cfg.lr_adv)
 
-    def epoch() -> float:
+    def epoch():
         t0 = time.perf_counter()
         task.resample(int(rng.integers(2 ** 31)))
         l_a_train = _adv_epoch(model, cfg, task, h_train, opt, rng)
-        l_a_val = task.evaluate(model, h_val, "val")
+        l_a_val = task.evaluate(model, h_val)
         obj = None if l_t_val is None else l_t_val - cfg.lam * l_a_val
         log.add(phase=tag, l_t_train=None, l_t_val=l_t_val, l_a_train=l_a_train,
                 l_a_val=l_a_val, objective_val=obj, seconds=time.perf_counter() - t0)
-        return l_a_val
+        return l_a_val, None
 
     _notify(observer, "phase_start", phase=tag)
-    best = _until_stale(model, adv_params, epoch, cfg.max_epochs_adv, cfg.patience_adv)
+    best, _ = _until_stale(model, adv_params, epoch, cfg.max_epochs_adv, cfg.patience_adv)
     _notify(observer, "phase_end", phase=tag)
     return best
 

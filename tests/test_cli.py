@@ -6,7 +6,7 @@ import pytest
 from fairavi import cli
 from fairavi import training as tr
 from fairavi.data import generate_synthetic, load_jsonl, split_group_disjoint
-from fairavi.model import HireabilityModel
+from fairavi.model import VARIANTS, HireabilityModel
 from tests.conftest import TINY_DIM, TINY_SEQ, tiny_dims, tiny_generator_config
 
 
@@ -26,6 +26,12 @@ def write_train_config(path, **overrides):
     doc.update(overrides)
     path.write_text(json.dumps(doc))
     return path
+
+
+def log_without_seconds(model_path):
+    """The epoch log next to a model file, minus the wall-time column."""
+    log = model_path.parent / (model_path.name + ".log.csv")
+    return [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]
 
 
 @pytest.fixture
@@ -167,6 +173,8 @@ class TestTrain:
         ("modality", "smell", "unknown modality 'smell'"),
         ("l2", -1.0, "l2 must be nonnegative"),
         ("max_epochs_adv", 0, "max_epochs_adv must be at least 1"),
+        ("max_epochs_pretrain", 0, "max_epochs_pretrain must be at least 1"),
+        ("lr_joint", float("nan"), "lr_joint must be positive and finite"),
     ])
     def test_bad_config_field_exits_2(self, tmp_path, dataset_path, capsys, field, value,
                                       message):
@@ -239,7 +247,10 @@ class TestSweep:
     def test_stubbed_losses_pick_argmin(self, tmp_path, dataset_path, monkeypatch):
         calls = []
 
-        def fake_run_training(cfg, dataset, observer=None):
+        shared = object()
+
+        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
+            assert pretrained is shared
             calls.append(cfg.lam)
             log = tr.TrainLog()
             log.final_l_t_val = {0.5: 1.0, 1.0: 0.2, 2.0: 0.9}[cfg.lam]
@@ -250,6 +261,7 @@ class TestSweep:
             model.trained = True
             return model, log
 
+        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: shared)
         monkeypatch.setattr(cli, "run_training", fake_run_training)
         tcfg = write_train_config(tmp_path / "t.json")
         out_dir = tmp_path / "sweep"
@@ -262,10 +274,53 @@ class TestSweep:
         selected = json.loads((out_dir / "selected.json").read_text())
         assert selected["selected_lambda"] == 1.0
 
-    @pytest.mark.parametrize("grid", ["-1,2", "2,5,2"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_lambda_matches_a_separate_train_run(self, tmp_path, dataset_path,
+                                                      variant):
+        data = dataset_path
+        if variant == "supervised-ethnicity":
+            data = tmp_path / "d3.jsonl"
+            gcfg = write_gen_config(tmp_path / "g3.json", n_classes=3,
+                                    class_priors=[0.2, 0.5, 0.3])
+            assert cli.main(["gen", "--config", str(gcfg), "--out", str(data)]) == 0
+        # two outer iterations move the forked rng, Adam moments, sampler and log on
+        tcfg = write_train_config(tmp_path / "t.json", max_outer=2)
+        common = ["--data", str(data), "--variant", variant, "--modality", "multimodal",
+                  "--face-dim", "2", "--config", str(tcfg)]
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["sweep", *common, "--grid", "0.5,2", "--out-dir", str(out_dir)]) == 0
+        for lam in ("0.5", "2"):
+            alone = tmp_path / f"alone{lam}.json"
+            assert cli.main(["train", *common, "--lambda", lam, "--out", str(alone)]) == 0
+            swept = out_dir / f"model_lambda{lam}.json"
+            assert swept.read_bytes() == alone.read_bytes(), lam
+            assert log_without_seconds(swept) == log_without_seconds(alone), lam
+
+    def test_failed_pretrain_fails_every_lambda(self, tmp_path, dataset_path):
+        data = load_jsonl(dataset_path)
+        for s in data:
+            s.z = None
+        from fairavi.data import save_jsonl
+        stripped = tmp_path / "noz.jsonl"
+        save_jsonl(data, stripped)
+        tcfg = write_train_config(tmp_path / "t.json")
+        out_dir = tmp_path / "sweep"
+        code = cli.main(["sweep", "--data", str(stripped), "--variant",
+                         "supervised-gender", "--modality", "language", "--grid", "0.5,2",
+                         "--config", str(tcfg), "--out-dir", str(out_dir)])
+        assert code == 1
+        manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
+        failures = manifest["config"]["failures"]
+        assert set(failures) == {"0.5", "2.0"}
+        assert all("protected" in err for err in failures.values())
+        assert manifest["outputs"] == []
+        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.manifest.json"]
+
+    @pytest.mark.parametrize("grid", ["-1,2", "2,5,2", "nan,5", "5,inf"])
     def test_bad_grid_exits_2_before_training(self, tmp_path, dataset_path, monkeypatch,
                                               grid):
         calls = []
+        monkeypatch.setattr(cli, "pretrain", lambda cfg, *a, **k: calls.append(cfg))
         monkeypatch.setattr(cli, "run_training", lambda cfg, *a, **k: calls.append(cfg))
         tcfg = write_train_config(tmp_path / "t.json")
         out_dir = tmp_path / "sweep"

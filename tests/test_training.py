@@ -202,6 +202,16 @@ class TestSelectLambda:
             tr.select_lambda({})
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lam", float("nan")), ("lr_joint", float("nan")), ("lr_adv", float("inf")),
+        ("clip", float("inf")), ("l2", float("inf")),
+    ])
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be [a-z]+ and finite"):
+            tr.TrainConfig(**{field: value}).validate()
+
+
 class _Params:
     """Just enough of a model for _until_stale: named parameters that
     snapshot and restore like HireabilityModel's."""
@@ -216,21 +226,23 @@ class _Params:
 class TestUntilStale:
     @staticmethod
     def _epochs(box, values):
-        """epoch() sets both parameters to its call index and returns the next value."""
+        """epoch() sets both parameters to its call index and returns the next
+        value with that index."""
         calls = []
 
         def epoch():
+            index = len(calls)
             for p in box.params.values():
-                p.value[...] = len(calls)
-            calls.append(values[len(calls)])
-            return calls[-1]
+                p.value[...] = index
+            calls.append(values[index])
+            return calls[-1], index
         return epoch, calls
 
     def test_stops_after_patience_stale_calls_and_restores_best(self):
         box = _Params()
         epoch, calls = self._epochs(box, [3.0, 2.0, 2.5, 4.0, 1.0])
-        best = tr._until_stale(box, None, epoch, max_epochs=10, patience=2)
-        assert best == 2.0 and calls == [3.0, 2.0, 2.5, 4.0]
+        best, index = tr._until_stale(box, None, epoch, max_epochs=10, patience=2)
+        assert best == 2.0 and index == 1 and calls == [3.0, 2.0, 2.5, 4.0]
         assert box.params["w"].value[0] == 1.0 and box.params["v"].value[0] == 1.0
 
     def test_restores_only_named_parameters(self):
@@ -242,14 +254,15 @@ class TestUntilStale:
     def test_honours_starting_best(self):
         box = _Params()
         epoch, calls = self._epochs(box, [3.0, 2.0, 1.0])
-        best = tr._until_stale(box, None, epoch, max_epochs=10, patience=2, best=1.5)
-        assert best == 1.5 and calls == [3.0, 2.0]
+        best, info = tr._until_stale(box, None, epoch, max_epochs=10, patience=2,
+                                     best=1.5, info="entry")
+        assert best == 1.5 and info == "entry" and calls == [3.0, 2.0]
         assert box.params["w"].value[0] == -1.0   # the state at entry
 
     def test_stops_at_max_epochs(self):
         box = _Params()
         epoch, calls = self._epochs(box, [3.0, 2.0, 1.0, 0.5])
-        assert tr._until_stale(box, None, epoch, max_epochs=3, patience=2) == 1.0
+        assert tr._until_stale(box, None, epoch, max_epochs=3, patience=2) == (1.0, 2)
         assert calls == [3.0, 2.0, 1.0] and box.params["w"].value[0] == 2.0
 
 
@@ -317,9 +330,9 @@ class TestTrainAlternating:
             if joint:
                 task = tr._AdversaryTask(cfg, train, train, seed=1)
                 opt_adv = tr.Adam(model.theta_a(), cfg.lr_joint)
-                tr._train_epoch(model, cfg, train, rng, opt_main, main, task, opt_adv)
+                tr._train_epoch(model, cfg, train, rng, opt_main, task, opt_adv)
             else:
-                tr._train_epoch(model, cfg, train, rng, opt_main, main)
+                tr._train_epoch(model, cfg, train, rng, opt_main)
             return model.snapshot(main)
 
         with_adv = one_epoch(True)
@@ -366,7 +379,13 @@ class TestTrainAlternating:
         _, log = tr.train_alternating(cfg, model, tiny_dataset)
         n_pre, n_outer = log.phases().count("pretrain-main"), log.phases().count("joint")
         assert (n_pre, n_outer) == (2, 2)
-        assert len(calls) == n_pre + 2 * n_outer + 3
+        assert len(calls) == n_pre + 2 * n_outer + 1
+
+        calls.clear()
+        cfg = short_cfg(variant="unprotected", max_epochs_pretrain=2, patience_pretrain=5)
+        model = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=2)
+        _, log = tr.train_alternating(cfg, model, tiny_dataset)
+        assert len(calls) == log.phases().count("pretrain-main") == 2
 
     def test_overlapping_splits_rejected(self, tiny_dataset):
         for s in tiny_dataset[:3]:
