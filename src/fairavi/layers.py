@@ -126,40 +126,47 @@ def _gru_mix(p: GruParams, px: dict, h_prev: Node) -> Node:
 def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
     """Both directions' hidden states as one (B, T, 2h) tape node.
 
-    The input projections are linear ops over the (B*T, d) sequence; the
-    recurrence runs _gru_mix's rules in numpy, with both directions
-    stacked time-major as (T, 2, B, h) and the backward direction's
-    inputs reversed in time, so step s advances the forward direction at
-    t = s and the backward one at t = T-1-s.  Each gradient buffer gets
-    its terms in the order a tape of _gru_mix steps adds them, so values
-    and gradients match that tape bit for bit."""
-    h = fwd.hidden
-    gates = [[ad.linear(flat, getattr(p, f"W_{g}"), getattr(p, f"b_{g}")) for p in (fwd, bwd)]
-             for g in "rzh"]
-    U = [getattr(p, f"U_{g}") for g in "rzh" for p in (fwd, bwd)]
-
-    def time_major(pf, pb):
-        out = np.empty((T, 2, B, h))
-        out[:, 0] = pf.reshape(B, T, h).transpose(1, 0, 2)
-        out[:, 1] = pb.reshape(B, T, h)[:, ::-1].transpose(1, 0, 2)
-        return out
-
-    P = [time_major(pf.value, pb.value) for pf, pb in gates]
+    Its parents are flat, the six W, the six b and the six U, in (gate,
+    direction) order.  The node computes the input projections W x + b
+    itself: one stacked matmul over x's time-major rows, then the bias
+    add while the products are copied into a (T, gate, direction, B, h)
+    stack, the backward direction reversed in time.  Step s advances the
+    forward direction at t = s and the backward one at t = T-1-s with
+    _gru_mix's rules in numpy, r and z from one matmul and one sigmoid.
+    The backward adds the W, b and x gradients of the projections too.
+    Each gradient buffer gets its terms in the order a tape of linear
+    projections and _gru_mix steps adds them, so values and gradients
+    match that tape bit for bit."""
+    h, d = fwd.hidden, flat.value.shape[1]
+    W, b, U = ([getattr(p, f"{kind}_{g}") for g in "rzh" for p in (fwd, bwd)]
+               for kind in "WbU")
+    Ws = np.stack([w.value for w in W])                     # (6, h, d)
+    proj = np.matmul(flat.value.reshape(B, T, d).transpose(1, 0, 2).reshape(T * B, d),
+                     Ws.transpose(0, 2, 1)).reshape(3, 2, T, B * h)
+    bias = np.tile(np.stack([v.value for v in b]), B).reshape(3, 2, B * h)
+    P = np.empty((T, 3, 2, B, h))
+    wide = P.reshape(T, 3, 2, B * h)        # the bias add runs B*h wide, not h
+    np.add(proj[:, 0].transpose(1, 0, 2), bias[:, 0], out=wide[:, :, 0])
+    np.add(proj[:, 1, ::-1].transpose(1, 0, 2), bias[:, 1], out=wide[:, :, 1])
+    del proj            # the steps' saved arrays can then reuse its pages
     Us = np.stack([u.value for u in U]).reshape(3, 2, h, h)
-    UT = Us.swapaxes(-1, -2)
+    UT = Us.transpose(0, 1, 3, 2).copy()     # contiguous: matmul on a transposed view is slower
     # saved per step, not in (T, 2, B, h) buffers: at inference batch sizes
     # those would be fresh pages on every call
     state, value, saved = np.zeros((2, B, h)), np.empty((B, T, 2 * h)), []
     with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
         for s in range(T):
-            r = np.add(P[0][s], state @ UT[0])
-            np.divide(1.0, 1.0 + np.exp(-r), out=r)
-            z = np.add(P[1][s], state @ UT[1])
-            np.divide(1.0, 1.0 + np.exp(-z), out=z)
-            hhat = np.add(P[2][s], (r * state) @ UT[2])
+            rz = np.matmul(state, UT[:2])
+            rz += P[s, :2]
+            np.negative(rz, out=rz)
+            np.exp(rz, out=rz)
+            rz += 1.0
+            np.divide(1.0, rz, out=rz)
+            hhat = np.matmul(rz[0] * state, UT[2])
+            hhat += P[s, 2]
             np.tanh(hhat, out=hhat)
-            saved.append((state, r, z, hhat))
-            state = state + z * (hhat - state)
+            saved.append((state, rz, hhat))
+            state = state + rz[1] * (hhat - state)
             value[:, s, :h], value[:, T - 1 - s, h:] = state
 
     def backward(g):
@@ -169,7 +176,8 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
         first[:, 0] = g[:, :, :h].transpose(1, 0, 2)
         first += 0.0        # -0.0 -> 0.0, as the tape's first sum did
         last[:, 1] = g[:, ::-1, h:].transpose(1, 0, 2)
-        S, R, Z, HH = (np.stack(a) for a in zip(*saved))    # S[s]: state entering step s
+        S, RZ, HH = (np.stack(a) for a in zip(*saved))    # S[s]: state entering step s
+        R, Z = RZ[:, 0], RZ[:, 1]
         RH = R * S
         diff, d_r, d_z, d_hh = HH - S, 1.0 - R, 1.0 - Z, 1.0 - HH * HH
         g_proj = np.empty((3, T, 2, B, h))      # d(loss)/d(W x + b) per gate and step
@@ -191,11 +199,23 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
             g_ar = np.multiply(g_rh * S[s] * R[s], d_r[s], out=g_proj[0, s])
             g_az = np.multiply(g_z * Z[s], d_z[s], out=g_proj[1, s])
             later = g_h, g_az @ Us[1], g_d, g_rh * R[s], g_ar @ Us[0]
-        for (pf, pb), gp in zip(gates, g_proj):
-            if pf.requires_grad:
-                pf.grad.reshape(B, T, h)[...] += gp[:, 0].transpose(1, 0, 2)
-            if pb.requires_grad:
-                pb.grad.reshape(B, T, h)[...] += gp[::-1, 1].transpose(1, 0, 2)
+        # the projections' gradients as (B*T, h) rows in the input's order,
+        # the order a linear node over the flat sequence sums them in
+        G = np.empty((3, 2, B, T, h))
+        G[:, 0] = g_proj[:, :, 0].transpose(0, 2, 1, 3)
+        G[:, 1] = g_proj[:, ::-1, 1].transpose(0, 2, 1, 3)
+        G = G.reshape(6, B * T, h)
+        g_W = np.matmul(flat.value.T, G)
+        g_b = G.sum(axis=1)
+        for w, v, g_w, g_v in zip(W, b, g_W, g_b):
+            if v.requires_grad:
+                v.grad += g_v
+            if w.requires_grad:
+                w.grad += g_w.T
+        if flat.requires_grad:      # per direction z + candidate + r, as the tape sums them
+            g_x = np.matmul(G, Ws).reshape(3, 2, B * T, d)
+            for g_r, g_z, g_c in g_x.swapaxes(0, 1):
+                flat.grad += g_z + g_c + g_r
         # each step's U term (a.T @ g_a).T, a = h_prev for r and z and r*h_prev
         # for the candidate, added last step first
         terms = np.empty((3, T, 2, h, h))
@@ -209,8 +229,7 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
             if u.requires_grad:
                 u.grad[...] = g_u
 
-    parents = (*(n for pair in gates for n in pair), *U)
-    return Node(value, parents, op="gru", backward=backward)
+    return Node(value, (flat, *W, *b, *U), op="gru", backward=backward)
 
 
 def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:

@@ -186,6 +186,9 @@ class HireabilityModel:
             x = np.asarray(batch[m], dtype=np.float64)
             if x.ndim != 3 or x.shape[1] < 1:
                 raise ContractError(f"forward_base: modality {m!r} needs a (B, T>=1, d) array")
+            if x.shape[2] != self.dims.input_dims[m]:
+                raise ContractError(f"forward_base: modality {m!r} has feature width "
+                                    f"{x.shape[2]}, the model expects {self.dims.input_dims[m]}")
             fwd, bwd = self.encoders[m]
             z = ly.bigru_encode(fwd, bwd, ad.constant(x))
             pooled[m], alphas[m] = ly.attention_pool(self.attentions[m], z)
@@ -253,9 +256,9 @@ class HireabilityModel:
 # -------------------------------------------------------------- inference
 
 def batch_sequences(samples, modalities) -> dict[str, np.ndarray]:
-    """Stack per-sample sequences into (B, T, d) arrays."""
-    return {m: np.stack([np.asarray(getattr(s, f"seq_{m}"), dtype=np.float64)
-                         for s in samples]) for m in modalities}
+    """Stack per-sample sequences into (B, T, d) arrays; ragged ones raise ValueError."""
+    return {m: np.array([getattr(s, f"seq_{m}") for s in samples], dtype=np.float64)
+            for m in modalities}
 
 
 def infer(model: HireabilityModel, samples, chunk: int = 512):

@@ -380,6 +380,23 @@ class TestProbe:
         assert code == 3
         assert "ethnicity" in capsys.readouterr().err
 
+    def test_feature_width_mismatch_exits_3(self, tmp_path, dataset_path, capsys):
+        tcfg = write_train_config(tmp_path / "t.json", max_epochs_pretrain=1)
+        model_path = tmp_path / "model.json"
+        assert cli.main(["train", "--data", str(dataset_path), "--variant",
+                         "unprotected", "--modality", "multimodal",
+                         "--config", str(tcfg), "--out", str(model_path)]) == 0
+        gcfg = write_gen_config(tmp_path / "wide.json",
+                                feat_dim={"language": 16, "audio": 20, "video": 12})
+        wide = tmp_path / "wide.jsonl"
+        assert cli.main(["gen", "--config", str(gcfg), "--out", str(wide)]) == 0
+        capsys.readouterr()
+        code = cli.main(["probe", "--model", str(model_path), "--data", str(wide),
+                         "--target", "gender", "--out-dir", str(tmp_path / "p")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "'language'" in err and "width 16" in err and "expects 3" in err
+
 
 class TestBuildReport:
     def test_one_forward_pass_per_split(self, monkeypatch):

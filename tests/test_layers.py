@@ -153,20 +153,25 @@ class TestBigru:
         with pytest.raises(ad.ShapeMismatch, match="empty"):
             ly.bigru_encode(fwd, bwd, np.zeros((0, 2)))
 
-    @pytest.mark.parametrize("B, T, d, h", [(5, 1, 3, 4), (5, 2, 3, 4), (5, 7, 3, 4),
-                                            (32, 25, 20, 8)],
-                             ids=["1", "2", "7", "default-width"])
-    def test_fused_recurrence_matches_stepwise_tape_bitwise(self, B, T, d, h):
+    @pytest.mark.parametrize("B, T, d, h, x_grad",
+                             [(5, 1, 3, 4, False), (5, 2, 3, 4, False), (5, 7, 3, 4, False),
+                              (32, 25, 20, 8, False), (32, 12, 16, 8, False),
+                              (32, 20, 12, 8, False), (32, 25, 20, 8, True)],
+                             ids=["1", "2", "7", "default-width", "language", "video",
+                                  "input-grad"])
+    def test_fused_recurrence_matches_stepwise_tape_bitwise(self, B, T, d, h, x_grad):
         # Saved models stay byte-identical only if every gradient buffer
         # receives the same terms in the same order as a tape built from
-        # one _gru_mix step per time step.  The last case is the training
-        # batch of the default model: B=32 clips, audio's T=25 and d=20.
+        # linear projections and one _gru_mix step per time step.  The
+        # default-width, language and video cases are the default model's
+        # training batches: B=32 clips of its (T, d) per modality.
         rng = rng_of(20 + T)
         fwd, bwd = ly.init_gru(rng, h, d), ly.init_gru(rng, h, d)
-        x = ad.constant(rng.standard_normal((B, T, d)))
+        x = (ad.parameter if x_grad else ad.constant)(rng.standard_normal((B, T, d)))
         weight = ad.constant(rng.standard_normal((B, T, 2 * h)))
         params = {f"{tag}.{k}": v for tag, p in (("f", fwd), ("b", bwd))
                   for k, v in vars(p).items() if k != "hidden"}
+        grads = dict(params, x=x) if x_grad else params
 
         def tape_sequence(p, reverse):
             flat = ad.reshape(x, (B * T, d))
@@ -184,13 +189,31 @@ class TestBigru:
 
         results = []
         for encode in (tape_encode, lambda: ly.bigru_encode(fwd, bwd, x)):
-            ad.zero_grad(params.values())
+            ad.zero_grad(grads.values())
             out = encode()
             loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), weight)), ly.l2_penalty(params, 1e-3))
             ad.backward(loss)
             results.append((out.value.tobytes(),
-                            {k: v.grad.tobytes() for k, v in params.items()}))
+                            {k: v.grad.tobytes() for k, v in grads.items()}))
         assert results[0] == results[1]
+
+    def test_fused_inference_matches_stepwise_tape_bitwise(self):
+        # the 512-clip chunk of inference, forward only
+        B, T, d, h = 512, 25, 20, 8
+        rng = rng_of(45)
+        fwd, bwd = ly.init_gru(rng, h, d), ly.init_gru(rng, h, d)
+        x = rng.standard_normal((B, T, d))
+        out = ly.bigru_encode(fwd, bwd, x).value
+        expected = np.empty((B, T, 2 * h))
+        for p, col, steps in ((fwd, slice(0, h), range(T)),
+                              (bwd, slice(h, 2 * h), range(T - 1, -1, -1))):
+            proj = {g: (x.reshape(B * T, d) @ getattr(p, f"W_{g}").value.T
+                        + getattr(p, f"b_{g}").value).reshape(B, T, h) for g in "rzh"}
+            state = ad.constant(np.zeros((B, h)))
+            for t in steps:
+                state = ly._gru_mix(p, {g: ad.constant(proj[g][:, t]) for g in "rzh"}, state)
+                expected[:, t, col] = state.value
+        assert out.tobytes() == expected.tobytes()
 
     def test_one_tape_node_per_encoder(self):
         rng = rng_of(3)
@@ -198,7 +221,7 @@ class TestBigru:
         out = ly.bigru_encode(fwd, bwd, rng.standard_normal((2, 6, 3)))
         assert out.op == "gru" and out.value.shape == (2, 6, 8)
         ops = sorted(n.op for n in ad.topo_order(out) if n.parents)
-        assert ops == ["gru"] + ["linear"] * 6 + ["reshape"]
+        assert ops == ["gru", "reshape"]
 
 
 class TestAttention:
@@ -369,6 +392,18 @@ def _gru_case(r):
     return fn, point
 
 
+def _bigru_case(r):
+    weight = r.standard_normal((2, 3, 6))
+
+    def fn(lv):
+        fwd, bwd = ly.GruParams(*lv[:9], hidden=3), ly.GruParams(*lv[9:18], hidden=3)
+        return ad.sum_(ad.mul(ly.bigru_encode(fwd, bwd, lv[18]), ad.constant(weight)))
+
+    point = [r.standard_normal(shape) for _ in range(2)
+             for shape in [(3, 2)] * 3 + [(3, 3)] * 3 + [(3,)] * 3]
+    return fn, point + [r.standard_normal((2, 3, 2))]
+
+
 def _attention_case(r):
     z = r.standard_normal((3, 2))
     fn = lambda lv: ad.sum_(ly.attention_pool(ly.AttentionParams(*lv),
@@ -388,6 +423,7 @@ def _gmu_case(r):
 LAYER_GRAD_CASES = {
     "dense": _dense_case,
     "gru_step": _gru_case,
+    "bigru_encode": _bigru_case,
     "attention": _attention_case,
     "gmu": _gmu_case,
 }

@@ -57,6 +57,15 @@ class TestForwardBase:
         with pytest.raises(ContractError):
             m.forward_base({"language": np.zeros((2, 0, 3))})
 
+    def test_batch_sequences_stacks_and_rejects_ragged(self):
+        samples = _fake_samples(np.random.default_rng(5), 3)
+        batch = batch_sequences(samples, ("language", "audio"))
+        assert batch["audio"].dtype == np.float64 and batch["audio"].shape == (3, 3, 4)
+        assert np.array_equal(batch["language"][2], samples[2].seq_language)
+        samples[1].seq_audio = samples[1].seq_audio[:2]
+        with pytest.raises(ValueError):
+            batch_sequences(samples, ("audio",))
+
     def test_monomodal_bypasses_gmu(self):
         m = HireabilityModel("video", "unprotected", TINY, seed=5)
         assert m.gmu is None
