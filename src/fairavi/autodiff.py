@@ -9,8 +9,8 @@ optimizer steps.
 The op set covers what the network needs: matrix product, the affine map
 ``linear``, (broadcast) add, subtract, Hadamard product, tanh, sigmoid,
 softmax over the last axis, log, clip, concatenate, sum, mean,
-slicing, transpose, reshape, the L2 penalty ``l2`` and the gradient
-reversal node ``grl``.
+slicing, reshape, the L2 penalty ``l2`` and the gradient reversal node
+``grl``.
 """
 
 from __future__ import annotations
@@ -265,28 +265,11 @@ def reshape(a, shape) -> Node:
     return _unary(a, a.value.reshape(shape), lambda g: g.reshape(a.value.shape), op="reshape")
 
 
-def transpose(a, axes=None) -> Node:
-    a = constant(a)
-    inv = None if axes is None else np.argsort(axes)
-    return _unary(a, np.transpose(a.value, axes), lambda g: np.transpose(g, inv),
-                  op="transpose")
-
-
-def _is_basic_index(idx) -> bool:
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(p, (int, np.integer, slice)) or p is None or p is Ellipsis
-               for p in parts)
-
-
 def slice_(a, idx) -> Node:
     a = constant(a)
-    basic = _is_basic_index(idx)
 
     def backward(g):   # one parent: runs only when a requires grad
-        if basic:  # basic indexing never repeats elements
-            a.grad[idx] += g
-        else:
-            np.add.at(a.grad, idx, g)
+        np.add.at(a.grad, idx, g)   # sums the terms of repeated elements
 
     return Node(a.value[idx], (a,), op="slice", backward=backward)
 

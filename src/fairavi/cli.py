@@ -62,7 +62,7 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, seed: int,
+def _write_manifest(primary_out, command: str, config: dict, seed: int | None,
                     inputs: list, outputs: list, started: str) -> str:
     path = f"{primary_out}.manifest.json"
     doc = {
@@ -210,11 +210,10 @@ def cmd_sweep(args) -> int:
                       fh, indent=1, sort_keys=True)
             fh.write("\n")
         outputs.append(marker)
-    primary = os.path.join(args.out_dir, "sweep")
-    _write_manifest(primary, "sweep",
-                    {"grid": list(grid), "variant": args.variant,
-                     "modality": args.modality, "failures": failures},
-                    _resolve_seed(args.seed), [args.data], outputs, started)
+    ran = {**dataclasses.asdict(cfg), "grid": list(grid), "failures": failures}
+    del ran["lam"]      # each run's lambda is its grid value
+    _write_manifest(os.path.join(args.out_dir, "sweep"), "sweep", ran, cfg.seed,
+                    [args.data], outputs, started)
     for lam, err in failures.items():
         print(f"lambda={lam:g} failed: {err}", file=sys.stderr)
     if selected is not None:
@@ -277,7 +276,7 @@ def cmd_probe(args) -> int:
         fh.write(report.to_markdown())
     _write_manifest(csv_path, "probe",
                     {"model": args.model, "target": args.target},
-                    _resolve_seed(args.seed), [args.model, args.data],
+                    ev.ProbeConfig().seed, [args.model, args.data],
                     [csv_path, md_path], started)
     print(report.to_markdown(), end="")
     return 0
@@ -323,7 +322,7 @@ def cmd_audit(args) -> int:
             for line in lines:
                 fh.write(line + "\n")
         _write_manifest(args.out, "audit", {"key": args.key},
-                        _resolve_seed(args.seed), [args.data], [args.out], _now())
+                        None, [args.data], [args.out], _now())
     return 0
 
 
@@ -342,8 +341,7 @@ def cmd_contributions(args) -> int:
                      f"{stats['median']!r},{stats['q75']!r}\n")
     _write_manifest(args.out, "contributions",
                     {"model": args.model, "split": args.split},
-                    _resolve_seed(args.seed), [args.model, args.data],
-                    [args.out], started)
+                    None, [args.model, args.data], [args.out], started)
     print(f"wrote {args.out}")
     return 0
 
@@ -389,14 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--data", required=True)
     r.add_argument("--target", required=True, choices=("gender", "ethnicity"))
     r.add_argument("--out-dir", required=True)
-    r.add_argument("--seed", type=int)
     r.set_defaults(fn=cmd_probe)
 
     a = sub.add_parser("audit", help="split overlap and initial-bias table")
     a.add_argument("--data", required=True)
     a.add_argument("--key", default="video_id")
     a.add_argument("--out")
-    a.add_argument("--seed", type=int)
     a.set_defaults(fn=cmd_audit)
 
     c = sub.add_parser("contributions", help="per-modality GMU contribution norms")
@@ -404,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--data", required=True)
     c.add_argument("--split", default="test")
     c.add_argument("--out", required=True)
-    c.add_argument("--seed", type=int)
     c.set_defaults(fn=cmd_contributions)
     return p
 

@@ -213,7 +213,8 @@ def _scores_auc(scores, z, positive) -> float:
 
 
 def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
-    """Fit probes over the strength grid; keep the best validation AUC.
+    """Fit probes over the strength grid; return (probe, val_auc) for the
+    one with the best validation AUC.
 
     Binary targets give a LogisticProbe, multiclass targets a one-vs-rest
     OvrProbe scored by macro OvR AUC.  Every (strength, class) row is
@@ -246,7 +247,7 @@ def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
         val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
         if val_auc > best_auc:
             best, best_auc = probe, val_auc
-    return best
+    return best, best_auc
 
 
 def probe_scores(probe, h) -> np.ndarray:
@@ -261,12 +262,12 @@ def diagnose(h_train, z_train, h_val, z_val, h_test, z_test,
     """Best validation-selected probe over both penalty norms; reports its
     test AUC and accuracy."""
     base = cfg or ProbeConfig()
-    z_val, z_test = np.asarray(z_val).astype(int), np.asarray(z_test).astype(int)
+    z_test = np.asarray(z_test).astype(int)
     positive = np.asarray(z_train).astype(int).max()
     best = None
     for penalty in ("l2", "l1"):
-        probe = fit_probe(h_train, z_train, h_val, z_val, replace(base, penalty=penalty))
-        val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
+        probe, val_auc = fit_probe(h_train, z_train, h_val, z_val,
+                                   replace(base, penalty=penalty))
         if best is None or val_auc > best["val_auc"]:
             scores_test = probe_scores(probe, h_test)
             best = {"val_auc": val_auc, "auc": _scores_auc(scores_test, z_test, positive),

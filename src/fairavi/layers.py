@@ -2,9 +2,9 @@
 encoder, additive attention pooling, gated multimodal fusion, dropout,
 L2 penalty and global-norm gradient clipping.
 
-All forwards operate on autodiff Nodes and accept either a single
-sample or a leading batch axis.  Weight matrices are stored [out, in]
-and applied as x @ W.T + b.
+All forwards operate on autodiff Nodes and take batches: a leading
+batch axis on every input, as model.forward_base builds them.  Weight
+matrices are stored [out, in] and applied as x @ W.T + b.
 """
 
 from __future__ import annotations
@@ -46,19 +46,12 @@ _ACTIVATIONS = {
 
 
 def dense_forward(p: DenseParams, x) -> Node:
-    """activation(W x + b) on a vector or a batch of row vectors."""
+    """activation(W x + b) on a (B, in) batch of row vectors."""
     x = ad.constant(x)
-    n_out, n_in = p.W.value.shape
-    single = x.value.ndim == 1
-    if x.value.shape[-1] != n_in:
-        raise ShapeMismatch(f"dense: input width {x.value.shape[-1]} != {n_in}")
-    if single:
-        x = ad.reshape(x, (1, n_in))
-    y = ad.linear(x, p.W, p.b)
-    y = _ACTIVATIONS[p.activation](y)
-    if single:
-        y = ad.reshape(y, (n_out,))
-    return y
+    n_in = p.W.value.shape[1]
+    if x.value.ndim != 2 or x.value.shape[1] != n_in:
+        raise ShapeMismatch(f"dense: input {x.value.shape} is not a (B, {n_in}) batch")
+    return _ACTIVATIONS[p.activation](ad.linear(x, p.W, p.b))
 
 
 # --------------------------------------------------------------------- GRU
@@ -89,7 +82,7 @@ def init_gru(rng, hidden: int, n_in: int) -> GruParams:
 
 
 def gru_step(p: GruParams, x_t, h_prev) -> Node:
-    """One reset/update/candidate step.
+    """One reset/update/candidate step on a (B, d) input and (B, h) state.
 
     r = sig(W_r x + U_r h + b_r)
     z = sig(W_z x + U_z h + b_z)
@@ -97,28 +90,20 @@ def gru_step(p: GruParams, x_t, h_prev) -> Node:
     h_t = (1 - z)*h_prev + z*hhat
     """
     x_t, h_prev = ad.constant(x_t), ad.constant(h_prev)
-    single = x_t.value.ndim == 1
-    if single:
-        x_t = ad.reshape(x_t, (1, -1))
-        h_prev = ad.reshape(h_prev, (1, -1))
-    if x_t.value.shape[-1] != p.W_r.value.shape[1]:
-        raise ShapeMismatch(
-            f"gru_step: input width {x_t.value.shape[-1]} != {p.W_r.value.shape[1]}")
-    if h_prev.value.shape[-1] != p.hidden:
-        raise ShapeMismatch(
-            f"gru_step: hidden width {h_prev.value.shape[-1]} != {p.hidden}")
-    px = {g: ad.add(ad.matmul(x_t, ad.transpose(W)), b) for g, W, b in
+    if h_prev.value.shape != (x_t.value.shape[0], p.hidden):
+        raise ShapeMismatch(f"gru_step: state {h_prev.value.shape} does not fit "
+                            f"input {x_t.value.shape} and hidden width {p.hidden}")
+    px = {g: ad.linear(x_t, W, b) for g, W, b in
           (("r", p.W_r, p.b_r), ("z", p.W_z, p.b_z), ("h", p.W_h, p.b_h))}
-    h_t = _gru_mix(p, px, h_prev)
-    return ad.reshape(h_t, (p.hidden,)) if single else h_t
+    return _gru_mix(p, px, h_prev)
 
 
 def _gru_mix(p: GruParams, px: dict, h_prev: Node) -> Node:
     """Recurrent half of the step; px carries W x + b per gate."""
-    r = ad.sigmoid(ad.add(px["r"], ad.matmul(h_prev, ad.transpose(p.U_r))))
-    z = ad.sigmoid(ad.add(px["z"], ad.matmul(h_prev, ad.transpose(p.U_z))))
+    r = ad.sigmoid(ad.add(px["r"], ad.linear(h_prev, p.U_r)))
+    z = ad.sigmoid(ad.add(px["z"], ad.linear(h_prev, p.U_z)))
     rh = ad.mul(r, h_prev)
-    hhat = ad.tanh(ad.add(px["h"], ad.matmul(rh, ad.transpose(p.U_h))))
+    hhat = ad.tanh(ad.add(px["h"], ad.linear(rh, p.U_h)))
     # (1 - z)*h_prev + z*hhat, written as h_prev + z*(hhat - h_prev)
     return ad.add(h_prev, ad.mul(z, ad.sub(hhat, h_prev)))
 
@@ -233,22 +218,17 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
 
 
 def bigru_encode(fwd: GruParams, bwd: GruParams, x) -> Node:
-    """Encode a (B, T, d) or (T, d) sequence to (B, T, 2h) / (T, 2h).
+    """Encode a (B, T, d) batch of sequences to (B, T, 2h).
 
     Row t concatenates the forward hidden state after x_0..x_t with the
     backward hidden state after x_{T-1}..x_t; both start from zeros.
     """
     x = ad.constant(x)
-    single = x.value.ndim == 2
-    if single:
-        x = ad.reshape(x, (1,) + x.value.shape)
+    if x.value.ndim != 3 or x.value.shape[1] < 1:
+        raise ShapeMismatch(f"bigru_encode: input {x.value.shape} is not a (B, T, d) "
+                            "batch of non-empty sequences")
     B, T, d = x.value.shape
-    if T < 1:
-        raise ShapeMismatch("bigru_encode: empty sequence")
-    out = _bigru(fwd, bwd, ad.reshape(x, (B * T, d)), B, T)
-    if single:
-        out = ad.reshape(out, out.value.shape[1:])
-    return out
+    return _bigru(fwd, bwd, ad.reshape(x, (B * T, d)), B, T)
 
 
 # --------------------------------------------------------------- attention
@@ -273,9 +253,9 @@ def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
     Returns (o, alpha) with shapes (B, w) and (B, T).
     """
     z = ad.constant(z)
-    single = z.value.ndim == 2
-    if single:
-        z = ad.reshape(z, (1,) + z.value.shape)
+    if z.value.ndim != 3 or z.value.shape[1] < 1:
+        raise ShapeMismatch(f"attention_pool: input {z.value.shape} is not a (B, T, w) "
+                            "batch of non-empty sequences")
     B, T, w = z.value.shape
     proj = p.u_p.value.shape[0]
     flat = ad.reshape(z, (B * T, w))
@@ -283,9 +263,6 @@ def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
     scores = ad.reshape(ad.matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T))
     alpha = ad.softmax(scores)
     o = ad.sum_(ad.mul(z, ad.reshape(alpha, (B, T, 1))), axis=1)
-    if single:
-        o = ad.reshape(o, (w,))
-        alpha = ad.reshape(alpha, (T,))
     return o, alpha
 
 
@@ -309,7 +286,7 @@ def init_gmu(rng, width: int) -> GmuParams:
 
 
 def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
-    """Gated fusion of the three modality vectors.
+    """Gated fusion of the three modalities' (B, width) batches.
 
     Each modality is tanh-projected, gated by a sigmoid of the full
     concatenation, and the gated vectors are summed.  Returns
@@ -317,13 +294,11 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
     gated vectors whose sum is exactly o_mm.
     """
     o_a, o_l, o_v = ad.constant(o_a), ad.constant(o_l), ad.constant(o_v)
-    single = o_a.value.ndim == 1
-    if single:
-        o_a, o_l, o_v = (ad.reshape(o, (1, -1)) for o in (o_a, o_l, o_v))
     width = p.W_aproj.value.shape[1]
     for name, o in (("audio", o_a), ("language", o_l), ("video", o_v)):
-        if o.value.shape[-1] != width:
-            raise ShapeMismatch(f"gmu_fuse: {name} width {o.value.shape[-1]} != {width}")
+        if o.value.shape != (o_a.value.shape[0], width):
+            raise ShapeMismatch(f"gmu_fuse: {name} input {o.value.shape} is not a "
+                                f"(B, {width}) batch")
     cat = ad.concat([o_a, o_l, o_v], axis=-1)
     proj = {
         "audio": ad.tanh(ad.linear(o_a, p.W_aproj)),
@@ -338,10 +313,6 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
     contributions = {m: ad.mul(gates[m], proj[m]) for m in proj}
     o_mm = ad.add(ad.add(contributions["audio"], contributions["language"]),
                   contributions["video"])
-    if single:
-        o_mm = ad.reshape(o_mm, (width,))
-        gates = {m: ad.reshape(g, (1,)) for m, g in gates.items()}
-        contributions = {m: ad.reshape(c, (width,)) for m, c in contributions.items()}
     return o_mm, gates, contributions
 
 

@@ -72,14 +72,14 @@ def _head_case(variant, q=2):
 def _bigru_case(seed):
     r = np.random.default_rng(seed)
     fwd, bwd = ly.init_gru(r, 2, 2), ly.init_gru(r, 2, 2)
-    x = 0.5 * r.standard_normal((2, 2))
+    x = 0.5 * r.standard_normal((1, 2, 2))
     params = {}
     for tag, p in (("f", fwd), ("b", bwd)):
         for g in ("r", "z", "h"):
             params[f"{tag}.W_{g}"] = getattr(p, f"W_{g}")
             params[f"{tag}.U_{g}"] = getattr(p, f"U_{g}")
             params[f"{tag}.b_{g}"] = getattr(p, f"b_{g}")
-    weight = r.standard_normal((2, 4))
+    weight = r.standard_normal((1, 2, 4))
     fn = lambda: ad.sum_(ad.mul(ly.bigru_encode(fwd, bwd, ad.constant(x)),
                                 ad.constant(weight)))
     return fn, params

@@ -104,8 +104,8 @@ class TestBackward:
 
         def fn(leaves):
             w1, b1, w2, b2 = leaves
-            h = ad.tanh(ad.add(ad.matmul(ad.constant(x), ad.transpose(w1)), b1))
-            out = ad.sigmoid(ad.add(ad.matmul(h, ad.transpose(w2)), b2))
+            h = ad.tanh(ad.linear(x, w1, b1))
+            out = ad.sigmoid(ad.linear(h, w2, b2))
             return ad.mean(ad.mul(out, out))
 
         point = [rng.standard_normal((4, 3)), rng.standard_normal(4),
@@ -136,7 +136,7 @@ class TestTape:
         rng = np.random.default_rng(21)
         w = ad.parameter(rng.standard_normal((3, 3)))
         x = ad.constant(rng.standard_normal((2, 3)))
-        h = ad.tanh(ad.matmul(x, ad.transpose(w)))
+        h = ad.tanh(ad.linear(x, w))
         loss = ad.mean(ad.mul(h, h))
         order = ad.topo_order(loss)
         position = {id(n): i for i, n in enumerate(order)}
@@ -163,7 +163,7 @@ class TestGradCheckHarness:
 
         def fn(leaves):
             (w,) = leaves
-            return ad.sum_(ad.matmul(ad.reshape(ad.constant(x), (1, 4)), ad.transpose(w)))
+            return ad.sum_(ad.linear(ad.reshape(ad.constant(x), (1, 4)), w))
 
         # linear map: no truncation error, so a larger step only reduces noise
         assert ad.grad_check(fn, [rng.standard_normal((2, 4))], h=1e-4) < 1e-9
@@ -210,8 +210,6 @@ OP_CASES = {
     "reshape": lambda r: (lambda lv: ad.sum_(ad.mul(ad.reshape(lv[0], (6,)),
                                                     ad.reshape(lv[0], (6,)))),
                           [r.standard_normal((2, 3))]),
-    "transpose": lambda r: (lambda lv: ad.sum_(ad.matmul(ad.transpose(lv[0]), lv[0])),
-                            [r.standard_normal((2, 3))]),
     "slice": lambda r: (lambda lv: ad.sum_(ad.mul(lv[0][:, 1:3], lv[0][:, 0:2])),
                         [r.standard_normal((2, 4))]),
     "sum": lambda r: (lambda lv: ad.sum_(ad.mul(ad.sum_(lv[0], axis=0), lv[1])),
@@ -258,12 +256,17 @@ class TestFusedOps:
         def loss(y):
             return ad.sum_(ad.mul(ad.tanh(y), c))
 
+        # W.T as a leaf of its own, whose gradient transposed is W's
+        Wt = ad.parameter(W.value.T.copy())
+
         def chain():
-            y = ad.matmul(x, ad.transpose(W))
+            y = ad.matmul(x, Wt)
             return loss(ad.add(y, b) if with_bias else y)
 
         fused = lambda: loss(ad.linear(x, W, b if with_bias else None))
-        assert self._run(chain, [x, W, b]) == self._run(fused, [x, W, b])
+        value, (g_x, _, g_b) = self._run(chain, [x, Wt, b])
+        chained = value, [g_x, np.ascontiguousarray(Wt.grad.T).tobytes(), g_b]
+        assert chained == self._run(fused, [x, W, b])
 
     def test_l2_matches_sum_of_squares_chain_bitwise(self):
         # W_a and W_c also feed the data term, so their buffers get three

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairavi import cli
+from fairavi import evaluation as ev
 from fairavi import training as tr
 from fairavi.data import generate_synthetic, load_jsonl, split_group_disjoint
 from fairavi.model import VARIANTS, HireabilityModel
@@ -316,6 +317,34 @@ class TestSweep:
         assert manifest["outputs"] == []
         assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.manifest.json"]
 
+    def test_manifest_records_the_config_that_ran(self, tmp_path, dataset_path,
+                                                   monkeypatch):
+        # seed, variant and modality come from the config file alone
+        ran = []
+
+        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
+            ran.append(cfg)
+            model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=cfg.seed)
+            model.trained = True
+            log = tr.TrainLog()
+            log.final_l_t_val, log.final_l_a_val = 0.5, 0.0
+            return model, log
+
+        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "run_training", fake_run_training)
+        tcfg = write_train_config(tmp_path / "t.json", seed=5, variant="static-faces",
+                                  modality="language")
+        out_dir = tmp_path / "sweep"
+        assert cli.main(["sweep", "--data", str(dataset_path), "--grid", "0.5,2",
+                         "--config", str(tcfg), "--out-dir", str(out_dir)]) == 0
+        manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
+        assert [cfg.seed for cfg in ran] == [5, 5] and manifest["seed"] == 5
+        config = manifest["config"]
+        assert (config["variant"], config["modality"], config["q"]) == \
+            ("static-faces", "language", 2)
+        assert config["grid"] == [0.5, 2.0] and config["failures"] == {}
+        assert "lam" not in config
+
     @pytest.mark.parametrize("grid", ["-1,2", "2,5,2", "nan,5", "5,inf"])
     def test_bad_grid_exits_2_before_training(self, tmp_path, dataset_path, monkeypatch,
                                               grid):
@@ -331,14 +360,27 @@ class TestSweep:
         assert calls == [] and not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["probe", "--model", "m.json", "--data", "d.jsonl", "--target", "gender",
+     "--out-dir", "out"],
+    ["audit", "--data", "d.jsonl"],
+    ["contributions", "--model", "m.json", "--data", "d.jsonl", "--out", "c.csv"],
+], ids=["probe", "audit", "contributions"])
+def test_seedless_commands_take_no_seed_flag(argv):
+    cli.build_parser().parse_args(argv)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv + ["--seed", "3"])
+
+
 class TestProbe:
-    def test_end_to_end_report(self, tmp_path, dataset_path):
+    def test_end_to_end_report(self, tmp_path, dataset_path, monkeypatch):
         tcfg = write_train_config(tmp_path / "t.json", max_epochs_pretrain=3)
         model_path = tmp_path / "model.json"
         assert cli.main(["train", "--data", str(dataset_path), "--variant",
                          "unprotected", "--modality", "multimodal",
                          "--config", str(tcfg), "--out", str(model_path)]) == 0
         out_dir = tmp_path / "probe"
+        monkeypatch.setenv("FAIRAVI_SEED", "9")
         code = cli.main(["probe", "--model", str(model_path), "--data",
                          str(dataset_path), "--target", "gender",
                          "--out-dir", str(out_dir)])
@@ -349,6 +391,9 @@ class TestProbe:
             assert col in header
         md = (out_dir / "report.md").read_text()
         assert "AUC Gender" in md and "DI Ethnicity" in md
+        # the probes' own seed, whatever FAIRAVI_SEED says
+        manifest = json.loads((out_dir / "metrics.csv.manifest.json").read_text())
+        assert manifest["seed"] == ev.ProbeConfig().seed
 
     def test_ethnicity_report_on_three_class_data(self, tmp_path):
         gcfg = write_gen_config(tmp_path / "g3.json", n_classes=3,
@@ -459,22 +504,27 @@ class TestAudit:
         out = capsys.readouterr().out
         assert "0.883" in out  # complete-dataset DI column
 
-    def test_csv_written(self, tmp_path, dataset_path):
+    def test_csv_written(self, tmp_path, dataset_path, monkeypatch):
+        monkeypatch.setenv("FAIRAVI_SEED", "9")
         out = tmp_path / "audit.csv"
         assert cli.main(["audit", "--data", str(dataset_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("overlap,")
+        # audit draws no random numbers
+        assert json.loads((tmp_path / "audit.csv.manifest.json").read_text())["seed"] is None
 
 
 class TestContributions:
-    def test_csv_schema(self, tmp_path, dataset_path):
+    def test_csv_schema(self, tmp_path, dataset_path, monkeypatch):
         tcfg = write_train_config(tmp_path / "t.json")
         model_path = tmp_path / "model.json"
         assert cli.main(["train", "--data", str(dataset_path), "--variant",
                          "unprotected", "--modality", "multimodal",
                          "--config", str(tcfg), "--out", str(model_path)]) == 0
         out = tmp_path / "contrib.csv"
+        monkeypatch.setenv("FAIRAVI_SEED", "9")
         assert cli.main(["contributions", "--model", str(model_path), "--data",
                          str(dataset_path), "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "contrib.csv.manifest.json").read_text())["seed"] is None
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "modality,mean,q25,median,q75"
         assert {line.split(",")[0] for line in lines[1:]} == \

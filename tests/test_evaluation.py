@@ -225,15 +225,15 @@ class TestProbes:
         z = np.array([0] * 150 + [1] * 150)
         order = rng.permutation(300)
         x, z = x[order], z[order]
-        probe = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250],
-                             ev.ProbeConfig(penalty="l2"))
+        probe, _ = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250],
+                                ev.ProbeConfig(penalty="l2"))
         assert ev.auc(ev.probe_scores(probe, x[250:]), z[250:]) >= 0.999
 
     def test_permuted_labels_score_at_chance(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((2000, 8))
         z = rng.permutation((np.arange(2000) % 2))
-        probe = ev.fit_probe(x[:1200], z[:1200], x[1200:1600], z[1200:1600])
+        probe, _ = ev.fit_probe(x[:1200], z[:1200], x[1200:1600], z[1200:1600])
         value = ev.auc(ev.probe_scores(probe, x[1600:]), z[1600:])
         assert 0.45 <= value <= 0.55
 
@@ -243,7 +243,7 @@ class TestProbes:
         x = 0.1 * rng.standard_normal((600, 6))
         for c in range(3):
             x[z == c, 2 * c] += 5.0
-        probe = ev.fit_probe(x[:400], z[:400], x[400:500], z[400:500])
+        probe, _ = ev.fit_probe(x[:400], z[:400], x[400:500], z[400:500])
         assert ev.macro_ovr_auc(ev.probe_scores(probe, x[500:]), z[500:]) >= 0.99
 
     def test_single_class_rejected(self):
@@ -350,7 +350,7 @@ class TestStackedProbeFit:
         z = rng.integers(0, 3, 300)
         h[:, 0] += z
         cfg = ev.ProbeConfig(penalty="l1", max_iter=100)
-        best = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], cfg)
+        best, val_auc = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], cfg)
         aucs = []
         for s in cfg.strengths:
             fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s, cfg)
@@ -358,6 +358,7 @@ class TestStackedProbeFit:
             scores = np.stack([ev._sigmoid(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
             aucs.append(ev.macro_ovr_auc(scores, z[200:]))
         assert best.strength == cfg.strengths[int(np.argmax(aucs))]
+        assert val_auc == max(aucs)
         chosen = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1",
                                 best.strength, cfg)[0] for c in range(3)]
         assert [p.w.tobytes() for p in best.probes] == [w.tobytes() for w in chosen]

@@ -35,30 +35,30 @@ class TestDense:
     def test_zero_weights_bias_only(self):
         p = ly.DenseParams(ad.parameter(np.zeros((1, 4))), ad.parameter([0.3]), "identity")
         for x in (np.zeros(4), np.ones(4), rng_of(0).standard_normal(4)):
-            assert np.allclose(ly.dense_forward(p, x).value, [0.3])
+            assert np.allclose(ly.dense_forward(p, x[None]).value, [[0.3]])
 
     def test_identity_tanh_at_zero(self):
         p = ly.DenseParams(ad.parameter(np.eye(3)), ad.parameter(np.zeros(3)), "tanh")
-        assert np.array_equal(ly.dense_forward(p, np.zeros(3)).value, np.zeros(3))
+        assert np.array_equal(ly.dense_forward(p, np.zeros((1, 3))).value, np.zeros((1, 3)))
 
     def test_random_layer_matches_hand_evaluation(self):
         rng = rng_of(1)
         p = ly.init_dense(rng, 3, 4, "tanh")
         x = rng.standard_normal(4)
         expected = np.tanh(p.W.value @ x + p.b.value)
-        assert np.allclose(ly.dense_forward(p, x).value, expected, atol=1e-14)
+        assert np.allclose(ly.dense_forward(p, x[None]).value, expected[None], atol=1e-14)
 
     def test_width_mismatch(self):
         p = ly.init_dense(rng_of(0), 3, 4)
         with pytest.raises(ad.ShapeMismatch, match="dense"):
-            ly.dense_forward(p, np.zeros(5))
+            ly.dense_forward(p, np.zeros((1, 5)))
 
     def test_batched_equals_rowwise(self):
         rng = rng_of(2)
         p = ly.init_dense(rng, 3, 4, "sigmoid")
         xs = rng.standard_normal((5, 4))
         batched = ly.dense_forward(p, xs).value
-        rows = np.stack([ly.dense_forward(p, x).value for x in xs])
+        rows = np.concatenate([ly.dense_forward(p, x[None]).value for x in xs])
         assert np.allclose(batched, rows, atol=1e-15)
 
 
@@ -68,15 +68,15 @@ class TestGruStep:
         for node in (p.W_r, p.W_z, p.W_h, p.U_r, p.U_z, p.U_h):
             node.value[...] = 0.0
         v = rng_of(1).standard_normal(4)
-        out = ly.gru_step(p, np.zeros(3), v)
-        assert np.allclose(out.value, 0.5 * v, atol=1e-14)
+        out = ly.gru_step(p, np.zeros((1, 3)), v[None])
+        assert np.allclose(out.value, 0.5 * v[None], atol=1e-14)
 
     def test_saturated_update_gate_returns_candidate(self):
         rng = rng_of(3)
         p = ly.init_gru(rng, 4, 3)
         p.b_z.value[...] = 50.0  # z ~= 1 so h_t ~= hhat
         x, h = rng.standard_normal(3), rng.standard_normal(4)
-        out = ly.gru_step(p, x, h).value
+        out = ly.gru_step(p, x[None], h[None]).value[0]
         r = 1.0 / (1.0 + np.exp(-(p.W_r.value @ x + p.U_r.value @ h + p.b_r.value)))
         hhat = np.tanh(p.W_h.value @ x + p.U_h.value @ (r * h) + p.b_h.value)
         assert np.abs(out - hhat).max() < 1e-10
@@ -86,7 +86,7 @@ class TestGruStep:
         for seed in range(10):
             p = ly.init_gru(rng_of(100 + seed), 5, 3)
             x, h = rng.standard_normal(3), rng.standard_normal(5)
-            assert np.allclose(ly.gru_step(p, x, h).value,
+            assert np.allclose(ly.gru_step(p, x[None], h[None]).value[0],
                                scalar_gru_oracle(p, x, h), atol=1e-12)
 
     def test_bounded_hidden_state(self):
@@ -95,13 +95,13 @@ class TestGruStep:
             p = ly.init_gru(rng_of(200 + seed), 4, 3)
             x = 3 * rng.standard_normal(3)
             h = rng.uniform(-1, 1, 4)
-            out = ly.gru_step(p, x, h).value
+            out = ly.gru_step(p, x[None], h[None]).value
             assert (np.abs(out) <= 1.0 + 1e-12).all()
 
     def test_width_mismatch(self):
         p = ly.init_gru(rng_of(0), 4, 3)
         with pytest.raises(ad.ShapeMismatch):
-            ly.gru_step(p, np.zeros(7), np.zeros(4))
+            ly.gru_step(p, np.zeros((1, 7)), np.zeros((1, 4)))
 
 
 class TestBigru:
@@ -109,49 +109,50 @@ class TestBigru:
         rng = rng_of(6)
         fwd, bwd = ly.init_gru(rng, 3, 2), ly.init_gru(rng, 3, 2)
         x = rng.standard_normal((1, 2))
-        out = ly.bigru_encode(fwd, bwd, x).value
-        f = ly.gru_step(fwd, x[0], np.zeros(3)).value
-        b = ly.gru_step(bwd, x[0], np.zeros(3)).value
-        assert np.allclose(out, np.concatenate([f, b])[None, :], atol=1e-14)
+        out = ly.bigru_encode(fwd, bwd, x[None]).value
+        f = ly.gru_step(fwd, x, np.zeros((1, 3))).value
+        b = ly.gru_step(bwd, x, np.zeros((1, 3))).value
+        assert np.allclose(out, np.concatenate([f, b], axis=1)[None], atol=1e-14)
 
     def test_output_shape_total_width(self):
         rng = rng_of(7)
         fwd, bwd = ly.init_gru(rng, 8, 5), ly.init_gru(rng, 8, 5)
-        out = ly.bigru_encode(fwd, bwd, rng.standard_normal((20, 5)))
-        assert out.value.shape == (20, 16)
+        out = ly.bigru_encode(fwd, bwd, rng.standard_normal((20, 5))[None])
+        assert out.value.shape == (1, 20, 16)
 
     def test_matches_stepwise_loop(self):
         rng = rng_of(8)
         fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
-        x = rng.standard_normal((6, 3))
+        x = rng.standard_normal((6, 3))[None]
         out = ly.bigru_encode(fwd, bwd, x).value
-        h = np.zeros(4)
+        h = np.zeros((1, 4))
         f_states = []
         for t in range(6):
-            h = ly.gru_step(fwd, x[t], h).value
+            h = ly.gru_step(fwd, x[:, t], h).value
             f_states.append(h)
-        h = np.zeros(4)
+        h = np.zeros((1, 4))
         b_states = [None] * 6
         for t in range(5, -1, -1):
-            h = ly.gru_step(bwd, x[t], h).value
+            h = ly.gru_step(bwd, x[:, t], h).value
             b_states[t] = h
-        expected = np.hstack([np.stack(f_states), np.stack(b_states)])
+        expected = np.concatenate([np.stack(f_states, axis=1), np.stack(b_states, axis=1)],
+                                  axis=2)
         assert np.allclose(out, expected, atol=1e-13)
 
     def test_reversal_symmetry_with_shared_params(self):
         rng = rng_of(9)
         p = ly.init_gru(rng, 3, 2)
-        x = rng.standard_normal((5, 2))
-        fwd_rev = ly.bigru_encode(p, p, x[::-1].copy()).value
+        x = rng.standard_normal((5, 2))[None]
+        fwd_rev = ly.bigru_encode(p, p, x[:, ::-1].copy()).value
         enc = ly.bigru_encode(p, p, x).value
-        swapped = np.hstack([enc[:, 3:], enc[:, :3]])[::-1]
+        swapped = np.concatenate([enc[..., 3:], enc[..., :3]], axis=2)[:, ::-1]
         assert np.allclose(fwd_rev, swapped, atol=1e-13)
 
     def test_empty_sequence_rejected(self):
         rng = rng_of(0)
         fwd, bwd = ly.init_gru(rng, 3, 2), ly.init_gru(rng, 3, 2)
         with pytest.raises(ad.ShapeMismatch, match="empty"):
-            ly.bigru_encode(fwd, bwd, np.zeros((0, 2)))
+            ly.bigru_encode(fwd, bwd, np.zeros((1, 0, 2)))
 
     @pytest.mark.parametrize("B, T, d, h, x_grad",
                              [(5, 1, 3, 4, False), (5, 2, 3, 4, False), (5, 7, 3, 4, False),
@@ -177,8 +178,8 @@ class TestBigru:
 
         def tape_sequence(p, reverse):
             flat = ad.reshape(x, (B * T, d))
-            proj = {g: ad.reshape(ad.add(ad.matmul(flat, ad.transpose(getattr(p, f"W_{g}"))),
-                                         getattr(p, f"b_{g}")), (B, T, h)) for g in "rzh"}
+            proj = {g: ad.reshape(ad.linear(flat, getattr(p, f"W_{g}"), getattr(p, f"b_{g}")),
+                                  (B, T, h)) for g in "rzh"}
             state, out = ad.constant(np.zeros((B, h))), [None] * T
             for t in (range(T - 1, -1, -1) if reverse else range(T)):
                 state = out[t] = ly._gru_mix(p, {g: proj[g][:, t, :] for g in "rzh"}, state)
@@ -213,7 +214,7 @@ class TestAttention:
         rng = rng_of(10)
         p = ly.init_attention(rng, 4, 3)
         v = rng.standard_normal(3)
-        z = np.tile(v, (6, 1))
+        z = np.tile(v, (1, 6, 1))
         o, alpha = ly.attention_pool(p, z)
         assert np.allclose(alpha.value, 1.0 / 6, atol=1e-12)
         assert np.allclose(o.value, v, atol=1e-12)
@@ -228,8 +229,8 @@ class TestAttention:
         p.u_p.value[...] = 100 * direction
         scores = u @ p.u_p.value
         if (scores[2] - np.delete(scores, 2).max()) > 50:
-            o, _ = ly.attention_pool(p, z)
-            assert np.abs(o.value - z[2]).max() < 1e-10
+            o, _ = ly.attention_pool(p, z[None])
+            assert np.abs(o.value[0] - z[2]).max() < 1e-10
 
     def test_convex_combination_envelope(self):
         rng = rng_of(12)
@@ -237,7 +238,7 @@ class TestAttention:
             r = rng_of(300 + seed)
             p = ly.init_attention(r, 4, 3)
             z = r.standard_normal((7, 3))
-            o, alpha = ly.attention_pool(p, z)
+            o, alpha = ly.attention_pool(p, z[None])
             assert (alpha.value >= 0).all()
             assert abs(alpha.value.sum() - 1.0) < 1e-9
             assert (o.value >= z.min(axis=0) - 1e-12).all()
@@ -248,7 +249,7 @@ class TestAttention:
     def test_weights_normalized_property(self, seed, t_len, scale):
         r = rng_of(seed)
         p = ly.init_attention(r, 3, 2)
-        z = scale * r.standard_normal((t_len, 2))
+        z = scale * r.standard_normal((1, t_len, 2))
         _, alpha = ly.attention_pool(p, z)
         assert (alpha.value >= 0).all()
         assert abs(alpha.value.sum() - 1.0) < 1e-9
@@ -258,7 +259,7 @@ class TestGmu:
     def fused(self, seed, width=4):
         r = rng_of(seed)
         p = ly.init_gmu(r, width)
-        oa, ol, ov = (r.standard_normal(width) for _ in range(3))
+        oa, ol, ov = (r.standard_normal((1, width)) for _ in range(3))
         return p, oa, ol, ov
 
     def test_zero_projections_give_zero(self):
@@ -266,17 +267,17 @@ class TestGmu:
         for node in (p.W_aproj, p.W_lproj, p.W_vproj):
             node.value[...] = 0.0
         o_mm, _, _ = ly.gmu_fuse(p, oa, ol, ov)
-        assert np.array_equal(o_mm.value, np.zeros(4))
+        assert np.array_equal(o_mm.value, np.zeros((1, 4)))
 
     def test_gate_saturation_selects_video(self):
         p, oa, ol, ov = self.fused(14)
-        cat = np.concatenate([oa, ol, ov])
+        cat = np.concatenate([oa, ol, ov], axis=1)
         direction = cat / np.linalg.norm(cat) ** 2
         p.W_vgating.value[...] = 50 * direction
         p.W_agating.value[...] = -50 * direction
         p.W_lgating.value[...] = -50 * direction
         o_mm, gates, _ = ly.gmu_fuse(p, oa, ol, ov)
-        expected = np.tanh(p.W_vproj.value @ ov)
+        expected = np.tanh(ov @ p.W_vproj.value.T)
         assert np.abs(o_mm.value - expected).max() < 1e-10
 
     def test_decomposition_and_bound(self):
@@ -292,7 +293,27 @@ class TestGmu:
     def test_width_mismatch(self):
         p, oa, ol, ov = self.fused(15)
         with pytest.raises(ad.ShapeMismatch, match="gmu"):
-            ly.gmu_fuse(p, oa[:2], ol, ov)
+            ly.gmu_fuse(p, oa[:, :2], ol, ov)
+
+
+# each layer's former single-sample form, which only batches now replace
+UNBATCHED_CALLS = {
+    "dense_forward": lambda r: ly.dense_forward(ly.init_dense(r, 3, 4), r.standard_normal(4)),
+    "gru_step": lambda r: ly.gru_step(ly.init_gru(r, 4, 3), r.standard_normal(3),
+                                      r.standard_normal(4)),
+    "bigru_encode": lambda r: ly.bigru_encode(ly.init_gru(r, 3, 2), ly.init_gru(r, 3, 2),
+                                              r.standard_normal((5, 2))),
+    "attention_pool": lambda r: ly.attention_pool(ly.init_attention(r, 4, 3),
+                                                  r.standard_normal((6, 3))),
+    "gmu_fuse": lambda r: ly.gmu_fuse(ly.init_gmu(r, 4),
+                                      *(r.standard_normal(4) for _ in range(3))),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(UNBATCHED_CALLS))
+def test_unbatched_input_rejected(layer):
+    with pytest.raises(ad.ShapeMismatch, match=layer.split("_")[0]):
+        UNBATCHED_CALLS[layer](rng_of(0))
 
 
 class TestDropout:
@@ -389,14 +410,14 @@ def _bigru_case(r):
 
 
 def _attention_case(r):
-    z = r.standard_normal((3, 2))
+    z = r.standard_normal((1, 3, 2))
     fn = lambda lv: ad.sum_(ly.attention_pool(ly.AttentionParams(*lv),
                                               ad.constant(z))[0])
     return fn, [r.standard_normal((3, 2)), r.standard_normal(3), r.standard_normal(3)]
 
 
 def _gmu_case(r):
-    os = [r.standard_normal(2) for _ in range(3)]
+    os = [r.standard_normal((1, 2)) for _ in range(3)]
     fn = lambda lv: ad.sum_(ly.gmu_fuse(ly.GmuParams(*lv),
                                         *(ad.constant(o) for o in os))[0])
     point = ([r.standard_normal((2, 2)) for _ in range(3)]

@@ -1,0 +1,70 @@
+#!/usr/bin/env bash
+# Print short hashes of the outputs of six small train + probe runs.
+#
+#   tools/output_hashes.sh <repo-root> <workdir>
+#
+# Runs the checkout at <repo-root> (its src/ on PYTHONPATH) inside
+# <workdir>, one row per config.  Columns: config, then the first 8 hex
+# digits of the sha256 of the saved model, its epoch log without the
+# seconds column, the probe's metrics.csv and report.md, and the train
+# command's stdout.  Every path a command sees is relative, so two
+# checkouts that compute the same bytes print the same rows: run it on a
+# parent and on a change to check that the change kept the outputs
+# byte-identical.
+#
+# The corpus is acceptance criterion 11's generator config (n=160,
+# seed 11), the training schedule criterion 11's with max_outer 2.  Each
+# config runs `train --modality multimodal --lambda 2`, then `probe`.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 <repo-root> <workdir>" >&2
+    exit 2
+fi
+repo=$(cd "$1" && pwd)
+mkdir -p "$2"
+cd "$2"
+
+fairavi() { PYTHONPATH="$repo/src" python3 -m fairavi.cli "$@"; }
+h8() { sha256sum | cut -c1-8; }
+
+generator='"n": 160, "seq_len": {"language": 3, "audio": 4, "video": 3},
+ "feat_dim": {"language": 3, "audio": 4, "video": 2},
+ "skill_scale": 3.0, "noise_scale": 0.2, "seed": 11'
+echo "{$generator}" > gen-binary.json
+echo "{$generator, \"n_classes\": 3}" > gen-ternary.json
+cat > train.json <<'JSON'
+{"batch_size": 16, "max_epochs_pretrain": 2, "patience_pretrain": 2,
+ "max_epochs_adv": 2, "patience_adv": 2, "max_outer": 2,
+ "patience_outer": 2, "seed": 5}
+JSON
+for corpus in binary ternary; do
+    fairavi gen --config "gen-$corpus.json" --out "$corpus.jsonl" > /dev/null
+done
+
+# name, corpus, probe target, train flags
+while read -r name corpus target flags; do
+    rm -rf "$name"
+    mkdir "$name"
+    (
+        cd "$name"
+        # shellcheck disable=SC2086  # flags is a word list
+        fairavi train --data "../$corpus.jsonl" --modality multimodal --lambda 2 \
+            --config ../train.json --out model.json $flags > train.out
+        fairavi probe --model model.json --data "../$corpus.jsonl" --target "$target" \
+            --out-dir probe > /dev/null
+        printf '%-22s %s %s %s %s %s\n' "$name" \
+            "$(h8 < model.json)" \
+            "$(sed 's/,[^,]*$//' model.json.log.csv | h8)" \
+            "$(h8 < probe/metrics.csv)" \
+            "$(h8 < probe/report.md)" \
+            "$(h8 < train.out)"
+    )
+done <<'CONFIGS'
+unprotected            binary  gender    --variant unprotected
+supervised-gender      binary  gender    --variant supervised-gender
+static-faces-q2        binary  gender    --variant static-faces --face-dim 2
+static-faces-q16       binary  gender    --variant static-faces --face-dim 16
+negative-sampling-k3   binary  gender    --variant negative-sampling --k 3
+supervised-ethnicity   ternary ethnicity --variant supervised-ethnicity
+CONFIGS
