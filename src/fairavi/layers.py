@@ -4,7 +4,9 @@ L2 penalty and global-norm gradient clipping.
 
 All forwards operate on autodiff Nodes and take batches: a leading
 batch axis on every input, as model.forward_base builds them.  Weight
-matrices are stored [out, in] and applied as x @ W.T + b.
+matrices are stored [out, in] and applied as x @ W.T + b.  The BiGRU
+encoder, attention pooling and the GMU are one tape node each, whose
+numpy backward keeps the summation order of the unfused tape.
 """
 
 from __future__ import annotations
@@ -247,23 +249,47 @@ def init_attention(rng, proj: int, n_in: int) -> AttentionParams:
 
 
 def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
-    """Additive attention over time.
+    """Additive attention over time as one `attention` node on (z, W_A, b, u_p).
 
     u_t = tanh(W_A z_t + b); alpha = softmax_t(u_p . u_t); o = sum alpha_t z_t.
-    Returns (o, alpha) with shapes (B, w) and (B, T).
+    Returns (o, alpha) with shapes (B, w) and (B, T), alpha a value-only leaf.
+    The node saves only u and alpha; its backward adds each gradient term in
+    the order a tape of linear, tanh, matmul, softmax, mul and sum_ nodes
+    does, so values and gradients match that tape bit for bit.
     """
     z = ad.constant(z)
     if z.value.ndim != 3 or z.value.shape[1] < 1:
         raise ShapeMismatch(f"attention_pool: input {z.value.shape} is not a (B, T, w) "
                             "batch of non-empty sequences")
     B, T, w = z.value.shape
-    proj = p.u_p.value.shape[0]
-    flat = ad.reshape(z, (B * T, w))
-    u = ad.tanh(ad.linear(flat, p.W_A, p.b))
-    scores = ad.reshape(ad.matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T))
-    alpha = ad.softmax(scores)
-    o = ad.sum_(ad.mul(z, ad.reshape(alpha, (B, T, 1))), axis=1)
-    return o, alpha
+    W_A, b, u_p = p.W_A, p.b, p.u_p
+    flat = z.value.reshape(B * T, w)
+    u = flat @ W_A.value.T
+    np.tanh(np.add(u, b.value, out=u), out=u)
+    alpha = (u @ u_p.value.reshape(-1, 1)).reshape(B, T)
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g = g[:, None, :]
+        g_alpha = (g * z.value).sum(axis=2)
+        g_s = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
+        g_s = g_s.reshape(B * T, 1)
+        if u_p.requires_grad:
+            u_p.grad += (u.T @ g_s).reshape(-1)
+        g_a = (g_s @ u_p.value.reshape(-1, 1).T) * (1.0 - u * u)
+        if b.requires_grad:
+            b.grad += g_a.sum(axis=0)
+        if W_A.requires_grad:
+            W_A.grad += (flat.T @ g_a).T
+        if z.requires_grad:         # the pooling term first, as the tape adds it
+            z.grad += g * alpha[:, :, None]
+            z.grad += (g_a @ W_A.value).reshape(B, T, w)
+
+    o = Node((z.value * alpha[:, :, None]).sum(axis=1), (z, W_A, b, u_p),
+             op="attention", backward=backward)
+    return o, ad.constant(alpha)
 
 
 # --------------------------------------------------------------------- GMU
@@ -278,6 +304,9 @@ class GmuParams:
     W_vgating: Node
 
 
+GMU_ORDER = ("audio", "language", "video")
+
+
 def init_gmu(rng, width: int) -> GmuParams:
     p = lambda shape: ad.parameter(glorot(rng, *shape))
     return GmuParams(
@@ -286,34 +315,52 @@ def init_gmu(rng, width: int) -> GmuParams:
 
 
 def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
-    """Gated fusion of the three modalities' (B, width) batches.
+    """Gated fusion of the three modalities' (B, width) batches as one `gmu`
+    node on the three inputs and the six weights.
 
     Each modality is tanh-projected, gated by a sigmoid of the full
     concatenation, and the gated vectors are summed.  Returns
-    (o_mm, gates, contributions) where contributions are the three
-    gated vectors whose sum is exactly o_mm.
+    (o_mm, gates, contributions), the last two mapping each modality to a
+    value-only leaf; the contributions sum to exactly o_mm.  The backward
+    adds each term in the order a tape of concat, linear, tanh, sigmoid,
+    mul and add nodes does, so values and gradients match it bit for bit.
     """
-    o_a, o_l, o_v = ad.constant(o_a), ad.constant(o_l), ad.constant(o_v)
+    os = tuple(ad.constant(o) for o in (o_a, o_l, o_v))
     width = p.W_aproj.value.shape[1]
-    for name, o in (("audio", o_a), ("language", o_l), ("video", o_v)):
-        if o.value.shape != (o_a.value.shape[0], width):
+    for name, o in zip(GMU_ORDER, os):
+        if o.value.shape != (os[0].value.shape[0], width):
             raise ShapeMismatch(f"gmu_fuse: {name} input {o.value.shape} is not a "
                                 f"(B, {width}) batch")
-    cat = ad.concat([o_a, o_l, o_v], axis=-1)
-    proj = {
-        "audio": ad.tanh(ad.linear(o_a, p.W_aproj)),
-        "language": ad.tanh(ad.linear(o_l, p.W_lproj)),
-        "video": ad.tanh(ad.linear(o_v, p.W_vproj)),
-    }
-    gates = {
-        "audio": ad.sigmoid(ad.linear(cat, p.W_agating)),
-        "language": ad.sigmoid(ad.linear(cat, p.W_lgating)),
-        "video": ad.sigmoid(ad.linear(cat, p.W_vgating)),
-    }
-    contributions = {m: ad.mul(gates[m], proj[m]) for m in proj}
-    o_mm = ad.add(ad.add(contributions["audio"], contributions["language"]),
-                  contributions["video"])
-    return o_mm, gates, contributions
+    W = (p.W_aproj, p.W_lproj, p.W_vproj)
+    Wg = (p.W_agating, p.W_lgating, p.W_vgating)
+    cat = np.concatenate([o.value for o in os], axis=-1)
+    proj = [np.tanh(o.value @ w.value.T) for o, w in zip(os, W)]
+    with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
+        gates = [1.0 / (1.0 + np.exp(-(cat @ w.value.T))) for w in Wg]
+    contributions = [gt * pr for gt, pr in zip(gates, proj)]
+
+    def backward(g):
+        g_cat, g_os = 0.0, []
+        for o, w, wg, pr, gt in zip(os, W, Wg, proj, gates):
+            g_gate = (g * pr).sum(axis=1, keepdims=True) * gt * (1.0 - gt)
+            g_cat = g_cat + g_gate @ wg.value       # audio, then language, then video
+            if wg.requires_grad:
+                wg.grad += (cat.T @ g_gate).T
+            g_pr = g * gt * (1.0 - pr * pr)
+            if w.requires_grad:
+                w.grad += (o.value.T @ g_pr).T
+            g_os.append(g_pr @ w.value)
+        # the tape adds the audio and language projection terms, then the
+        # concatenation's slices, then the video projection term
+        for o, term in [*zip(os[:2], g_os), *zip(os, np.split(g_cat, 3, axis=1)),
+                        (os[2], g_os[2])]:
+            if o.requires_grad:
+                o.grad += term
+
+    o_mm = Node(contributions[0] + contributions[1] + contributions[2], (*os, *W, *Wg),
+                op="gmu", backward=backward)
+    leaves = lambda arrays: dict(zip(GMU_ORDER, map(ad.constant, arrays)))
+    return o_mm, leaves(gates), leaves(contributions)
 
 
 # ----------------------------------------------------------------- dropout

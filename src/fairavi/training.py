@@ -355,14 +355,13 @@ class _NegativeSampler:
     def draw(self, split: str, seed: int):
         rng = np.random.default_rng(seed)
         data = self.split_data[split]
-        n = data["owner"].size
-        n_cand = data["faces"].shape[0]
-        choice = np.empty((n, self.k), dtype=int)
-        pos = rng.integers(0, self.k, size=n)
-        for i, own in enumerate(data["owner"]):
-            others = rng.permutation(n_cand - 1)[: self.k - 1]
-            others = others + (others >= own)  # skip the anchor's own slot
-            choice[i] = np.insert(others, pos[i], own)
+        owner, n_cand = data["owner"], data["faces"].shape[0]
+        pos = rng.integers(0, self.k, size=owner.size)
+        others = np.array([rng.permutation(n_cand - 1)[: self.k - 1] for _ in owner])
+        others += others >= owner[:, None]  # skip the anchor's own slot
+        impostor = np.arange(self.k) != pos[:, None]   # row i's own face sits at pos[i]
+        choice = np.empty(impostor.shape, dtype=int)
+        choice[impostor], choice[~impostor] = others.ravel(), owner
         return choice, pos
 
     def batch(self, split: str, idx: np.ndarray):

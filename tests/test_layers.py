@@ -31,6 +31,48 @@ def scalar_gru_oracle(p, x, h):
     return (1.0 - z) * h + z * hhat
 
 
+def tape_attention(p, z):
+    """attention_pool as a tape of linear, tanh, matmul, softmax, mul and sum_."""
+    B, T, w = z.value.shape
+    proj = p.u_p.value.shape[0]
+    u = ad.tanh(ad.linear(ad.reshape(z, (B * T, w)), p.W_A, p.b))
+    alpha = ad.softmax(ad.reshape(ad.matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T)))
+    return ad.sum_(ad.mul(z, ad.reshape(alpha, (B, T, 1))), axis=1), alpha
+
+
+def tape_gmu(p, o_a, o_l, o_v):
+    """gmu_fuse as a tape of concat, linear, tanh, sigmoid, mul and add."""
+    cat = ad.concat([o_a, o_l, o_v], axis=-1)
+    proj = {m: ad.tanh(ad.linear(o, w)) for m, o, w in
+            zip(ly.GMU_ORDER, (o_a, o_l, o_v), (p.W_aproj, p.W_lproj, p.W_vproj))}
+    gates = {m: ad.sigmoid(ad.linear(cat, w)) for m, w in
+             zip(ly.GMU_ORDER, (p.W_agating, p.W_lgating, p.W_vgating))}
+    contributions = {m: ad.mul(gates[m], proj[m]) for m in proj}
+    o_mm = ad.add(ad.add(contributions["audio"], contributions["language"]),
+                  contributions["video"])
+    return o_mm, gates, contributions
+
+
+def tape_and_fused_results(layer_pair, inputs, params, out_shape, rng):
+    """Output, value-only outputs and gradients of a tape oracle and a fused
+    layer, as bytes, under one loss whose upstream gradient has a zero row."""
+    weight = rng.standard_normal(out_shape)
+    weight[0] = -0.0
+    grads = dict(params, **{f"in{i}": x for i, x in enumerate(inputs) if x.requires_grad})
+    results = []
+    for layer in layer_pair:
+        ad.zero_grad(grads.values())
+        out, *extra = layer(*inputs)
+        loss = ad.add(ad.sum_(ad.mul(ad.tanh(out), ad.constant(weight))),
+                      ly.l2_penalty(params, 1e-3))
+        ad.backward(loss)
+        values = [n.value.tobytes() for e in extra
+                  for n in (e.values() if isinstance(e, dict) else [e])]
+        results.append((out.value.tobytes(), values,
+                        {k: v.grad.tobytes() for k, v in grads.items()}))
+    return results
+
+
 class TestDense:
     def test_zero_weights_bias_only(self):
         p = ly.DenseParams(ad.parameter(np.zeros((1, 4))), ad.parameter([0.3]), "identity")
@@ -244,6 +286,31 @@ class TestAttention:
             assert (o.value >= z.min(axis=0) - 1e-12).all()
             assert (o.value <= z.max(axis=0) + 1e-12).all()
 
+    @pytest.mark.parametrize("z_grad", [False, True], ids=["z-constant", "z-parameter"])
+    @pytest.mark.parametrize("T", [1, 12, 20, 25])
+    @pytest.mark.parametrize("B", [1, 25, 32, 512])
+    def test_fused_attention_matches_tape_bitwise(self, B, T, z_grad):
+        # B=25 is the last partial batch of 1,401 training clips, B=512 the
+        # inference chunk; T=12, 25 and 20 are language, audio and video.
+        rng = rng_of(40 + T)
+        p = ly.init_attention(rng, 30, 16)
+        p.b.value[...] = rng.standard_normal(30)
+        z = (ad.parameter if z_grad else ad.constant)(rng.standard_normal((B, T, 16)))
+        params = {f"att.{k}": v for k, v in vars(p).items()}
+        results = tape_and_fused_results(
+            (lambda z: tape_attention(p, z), lambda z: ly.attention_pool(p, z)),
+            [z], params, (B, 16), rng)
+        assert results[0] == results[1]
+
+    def test_one_tape_node_per_attention(self):
+        rng = rng_of(3)
+        p = ly.init_attention(rng, 4, 3)
+        z = ad.parameter(rng.standard_normal((2, 6, 3)))
+        o, alpha = ly.attention_pool(p, z)
+        assert o.op == "attention" and o.parents == (z, p.W_A, p.b, p.u_p)
+        assert [n.op for n in ad.topo_order(o) if n.parents] == ["attention"]
+        assert alpha.op == "leaf" and not alpha.requires_grad
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.floats(0.1, 20))
     def test_weights_normalized_property(self, seed, t_len, scale):
@@ -289,6 +356,28 @@ class TestGmu:
             assert np.abs(o_mm.value).max() <= 3.0
             for g in gates.values():
                 assert 0.0 < g.value < 1.0
+
+    @pytest.mark.parametrize("o_grad", [False, True], ids=["o-constant", "o-parameter"])
+    @pytest.mark.parametrize("B", [1, 25, 32, 512])
+    def test_fused_gmu_matches_tape_bitwise(self, B, o_grad):
+        rng = rng_of(60 + B)
+        p = ly.init_gmu(rng, 16)
+        os = [(ad.parameter if o_grad else ad.constant)(rng.standard_normal((B, 16)))
+              for _ in range(3)]
+        params = {f"gmu.{k}": v for k, v in vars(p).items()}
+        results = tape_and_fused_results(
+            (lambda *os: tape_gmu(p, *os), lambda *os: ly.gmu_fuse(p, *os)),
+            os, params, (B, 16), rng)
+        assert results[0] == results[1]
+
+    def test_one_tape_node_per_gmu(self):
+        p, oa, ol, ov = self.fused(16)
+        os = [ad.parameter(o) for o in (oa, ol, ov)]
+        o_mm, gates, contributions = ly.gmu_fuse(p, *os)
+        assert o_mm.op == "gmu" and len(o_mm.parents) == 9
+        assert [n.op for n in ad.topo_order(o_mm) if n.parents] == ["gmu"]
+        for leaf in [*gates.values(), *contributions.values()]:
+            assert leaf.op == "leaf" and not leaf.requires_grad
 
     def test_width_mismatch(self):
         p, oa, ol, ov = self.fused(15)
@@ -425,12 +514,28 @@ def _gmu_case(r):
     return fn, point
 
 
+def _attention_input_case(r):
+    fn = lambda lv: ad.sum_(ly.attention_pool(ly.AttentionParams(*lv[:3]), lv[3])[0])
+    return fn, [r.standard_normal((3, 2)), r.standard_normal(3), r.standard_normal(3),
+                r.standard_normal((2, 3, 2))]
+
+
+def _gmu_input_case(r):
+    fn = lambda lv: ad.sum_(ly.gmu_fuse(ly.GmuParams(*lv[:6]), *lv[6:])[0])
+    point = ([r.standard_normal((2, 2)) for _ in range(3)]
+             + [r.standard_normal((1, 6)) for _ in range(3)]
+             + [r.standard_normal((2, 2)) for _ in range(3)])
+    return fn, point
+
+
 LAYER_GRAD_CASES = {
     "dense": _dense_case,
     "gru_step": _gru_case,
     "bigru_encode": _bigru_case,
     "attention": _attention_case,
+    "attention-input": _attention_input_case,
     "gmu": _gmu_case,
+    "gmu-inputs": _gmu_input_case,
 }
 
 

@@ -474,6 +474,33 @@ class TestAdversaryTargets:
                 negs = np.delete(row, pos[i])
                 assert owner[i] not in negs             # impostors only
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_negative_sampler_draw_matches_insert_loop(self, tiny_dataset, k):
+        # The per-anchor np.insert loop draw used to run, kept as the
+        # reference: the vectorized assembly must give the same arrays
+        # from the same random stream.
+        def loop_draw(data, seed):
+            rng = np.random.default_rng(seed)
+            n, n_cand = data["owner"].size, data["faces"].shape[0]
+            choice = np.empty((n, k), dtype=int)
+            pos = rng.integers(0, k, size=n)
+            for i, own in enumerate(data["owner"]):
+                others = rng.permutation(n_cand - 1)[: k - 1]
+                others = others + (others >= own)
+                choice[i] = np.insert(others, pos[i], own)
+            return choice, pos
+
+        train = [s for s in tiny_dataset if s.split == "train"]
+        val = [s for s in tiny_dataset if s.split == "val"]
+        sampler = tr._NegativeSampler(train, val, k=k, seed=9)
+        for split in ("train", "val"):
+            for seed in (0, 1, 9, 12345):
+                got = sampler.draw(split, seed)
+                want = loop_draw(sampler.split_data[split], seed)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b)
+
     def test_negative_sampler_needs_k_candidates(self, tiny_dataset):
         train = [s for s in tiny_dataset if s.split == "train"]
         val = [s for s in tiny_dataset if s.split == "val"][:2]
