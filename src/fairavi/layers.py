@@ -271,7 +271,7 @@ def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=-1, keepdims=True)
 
-    def backward(g):
+    def backward(g):    # += onto zeroed buffers turns -0.0 into 0.0, as the tape's sums do
         g = g[:, None, :]
         g_alpha = (g * z.value).sum(axis=2)
         g_s = alpha * (g_alpha - (g_alpha * alpha).sum(axis=-1, keepdims=True))
@@ -325,23 +325,23 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
     adds each term in the order a tape of concat, linear, tanh, sigmoid,
     mul and add nodes does, so values and gradients match it bit for bit.
     """
-    os = tuple(ad.constant(o) for o in (o_a, o_l, o_v))
+    xs = tuple(ad.constant(o) for o in (o_a, o_l, o_v))
     width = p.W_aproj.value.shape[1]
-    for name, o in zip(GMU_ORDER, os):
-        if o.value.shape != (os[0].value.shape[0], width):
+    for name, o in zip(GMU_ORDER, xs):
+        if o.value.shape != (xs[0].value.shape[0], width):
             raise ShapeMismatch(f"gmu_fuse: {name} input {o.value.shape} is not a "
                                 f"(B, {width}) batch")
     W = (p.W_aproj, p.W_lproj, p.W_vproj)
     Wg = (p.W_agating, p.W_lgating, p.W_vgating)
-    cat = np.concatenate([o.value for o in os], axis=-1)
-    proj = [np.tanh(o.value @ w.value.T) for o, w in zip(os, W)]
+    cat = np.concatenate([o.value for o in xs], axis=-1)
+    proj = [np.tanh(o.value @ w.value.T) for o, w in zip(xs, W)]
     with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
         gates = [1.0 / (1.0 + np.exp(-(cat @ w.value.T))) for w in Wg]
     contributions = [gt * pr for gt, pr in zip(gates, proj)]
 
     def backward(g):
         g_cat, g_os = 0.0, []
-        for o, w, wg, pr, gt in zip(os, W, Wg, proj, gates):
+        for o, w, wg, pr, gt in zip(xs, W, Wg, proj, gates):
             g_gate = (g * pr).sum(axis=1, keepdims=True) * gt * (1.0 - gt)
             g_cat = g_cat + g_gate @ wg.value       # audio, then language, then video
             if wg.requires_grad:
@@ -352,12 +352,12 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
             g_os.append(g_pr @ w.value)
         # the tape adds the audio and language projection terms, then the
         # concatenation's slices, then the video projection term
-        for o, term in [*zip(os[:2], g_os), *zip(os, np.split(g_cat, 3, axis=1)),
-                        (os[2], g_os[2])]:
+        for o, term in [*zip(xs[:2], g_os), *zip(xs, np.split(g_cat, 3, axis=1)),
+                        (xs[2], g_os[2])]:
             if o.requires_grad:
                 o.grad += term
 
-    o_mm = Node(contributions[0] + contributions[1] + contributions[2], (*os, *W, *Wg),
+    o_mm = Node(contributions[0] + contributions[1] + contributions[2], (*xs, *W, *Wg),
                 op="gmu", backward=backward)
     leaves = lambda arrays: dict(zip(GMU_ORDER, map(ad.constant, arrays)))
     return o_mm, leaves(gates), leaves(contributions)
