@@ -55,9 +55,11 @@ def tape_gmu(p, o_a, o_l, o_v):
 
 def tape_and_fused_results(layer_pair, inputs, params, out_shape, rng):
     """Output, value-only outputs and gradients of a tape oracle and a fused
-    layer, as bytes, under one loss whose upstream gradient has a zero row."""
+    layer, as bytes, under one loss whose upstream gradient has a zero last
+    row when the batch has more than one."""
     weight = rng.standard_normal(out_shape)
-    weight[0] = -0.0
+    if out_shape[0] > 1:
+        weight[-1] = -0.0
     grads = dict(params, **{f"in{i}": x for i, x in enumerate(inputs) if x.requires_grad})
     results = []
     for layer in layer_pair:
