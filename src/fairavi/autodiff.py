@@ -6,11 +6,11 @@ parents and a backward rule.  ``backward`` walks the tape in reverse
 topological order.  Gradients accumulate; call ``zero_grad`` between
 optimizer steps.
 
-The op set covers what the network needs: matrix product, the affine map
-``linear``, (broadcast) add, subtract, Hadamard product, tanh, sigmoid,
-softmax over the last axis, log, clip, concatenate, sum, mean,
-slicing, reshape, the L2 penalty ``l2`` and the gradient reversal node
-``grl``.
+The op set covers what the network needs: the affine map ``linear``,
+(broadcast) add, subtract, Hadamard product, tanh, sigmoid, softmax over
+the last axis, log, clip, sum, mean, slicing, reshape, the L2 penalty
+``l2`` and the gradient reversal node ``grl``.  ``matmul`` and ``concat``
+serve only the tests' tape oracles of the fused layer nodes.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save
                    split_group_disjoint)
 from .errors import ConfigError, ContractError
 from .fileio import atomic_write
-from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel, ModelDims, infer,
-                    load_model, modality_contributions, predict, save_model,
-                    summarize_contributions)
+from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
+                    ModelDims, load_model, modality_contributions, predict, save_model)
 from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
                        select_lambda, train_alternating)
 
@@ -143,9 +142,10 @@ def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:
 def run_training(cfg: TrainConfig, dataset, observer=None,
                  pretrained: Pretrained | None = None):
     """Library entry point behind `fairavi train`.  Given a `pretrained`
-    state, it runs only the joint/refit loop, on a fork of that state."""
+    state, it runs only the joint/refit loop under cfg.lam, on a fork of
+    that state."""
     if pretrained is not None:
-        return alternate(pretrained.fork(), cfg, observer)
+        return alternate(pretrained.fork(), cfg.lam, observer)
     return train_alternating(cfg, _new_model(cfg, dataset), dataset, observer=observer)
 
 
@@ -225,16 +225,14 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- probe
 
-def _require_target(dataset, target: str) -> np.ndarray:
-    z = [s.z for s in dataset]
-    if any(v is None for v in z):
+def _require_target(dataset, target: str) -> None:
+    z = {s.z for s in dataset}
+    if None in z:
         raise ContractError(f"target column {target!r} absent from the dataset")
-    classes = sorted(set(z))
-    need = 2 if target == "gender" else 3
-    if len(classes) != need:
+    need = PROTECTED_CLASSES[target]
+    if len(z) != need:
         raise ContractError(
-            f"target {target!r} expects {need} protected classes, data has {len(classes)}")
-    return np.asarray(z, dtype=int)
+            f"target {target!r} expects {need} protected classes, data has {len(z)}")
 
 
 def build_report(model, dataset, target: str) -> ev.MetricsReport:
@@ -244,13 +242,13 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
         if not part:
             raise ContractError(f"dataset has no {tag!r} split")
     reps = {t: ev.extract_representations(model, split[t]) for t in ("train", "val")}
-    h_test, y_hat, norms = infer(model, split["test"])
+    h_test, y_hat = predict(model, split["test"])
     y_test = np.array([s.y for s in split["test"]], dtype=int)
     z_test = np.array([s.z for s in split["test"]], dtype=int)
     diag = ev.diagnose(reps["train"].h, reps["train"].z, reps["val"].h, reps["val"].z,
                        h_test, z_test)
-    preds = (y_hat >= 0.5).astype(int)
-    report = ev.MetricsReport(
+    preds = (y_hat >= ev.THRESHOLD).astype(int)
+    return ev.MetricsReport(
         model_name=f"{model.variant}/{model.modality}",
         hire_acc=ev.accuracy(y_hat, y_test),
         hire_auc=ev.auc(y_hat, y_test),
@@ -258,9 +256,6 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
         diag_acc={target: diag["acc"]},
         di_labels={target: ev.disparate_impact(y_test, z_test)},
         di_predictions={target: ev.disparate_impact(preds, z_test)})
-    if norms is not None:
-        report.gmu_contributions = summarize_contributions(norms)
-    return report
 
 
 def cmd_probe(args) -> int:
@@ -385,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("probe", help="diagnostic probes and fairness report")
     r.add_argument("--model", required=True)
     r.add_argument("--data", required=True)
-    r.add_argument("--target", required=True, choices=("gender", "ethnicity"))
+    r.add_argument("--target", required=True, choices=tuple(PROTECTED_CLASSES))
     r.add_argument("--out-dir", required=True)
     r.set_defaults(fn=cmd_probe)
 

@@ -225,10 +225,10 @@ def fingerprint_faces(faces: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(faces, dtype=np.float64).tobytes()).hexdigest()
 
 
-def fit_compressor(faces: np.ndarray, q: int, seed: int = 0,
-                   max_iter: int = 1000, tol: float = 1e-10) -> FaceProjection:
+def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
     """Center on the training mean and extract q principal directions by
-    power iteration with deflation."""
+    power iteration with deflation: at most 1000 steps per direction, ending
+    once a step moves it by less than 1e-10."""
     faces = np.asarray(faces, dtype=np.float64)
     if faces.ndim != 2 or faces.shape[0] < q + 1:
         raise ContractError(f"fit_compressor: need at least q+1={q + 1} face rows")
@@ -241,14 +241,14 @@ def fit_compressor(faces: np.ndarray, q: int, seed: int = 0,
     work = cov.copy()
     for comp in range(q):
         v = _unit(rng.standard_normal(faces.shape[1]))
-        for _ in range(max_iter):
+        for _ in range(1000):
             w = work @ v
             norm = np.linalg.norm(w)
             if norm <= scale * 1e-12:
                 raise ContractError(
                     f"fit_compressor: data rank below q (failed at component {comp})")
             w /= norm
-            if np.linalg.norm(w - v) < tol:
+            if np.linalg.norm(w - v) < 1e-10:
                 v = w
                 break
             v = w
@@ -277,14 +277,17 @@ def reconstruct(proj: FaceProjection, compressed: np.ndarray) -> np.ndarray:
 
 def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
     """Import externally computed q-dim face embeddings (e.g. genuine UMAP
-    output) as a JSON object mapping video_id -> q floats."""
+    output) as a JSON object mapping video_id -> q finite floats."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # a JSON decode or text decode error
+            raise ContractError(f"{path}: not a JSON file ({e})")
     if not isinstance(doc, dict) or not doc:
         raise ContractError(f"{path}: expected a non-empty video_id -> vector mapping")
     out = {}
-    for vid, vec in doc.items():
-        arr = np.asarray(vec, dtype=np.float64)
+    for vid in doc:
+        arr = _float_array(doc, vid, path)
         if arr.shape != (q,):
             raise ContractError(
                 f"{path}: embedding for {vid!r} has shape {arr.shape}, expected ({q},)")

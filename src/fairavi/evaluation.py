@@ -19,6 +19,8 @@ from .errors import ContractError
 from .fileio import atomic_write
 from .model import HireabilityModel, predict
 
+THRESHOLD = 0.5                # a score at or above it predicts the positive class
+
 
 class UndefinedMetricError(ContractError):
     """The metric is undefined on this input (e.g. one class absent)."""
@@ -68,7 +70,7 @@ def macro_ovr_auc(scores, labels) -> float:
 def accuracy(scores, labels) -> float:
     scores = np.asarray(scores)
     labels = np.asarray(labels).astype(int)
-    pred = scores.argmax(axis=1) if scores.ndim == 2 else (scores >= 0.5).astype(int)
+    pred = scores.argmax(axis=1) if scores.ndim == 2 else (scores >= THRESHOLD).astype(int)
     return float((pred == labels).mean())
 
 
@@ -307,10 +309,6 @@ class MetricsReport:
     diag_acc: dict = field(default_factory=dict)
     di_labels: dict = field(default_factory=dict)    # target -> DI of ground truth
     di_predictions: dict = field(default_factory=dict)
-    gmu_contributions: dict | None = None
-    threshold: float = 0.5
-    di_convention: str = "min-rate/max-rate"
-    probe_note: str = "max over the logistic-regression grid (l1 and l2)"
 
     def to_csv(self, path) -> None:
         cols = ["model", "hire_acc", "hire_auc",
@@ -325,7 +323,8 @@ class MetricsReport:
                get(self.diag_acc, "gender"), get(self.diag_acc, "ethnicity"),
                get(self.di_predictions, "gender"), get(self.di_predictions, "ethnicity"),
                get(self.di_labels, "gender"), get(self.di_labels, "ethnicity"),
-               repr(self.threshold), self.di_convention, self.probe_note]
+               repr(THRESHOLD), "min-rate/max-rate",
+               "max over the logistic-regression grid (l1 and l2)"]
         with atomic_write(path) as fh:
             fh.write(",".join(cols) + "\n")
             fh.write(",".join(row) + "\n")

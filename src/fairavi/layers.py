@@ -31,7 +31,7 @@ def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
 class DenseParams:
     W: Node                 # [out, in]
     b: Node                 # [out]
-    activation: str = "identity"   # tanh | sigmoid | softmax | identity
+    activation: str = "identity"   # tanh | sigmoid | identity
 
 
 def init_dense(rng, n_out: int, n_in: int, activation: str = "identity") -> DenseParams:
@@ -43,7 +43,6 @@ _ACTIVATIONS = {
     "identity": lambda x: x,
     "tanh": ad.tanh,
     "sigmoid": ad.sigmoid,
-    "softmax": ad.softmax,
 }
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
+from .data import FACE_DIM
 from .errors import ContractError
 from .fileio import atomic_write
 
@@ -31,6 +32,8 @@ MODALITIES = ("language", "audio", "video")
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
             "static-faces", "negative-sampling")
 FACE_DIMS = (2, 16)
+PROTECTED_CLASSES = {"gender": 2, "ethnicity": 3}
+CHUNK = 512                    # clips per inference forward pass
 
 
 @dataclass
@@ -41,16 +44,14 @@ class ModelDims:
     trunk_width: int = 16
     adv_hidden: int = 30       # supervised / static-faces hidden width
     ns_hidden: int = 32        # negative-sampling interview-encoder hidden width
-    face_raw: int = 512
+    face_raw: int = FACE_DIM
 
 
 @dataclass
 class ForwardResult:
     H: Node
     y_hat: Node
-    alphas: dict
     o_mm: Node
-    gates: dict | None
     contributions: dict | None
 
 
@@ -136,7 +137,7 @@ class HireabilityModel:
         table = {
             "unprotected": {},
             "supervised-gender": supervised(1),
-            "supervised-ethnicity": supervised(3),
+            "supervised-ethnicity": supervised(PROTECTED_CLASSES["ethnicity"]),
             "static-faces": {"W_5": (d.adv_hidden, d.trunk_width), "b_5": (d.adv_hidden,),
                              "W_6": (q, d.adv_hidden), "b_6": (q,)},
             "negative-sampling": {"W_7": (q, d.face_raw), "b_7": (q,),
@@ -179,7 +180,6 @@ class HireabilityModel:
                      dropout_rate: float = 0.0) -> ForwardResult:
         """Run the trunk on a batch of per-modality (B, T, d) arrays."""
         pooled = {}
-        alphas = {}
         for m in self.active_modalities:
             if m not in batch or batch[m] is None:
                 raise ContractError(f"forward_base: missing modality {m!r}")
@@ -191,10 +191,10 @@ class HireabilityModel:
                                     f"{x.shape[2]}, the model expects {self.dims.input_dims[m]}")
             fwd, bwd = self.encoders[m]
             z = ly.bigru_encode(fwd, bwd, ad.constant(x))
-            pooled[m], alphas[m] = ly.attention_pool(self.attentions[m], z)
-        gates = contributions = None
+            pooled[m], _ = ly.attention_pool(self.attentions[m], z)
+        contributions = None
         if self.modality == "multimodal":
-            o_mm, gates, contributions = ly.gmu_fuse(
+            o_mm, _, contributions = ly.gmu_fuse(
                 self.gmu, pooled["audio"], pooled["language"], pooled["video"])
         else:
             o_mm = pooled[self.modality]
@@ -204,8 +204,7 @@ class HireabilityModel:
         H = ly.dense_forward(self.trunk2, h1)
         y = ly.dense_forward(self.hire_head, H)
         y_hat = ad.reshape(y, (y.value.shape[0],))
-        return ForwardResult(H=H, y_hat=y_hat, alphas=alphas, o_mm=o_mm,
-                             gates=gates, contributions=contributions)
+        return ForwardResult(H=H, y_hat=y_hat, o_mm=o_mm, contributions=contributions)
 
     # --------------------------------------------------------------- heads
 
@@ -261,15 +260,15 @@ def batch_sequences(samples, modalities) -> dict[str, np.ndarray]:
             for m in modalities}
 
 
-def infer(model: HireabilityModel, samples, chunk: int = 512):
+def infer(model: HireabilityModel, samples):
     """One inference-mode pass (no dropout) over a sample list.
 
     Returns (H, y_hat, norms): norms maps modality -> (n,) L2 norms of the
     gated modality vectors for a multimodal model, and is None otherwise.
     """
     hs, ys, norms = [], [], {m: [] for m in MODALITIES}
-    for lo in range(0, len(samples), chunk):
-        res = model.forward_base(batch_sequences(samples[lo:lo + chunk], model.active_modalities))
+    for lo in range(0, len(samples), CHUNK):
+        res = model.forward_base(batch_sequences(samples[lo:lo + CHUNK], model.active_modalities))
         hs.append(res.H.value)
         ys.append(res.y_hat.value)
         for m, c in (res.contributions or {}).items():
@@ -279,21 +278,12 @@ def infer(model: HireabilityModel, samples, chunk: int = 512):
     return np.concatenate(hs), np.concatenate(ys), {m: np.concatenate(v) for m, v in norms.items()}
 
 
-def predict(model: HireabilityModel, samples, chunk: int = 512):
+def predict(model: HireabilityModel, samples):
     """Inference-mode H and y_hat over a sample list (no dropout)."""
-    return infer(model, samples, chunk)[:2]
+    return infer(model, samples)[:2]
 
 
-def summarize_contributions(norms: dict) -> dict:
-    """Mean and quartiles of each modality's contribution norms."""
-    return {m: {"mean": float(n.mean()),
-                "q25": float(np.quantile(n, 0.25)),
-                "median": float(np.quantile(n, 0.5)),
-                "q75": float(np.quantile(n, 0.75))}
-            for m, n in norms.items()}
-
-
-def modality_contributions(model: HireabilityModel, samples, chunk: int = 512):
+def modality_contributions(model: HireabilityModel, samples):
     """Per-sample L2 norms of the gated modality vectors, plus summaries.
 
     Returns (norms, summary): norms maps modality -> (n,) array, summary
@@ -301,8 +291,12 @@ def modality_contributions(model: HireabilityModel, samples, chunk: int = 512):
     """
     if model.modality != "multimodal":
         raise ContractError("modality contributions require a multimodal model")
-    _, _, norms = infer(model, samples, chunk)
-    return norms, summarize_contributions(norms)
+    _, _, norms = infer(model, samples)
+    return norms, {m: {"mean": float(n.mean()),
+                       "q25": float(np.quantile(n, 0.25)),
+                       "median": float(np.quantile(n, 0.5)),
+                       "q75": float(np.quantile(n, 0.75))}
+                   for m, n in norms.items()}
 
 
 # ------------------------------------------------------------- persistence

@@ -33,8 +33,8 @@ from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import ConfigError, ContractError
 from .fileio import atomic_write
-from .model import (FACE_DIMS, MODALITIES, VARIANTS, HireabilityModel,
-                    NegativeSamplingBatch, batch_sequences, predict)
+from .model import (CHUNK, FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS,
+                    HireabilityModel, NegativeSamplingBatch, batch_sequences, predict)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -152,11 +152,11 @@ class Adam:
     each, in parameter order; m[name] and v[name] are views into them.
     """
 
-    def __init__(self, params: dict[str, Node], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Node], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         offsets = np.cumsum([0] + [p.value.size for p in params.values()])
         self._slices = {n: slice(lo, hi) for n, lo, hi in zip(params, offsets[:-1], offsets[1:])}
         self._m, self._v = np.zeros(offsets[-1]), np.zeros(offsets[-1])
@@ -185,11 +185,11 @@ class Adam:
             name = next(n for n, sl in self._slices.items() if not np.all(np.isfinite(g[sl])))
             raise ContractError(f"non-finite gradient for parameter {name}")
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        self._m[...] = self.beta1 * self._m + (1.0 - self.beta1) * g
-        self._v[...] = self.beta2 * self._v + (1.0 - self.beta2) * g * g
-        step = self.lr * ((self._m / c1) / (np.sqrt(self._v / c2) + self.eps))
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
+        self._m[...] = self.BETA1 * self._m + (1.0 - self.BETA1) * g
+        self._v[...] = self.BETA2 * self._v + (1.0 - self.BETA2) * g * g
+        step = self.lr * ((self._m / c1) / (np.sqrt(self._v / c2) + self.EPS))
         for name, p in self.params.items():
             p.value -= step[self._slices[name]].reshape(p.value.shape)
 
@@ -251,7 +251,7 @@ class _AdversaryTask:
         self._ns = None
         splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
-            n_classes = 2 if self.variant == "supervised-gender" else 3
+            n_classes = PROTECTED_CLASSES[self.variant.removeprefix("supervised-")]
             if any(s.z is None for s in [*train, *val]):
                 raise ContractError("protected variable required for the supervised variant")
             zs = {k: np.array([s.z for s in part], dtype=int) for k, part in splits.items()}
@@ -294,14 +294,14 @@ class _AdversaryTask:
         loss = bce_loss if self.variant == "supervised-gender" else cce_loss
         return loss(model.head_supervised(h), self.targets[split][idx])
 
-    def evaluate(self, model: HireabilityModel, h_val: np.ndarray, chunk: int = 512) -> float:
+    def evaluate(self, model: HireabilityModel, h_val: np.ndarray) -> float:
         """Mean validation loss over cached representations; the negative-
         sampling loss is averaged over the sampler's fixed draws."""
         def one_pass() -> float:
             n = h_val.shape[0]
             total = 0.0
-            for lo in range(0, n, chunk):
-                idx = np.arange(lo, min(lo + chunk, n))
+            for lo in range(0, n, CHUNK):
+                idx = np.arange(lo, min(lo + CHUNK, n))
                 loss = self.loss(model, ad.constant(h_val[idx]), idx, "val")
                 total += float(loss.value) * idx.size
             return total / n
@@ -482,7 +482,7 @@ class Pretrained:
 def train_alternating(cfg: TrainConfig, model: HireabilityModel, dataset,
                       observer=None) -> tuple[HireabilityModel, TrainLog]:
     """Run the full alternating strategy and return the best-validation model."""
-    return alternate(pretrain(cfg, model, dataset, observer), cfg, observer)
+    return alternate(pretrain(cfg, model, dataset, observer), cfg.lam, observer)
 
 
 def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
@@ -506,6 +506,8 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
         train = [blind(s) for s in train]
         val = [blind(s) for s in val]
 
+    # targets are checked before any epoch; the task draws only from its own seeds
+    task = None if cfg.variant == "unprotected" else _AdversaryTask(cfg, train, val, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
     opt_main = Adam({**model.theta_h(), **model.theta_d()}, cfg.lr_joint)
@@ -524,9 +526,7 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
                                             cfg.max_epochs_pretrain, cfg.patience_pretrain)
     _notify(observer, "phase_end", phase="pretrain-main")
 
-    task = None
-    if cfg.variant != "unprotected":
-        task = _AdversaryTask(cfg, train, val, seed=cfg.seed)
+    if task is not None:
         log.compressor_fingerprint = task.fingerprint
         h_train, _ = predict(model, train)
         log.final_l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
@@ -534,13 +534,11 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
     return Pretrained(cfg, model, opt_main, rng, task, train, val, log)
 
 
-def alternate(state: Pretrained, cfg: TrainConfig,
+def alternate(state: Pretrained, lam: float,
               observer=None) -> tuple[HireabilityModel, TrainLog]:
-    """Run the outer loop from `state` under cfg.lam and return the
-    best-validation model.  The run mutates `state`; cfg may differ from the
-    pretrain's config in lambda only."""
-    if replace(cfg.validate(), lam=state.cfg.lam) != state.cfg:
-        raise ConfigError("alternate: config differs from the pretrain's beyond lambda")
+    """Run the outer loop from `state` under lambda `lam` and return the
+    best-validation model.  The run mutates `state`."""
+    cfg = replace(state.cfg, lam=lam).validate()
     log = state.log
     if state.task is not None:
         kept = log.final_l_t_val, log.final_l_a_val

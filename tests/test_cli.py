@@ -219,6 +219,25 @@ class TestFaceTargets:
         manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
         assert manifest["config"]["face_targets"] == str(targets)
 
+    @pytest.mark.parametrize("fault", ["truncated", "not-a-number", "nan"])
+    def test_bad_file_exits_3_naming_it(self, tmp_path, dataset_path, capsys, fault):
+        data = load_jsonl(dataset_path)
+        lookup = {s.video_id: [0.5, -0.5] for s in data}
+        bad = data[0].video_id
+        lookup[bad] = {"not-a-number": [0.5, "x"], "nan": [0.5, float("nan")]}.get(
+            fault, lookup[bad])
+        text = json.dumps(lookup)
+        targets = tmp_path / "faces.json"
+        targets.write_text(text[:len(text) // 2] if fault == "truncated" else text)
+        tcfg = write_train_config(tmp_path / "t.json")
+        code = cli.main(["train", "--data", str(dataset_path), "--variant",
+                         "static-faces", "--modality", "language", "--face-dim", "2",
+                         "--face-targets", str(targets), "--config", str(tcfg),
+                         "--out", str(tmp_path / "model.json")])
+        err = capsys.readouterr().err
+        assert code == 3 and str(targets) in err
+        assert fault == "truncated" or bad in err
+
 
 class TestSweep:
     def test_full_grid_fans_out(self, tmp_path, dataset_path):
@@ -459,8 +478,7 @@ class TestBuildReport:
             return original(self, batch, *args, **kwargs)
 
         monkeypatch.setattr(HireabilityModel, "forward_base", counted)
-        report = cli.build_report(model, samples, "gender")
-        assert report.gmu_contributions is not None
+        cli.build_report(model, samples, "gender")
         assert len(seen) == sum(-(-len(p) // 512) for p in parts) == 8
         passes = np.concatenate(seen)
         ordered = np.stack([s.seq_audio for p in parts for s in p])

@@ -71,7 +71,7 @@ class TestForwardBase:
         assert m.gmu is None
         assert not any(n.startswith("gmu.") for n in m.params)
         res = m.forward_base({"video": np.random.default_rng(1).standard_normal((2, 3, 2))})
-        assert res.gates is None and res.contributions is None
+        assert res.contributions is None
         assert res.H.value.shape == (2, 3)
 
     def test_full_task_gradient(self):

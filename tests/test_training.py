@@ -400,6 +400,37 @@ class TestTrainAlternating:
         with pytest.raises(ContractError, match="share video ids"):
             tr.train_alternating(cfg, model, tiny_dataset + [clone])
 
+    @pytest.mark.parametrize("variant, bad, match", [
+        ("supervised-gender", "no-z", "protected"),
+        ("negative-sampling", "k", "at least k"),
+        ("static-faces", "face-targets", "lacks"),
+    ])
+    def test_target_errors_raise_before_any_epoch(self, tiny_dataset, tmp_path,
+                                                  variant, bad, match):
+        kw = {}
+        if bad == "no-z":
+            for s in tiny_dataset:
+                s.z = None
+        elif bad == "k":
+            kw["k"] = 1000
+        else:
+            path = tmp_path / "faces.json"
+            path.write_text(f'{{"{tiny_dataset[0].video_id}": [0.0, 0.0]}}')
+            kw["face_targets"] = str(path)
+        model = HireabilityModel("multimodal", variant, tiny_dims(), seed=0)
+        events = []
+        with pytest.raises(ContractError, match=match):
+            tr.train_alternating(short_cfg(variant=variant, **kw), model, tiny_dataset,
+                                 observer=lambda e, p: events.append(e))
+        assert events == []
+
+    def test_alternate_rejects_nan_lambda(self, tiny_dataset):
+        cfg = short_cfg(variant="supervised-gender", max_epochs_pretrain=1, max_epochs_adv=1)
+        model = HireabilityModel("multimodal", "supervised-gender", tiny_dims(), seed=0)
+        state = tr.pretrain(cfg, model, tiny_dataset)
+        with pytest.raises(ConfigError, match="lam must be"):
+            tr.alternate(state, float("nan"))
+
     def test_supervised_requires_protected_label(self, tiny_dataset):
         for s in tiny_dataset:
             s.z = None

@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Print short hashes of the outputs of six small train + probe runs.
+# Print short hashes of the outputs of seven small train + probe runs.
 #
 #   tools/output_hashes.sh <repo-root> <workdir>
 #
 # Runs the checkout at <repo-root> (its src/ on PYTHONPATH) inside
 # <workdir>, one row per config.  Columns: config, then the first 8 hex
 # digits of the sha256 of the saved model, its epoch log without the
-# seconds column, the probe's metrics.csv and report.md, and the train
-# command's stdout.  Every path a command sees is relative, so two
-# checkouts that compute the same bytes print the same rows: run it on a
-# parent and on a change to check that the change kept the outputs
-# byte-identical.
+# seconds column, the probe's metrics.csv and report.md, the train
+# command's stdout and the model's `contributions` CSV over the test
+# split.  Every path a command sees is relative, so two checkouts that
+# compute the same bytes print the same rows: run it on a parent and on a
+# change to check that the change kept the outputs byte-identical.
 #
 # The corpus is acceptance criterion 11's generator config (n=160,
 # seed 11), the training schedule criterion 11's with max_outer 2.  Each
-# config runs `train --modality multimodal --lambda 2`, then `probe`.
+# config runs `train --modality multimodal --lambda 2`, then `probe` and
+# `contributions`.  The external face targets of `static-faces-file` are
+# the first two coordinates of each candidate's face vector in the corpus.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -41,6 +43,11 @@ JSON
 for corpus in binary ternary; do
     fairavi gen --config "gen-$corpus.json" --out "$corpus.jsonl" > /dev/null
 done
+python3 - binary.jsonl > faces-q2.json <<'PY'
+import json, sys
+rows = (json.loads(line) for line in open(sys.argv[1]))
+json.dump({r["video_id"]: r["face"][:2] for r in rows}, sys.stdout, sort_keys=True)
+PY
 
 # name, corpus, probe target, train flags
 while read -r name corpus target flags; do
@@ -53,18 +60,22 @@ while read -r name corpus target flags; do
             --config ../train.json --out model.json $flags > train.out
         fairavi probe --model model.json --data "../$corpus.jsonl" --target "$target" \
             --out-dir probe > /dev/null
-        printf '%-22s %s %s %s %s %s\n' "$name" \
+        fairavi contributions --model model.json --data "../$corpus.jsonl" \
+            --out contributions.csv > /dev/null
+        printf '%-22s %s %s %s %s %s %s\n' "$name" \
             "$(h8 < model.json)" \
             "$(sed 's/,[^,]*$//' model.json.log.csv | h8)" \
             "$(h8 < probe/metrics.csv)" \
             "$(h8 < probe/report.md)" \
-            "$(h8 < train.out)"
+            "$(h8 < train.out)" \
+            "$(h8 < contributions.csv)"
     )
 done <<'CONFIGS'
 unprotected            binary  gender    --variant unprotected
 supervised-gender      binary  gender    --variant supervised-gender
 static-faces-q2        binary  gender    --variant static-faces --face-dim 2
 static-faces-q16       binary  gender    --variant static-faces --face-dim 16
+static-faces-file      binary  gender    --variant static-faces --face-dim 2 --face-targets ../faces-q2.json
 negative-sampling-k3   binary  gender    --variant negative-sampling --k 3
 supervised-ethnicity   ternary ethnicity --variant supervised-ethnicity
 CONFIGS
