@@ -6,6 +6,12 @@ parents and a backward rule.  ``backward`` walks the tape in reverse
 topological order.  Gradients accumulate; call ``zero_grad`` between
 optimizer steps.
 
+Inside ``with no_tape():`` nothing is recorded: a node keeps its value
+but no parents and no backward rule, so the arrays a backward would read
+die with the op that made them.  Inference runs this way.  The mode is a
+``contextvars.ContextVar``, so it holds only for the thread (or context)
+that entered it: another thread keeps recording.
+
 The op set covers what the network needs: the affine map ``linear``,
 (broadcast) add, subtract, Hadamard product, tanh, sigmoid, softmax over
 the last axis, log, clip, sum, mean, slicing, reshape, the L2 penalty
@@ -15,7 +21,12 @@ serve only the tests' tape oracles of the fused layer nodes.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
+
 import numpy as np
+
+_recording = contextvars.ContextVar("fairavi_autodiff_recording", default=True)
 
 
 class ShapeMismatch(ValueError):
@@ -32,8 +43,8 @@ class Node:
     value         -- float64 ndarray
     grad          -- same-shape accumulation buffer, zero-initialized
                      (allocated on first touch)
-    parents       -- upstream Nodes
-    requires_grad -- True for trainable leaves and anything built on them
+    parents       -- upstream Nodes (none for a node built under no_tape)
+    requires_grad -- True for trainable leaves and anything recorded on them
     op            -- name of the producing op ("leaf" for inputs)
     """
 
@@ -42,9 +53,12 @@ class Node:
     def __init__(self, value, parents=(), requires_grad=False, op="leaf", backward=None):
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
+        self.op = op
+        if not _recording.get():
+            self.parents, self.requires_grad, self._backward = (), bool(requires_grad), None
+            return
         self.parents = parents if type(parents) is tuple else tuple(parents)
         self.requires_grad = bool(requires_grad) or any([p.requires_grad for p in self.parents])
-        self.op = op
         self._backward = backward
 
     @property
@@ -66,6 +80,16 @@ class Node:
 
     def __getitem__(self, idx):
         return slice_(self, idx)
+
+
+@contextmanager
+def no_tape():
+    """Record no tape in this block: nodes keep values, not parents or rules."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def constant(x) -> Node:

@@ -8,9 +8,10 @@
     fairavi contributions  per-modality gated-vector norm summary (CSV)
 
 Exit codes: 0 success, 2 configuration error, 3 data/variant contract
-violation, 1 runtime failure.  Every command writes a manifest JSON next
-to its primary output.  FAIRAVI_SEED serves as the seed fallback when
-neither flag nor config provides one.
+violation, 1 runtime failure.  A --data, --model or --face-targets file
+that cannot be opened for reading exits 3, a --config file 2.  Every
+command writes a manifest JSON next to its primary output.  FAIRAVI_SEED
+serves as the seed fallback when neither flag nor config provides one.
 """
 
 from __future__ import annotations
@@ -87,8 +88,26 @@ def _load_json(path) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"--config {path}: cannot read ({e.strerror})")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e.msg})")
+
+
+INPUT_FLAGS = {"data": "--data", "model": "--model", "face_targets": "--face-targets"}
+
+
+def _check_inputs(args) -> None:
+    """Exit 3 unless every input file the command was given opens for reading."""
+    for attr, flag in INPUT_FLAGS.items():
+        path = getattr(args, attr, None)
+        if path is None:
+            continue
+        try:
+            with open(path, "rb"):
+                pass
+        except OSError as e:
+            raise ContractError(f"{flag} {path}: cannot read ({e.strerror})")
 
 
 # ------------------------------------------------------------------ gen
@@ -402,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_inputs(args)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

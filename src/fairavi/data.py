@@ -278,11 +278,13 @@ def reconstruct(proj: FaceProjection, compressed: np.ndarray) -> np.ndarray:
 def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
     """Import externally computed q-dim face embeddings (e.g. genuine UMAP
     output) as a JSON object mapping video_id -> q finite floats."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = json.load(fh)
-        except ValueError as e:  # a JSON decode or text decode error
-            raise ContractError(f"{path}: not a JSON file ({e})")
+    except OSError as e:
+        raise ContractError(f"{path}: cannot read ({e.strerror})")
+    except ValueError as e:  # a JSON decode or text decode error
+        raise ContractError(f"{path}: not a JSON file ({e})")
     if not isinstance(doc, dict) or not doc:
         raise ContractError(f"{path}: expected a non-empty video_id -> vector mapping")
     out = {}

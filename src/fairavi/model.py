@@ -17,7 +17,8 @@ training):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -263,16 +264,23 @@ def batch_sequences(samples, modalities) -> dict[str, np.ndarray]:
 def infer(model: HireabilityModel, samples):
     """One inference-mode pass (no dropout) over a sample list.
 
+    The pass records no tape (autodiff.no_tape) and runs CHUNK clips at a
+    time; only one chunk's forward result is alive at once, since each is
+    dropped before the next chunk is built.
+
     Returns (H, y_hat, norms): norms maps modality -> (n,) L2 norms of the
     gated modality vectors for a multimodal model, and is None otherwise.
     """
     hs, ys, norms = [], [], {m: [] for m in MODALITIES}
-    for lo in range(0, len(samples), CHUNK):
-        res = model.forward_base(batch_sequences(samples[lo:lo + CHUNK], model.active_modalities))
-        hs.append(res.H.value)
-        ys.append(res.y_hat.value)
-        for m, c in (res.contributions or {}).items():
-            norms[m].append(np.linalg.norm(c.value, axis=-1))
+    with ad.no_tape():
+        for lo in range(0, len(samples), CHUNK):
+            res = model.forward_base(
+                batch_sequences(samples[lo:lo + CHUNK], model.active_modalities))
+            hs.append(res.H.value)
+            ys.append(res.y_hat.value)
+            for m, c in (res.contributions or {}).items():
+                norms[m].append(np.linalg.norm(c.value, axis=-1))
+            del res     # before the next chunk is built
     if model.modality != "multimodal":
         return np.concatenate(hs), np.concatenate(ys), None
     return np.concatenate(hs), np.concatenate(ys), {m: np.concatenate(v) for m, v in norms.items()}
@@ -320,27 +328,94 @@ def save_model(model: HireabilityModel, path) -> None:
         fh.write("\n")
 
 
+FILE_KEYS = ("dims", "format", "k", "modality", "params", "q", "trained", "variant")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_keys(path, what: str, got: dict, expected) -> None:
+    missing, extra = set(expected) - set(got), set(got) - set(expected)
+    if missing or extra:
+        raise ContractError(f"{path}: {what} mismatch (missing {sorted(missing)}, "
+                            f"unexpected {sorted(extra)})")
+
+
+def _file_dims(doc, path) -> ModelDims:
+    """A model file's dims: exactly ModelDims's keys, every width a positive int."""
+    if not isinstance(doc, dict):
+        raise ContractError(f"{path}: dims must be an object")
+    _check_keys(path, "dims keys", doc, [f.name for f in fields(ModelDims)])
+    inputs = doc["input_dims"]
+    if not isinstance(inputs, dict):
+        raise ContractError(f"{path}: dims.input_dims must be an object")
+    _check_keys(path, "dims.input_dims keys", inputs, MODALITIES)
+    widths = {**{f"input_dims.{m}": v for m, v in inputs.items()}, **doc}
+    del widths["input_dims"]
+    for name, v in widths.items():
+        if not (_is_int(v) and v >= 1):
+            raise ContractError(f"{path}: dims.{name} must be a positive integer, got {v!r}")
+    return ModelDims(**{**doc, "input_dims": dict(inputs)})
+
+
+def _file_param(entry, shape: tuple, where: str) -> np.ndarray:
+    """A stored parameter's values, checked against the model's shape."""
+    if not isinstance(entry, dict) or set(entry) != {"data", "shape"}:
+        raise ContractError(f"{where}: expected an object with 'shape' and 'data'")
+    if entry["shape"] != list(shape):
+        raise ContractError(f"{where} has shape {entry['shape']!r}, expected {list(shape)}")
+    data, size = entry["data"], int(np.prod(shape))
+    if not isinstance(data, list) or len(data) != size:
+        held = len(data) if isinstance(data, list) else type(data).__name__
+        raise ContractError(f"{where}: data holds {held} values, shape {list(shape)} "
+                            f"needs {size}")
+    values = []
+    for i, v in enumerate(data):
+        try:
+            x = float.fromhex(v)
+        except (TypeError, ValueError, OverflowError):
+            x = math.nan
+        if not math.isfinite(x):
+            raise ContractError(f"{where}: value {i} ({v!r}) is not a finite hex float")
+        values.append(x)
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
 def load_model(path) -> HireabilityModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "fairavi-model-v1":
+    """Read a save_model file, bit-exact.
+
+    Any fault in the file raises ContractError naming the path, and the
+    parameter where there is one: an unreadable or non-JSON file, a
+    document that is not an object with exactly save_model's keys, dims
+    keys other than ModelDims's or a width that is not a positive integer,
+    a parameter set other than the model's, a shape other than the
+    model's, a data length that does not fit the shape, or a value that
+    is not a finite hex float string.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ContractError(f"{path}: cannot read ({e.strerror})")
+    except ValueError as e:   # a JSON decode or text decode error
+        raise ContractError(f"{path}: not a JSON file ({e})")
+    if not isinstance(doc, dict) or doc.get("format") != "fairavi-model-v1":
         raise ContractError(f"{path}: not a recognized model file")
-    dims = ModelDims(**doc["dims"])
-    model = HireabilityModel(doc["modality"], doc["variant"], dims,
+    _check_keys(path, "keys", doc, FILE_KEYS)
+    for key, ok in (("modality", isinstance(doc["modality"], str)),
+                    ("variant", isinstance(doc["variant"], str)),
+                    ("q", _is_int(doc["q"])), ("k", _is_int(doc["k"])),
+                    ("trained", isinstance(doc["trained"], bool)),
+                    ("params", isinstance(doc["params"], dict))):
+        if not ok:
+            raise ContractError(f"{path}: {key} has the wrong type ({doc[key]!r})")
+    model = HireabilityModel(doc["modality"], doc["variant"], _file_dims(doc["dims"], path),
                              q=doc["q"], k=doc["k"], seed=0)
-    model.trained = bool(doc.get("trained", False))
+    model.trained = doc["trained"]
     stored = doc["params"]
-    if set(stored) != set(model.params):
-        missing = set(model.params) - set(stored)
-        extra = set(stored) - set(model.params)
-        raise ContractError(f"{path}: parameter names mismatch "
-                            f"(missing {sorted(missing)}, unexpected {sorted(extra)})")
+    _check_keys(path, "parameter names", stored, model.params)
     for name, entry in stored.items():
-        value = np.array([float.fromhex(v) for v in entry["data"]],
-                         dtype=np.float64).reshape(entry["shape"])
         node = model.params[name]
-        if tuple(entry["shape"]) != node.value.shape:
-            raise ContractError(f"{path}: {name} has shape {entry['shape']}, "
-                                f"expected {list(node.value.shape)}")
-        node.value[...] = value
+        node.value[...] = _file_param(entry, node.value.shape, f"{path}: {name}")
     return model

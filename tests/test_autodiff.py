@@ -1,5 +1,6 @@
 import inspect
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -297,3 +298,62 @@ class TestFusedOps:
             ad.linear(np.zeros((2, 3)), np.zeros((4, 2)))
         with pytest.raises(ad.ShapeMismatch, match="bias"):
             ad.linear(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros(3))
+
+
+class TestNoTape:
+    """Inside ad.no_tape() nodes keep values but record no tape."""
+
+    @staticmethod
+    def _loss(w, x):
+        return ad.sum_(ad.tanh(ad.linear(x, w)))
+
+    def test_node_built_inside_has_no_parents(self):
+        rng = np.random.default_rng(51)
+        w, x = ad.parameter(rng.standard_normal((4, 3))), ad.constant(rng.standard_normal((5, 3)))
+        recorded = self._loss(w, x)
+        with ad.no_tape():
+            untaped = self._loss(w, x)
+            leaf = ad.parameter(np.zeros(2))
+        assert recorded.parents and recorded.requires_grad
+        assert untaped.parents == () and untaped._backward is None
+        assert not untaped.requires_grad
+        assert untaped.value.tobytes() == recorded.value.tobytes()
+        assert leaf.requires_grad       # a trainable leaf stays one
+
+    def test_recording_resumes_after_the_block_and_after_an_exception(self):
+        rng = np.random.default_rng(52)
+        w, x = ad.parameter(rng.standard_normal((4, 3))), ad.constant(rng.standard_normal((5, 3)))
+        ad.backward(self._loss(w, x))
+        expected = w.grad.copy()
+        with ad.no_tape():
+            pass
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_tape():
+                raise RuntimeError("inside")
+        w.zero_grad()
+        loss = self._loss(w, x)
+        assert loss.parents
+        ad.backward(loss)
+        assert w.grad.tobytes() == expected.tobytes()
+
+    def test_a_thread_that_trains_keeps_its_tape(self):
+        rng = np.random.default_rng(53)
+        w, x = ad.parameter(rng.standard_normal((4, 3))), ad.constant(rng.standard_normal((5, 3)))
+        ad.backward(self._loss(w, x))
+        expected = w.grad.copy()
+        w.zero_grad()
+        seen = {}
+
+        def train():
+            loss = self._loss(w, x)
+            ad.backward(loss)
+            seen["parents"] = loss.parents
+
+        with ad.no_tape():
+            worker = threading.Thread(target=train)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert self._loss(w, x).parents == ()   # this thread still records nothing
+        assert seen["parents"]
+        assert w.grad.tobytes() == expected.tobytes()

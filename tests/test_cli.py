@@ -391,6 +391,48 @@ def test_seedless_commands_take_no_seed_flag(argv):
         cli.build_parser().parse_args(argv + ["--seed", "3"])
 
 
+class TestInputFiles:
+    """An input file that cannot be opened exits 3 (--data, --model,
+    --face-targets) or 2 (--config), naming the flag and the path."""
+
+    def _run(self, capsys, argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+
+    def test_missing_data(self, tmp_path, capsys):
+        missing = tmp_path / "absent.jsonl"
+        code, err = self._run(capsys, ["train", "--data", str(missing), "--out",
+                                       str(tmp_path / "m.json")])
+        assert code == 3 and f"--data {missing}" in err
+
+    def test_unreadable_data(self, tmp_path, capsys):
+        code, err = self._run(capsys, ["audit", "--data", str(tmp_path)])   # a directory
+        assert code == 3 and f"--data {tmp_path}" in err
+
+    def test_missing_model(self, tmp_path, dataset_path, capsys):
+        missing = tmp_path / "absent.json"
+        code, err = self._run(capsys, ["probe", "--model", str(missing), "--data",
+                                       str(dataset_path), "--target", "gender",
+                                       "--out-dir", str(tmp_path / "report")])
+        assert code == 3 and f"--model {missing}" in err
+
+    def test_missing_face_targets(self, tmp_path, dataset_path, capsys):
+        missing = tmp_path / "absent-faces.json"
+        code, err = self._run(capsys, ["train", "--data", str(dataset_path), "--variant",
+                                       "static-faces", "--face-targets", str(missing),
+                                       "--out", str(tmp_path / "m.json")])
+        assert code == 3 and f"--face-targets {missing}" in err
+
+    def test_missing_config(self, tmp_path, dataset_path, capsys):
+        missing = tmp_path / "absent-config.json"
+        code, err = self._run(capsys, ["sweep", "--data", str(dataset_path), "--config",
+                                       str(missing), "--out-dir", str(tmp_path / "sweep")])
+        assert code == 2 and f"--config {missing}" in err
+        code, err = self._run(capsys, ["gen", "--config", str(missing), "--out",
+                                       str(tmp_path / "d.jsonl")])
+        assert code == 2 and f"--config {missing}" in err
+
+
 class TestProbe:
     def test_end_to_end_report(self, tmp_path, dataset_path, monkeypatch):
         tcfg = write_train_config(tmp_path / "t.json", max_epochs_pretrain=3)

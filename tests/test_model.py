@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from fairavi import autodiff as ad
 from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ContractError
-from fairavi.model import (HireabilityModel, ModelDims, NegativeSamplingBatch,
-                           batch_sequences, load_model, modality_contributions,
-                           save_model)
+from fairavi.model import (CHUNK, HireabilityModel, ModelDims, NegativeSamplingBatch,
+                           batch_sequences, infer, load_model, modality_contributions,
+                           predict, save_model)
 
 TINY = ModelDims(input_dims={"language": 3, "audio": 4, "video": 2},
                  gru_width=4, att_proj=3, trunk_width=3,
@@ -281,6 +283,52 @@ class _FakeSample:
 
 def _fake_samples(rng, n):
     return [_FakeSample(rng, i) for i in range(n)]
+
+
+class TestInfer:
+    """infer runs without a tape, one chunk at a time, with the bytes of a
+    recording forward_base over the same chunks."""
+
+    @pytest.mark.parametrize("modality", ["multimodal", "audio"])
+    def test_outputs_match_a_recording_forward(self, modality):
+        m = HireabilityModel(modality, "unprotected", TINY, seed=27)
+        samples = _fake_samples(np.random.default_rng(28), CHUNK + 3)
+        H, y_hat, norms = infer(m, samples)
+        chunks = [m.forward_base(batch_sequences(samples[lo:lo + CHUNK], m.active_modalities))
+                  for lo in (0, CHUNK)]
+        assert all(res.y_hat.parents for res in chunks)     # these did record a tape
+        assert H.tobytes() == np.concatenate([r.H.value for r in chunks]).tobytes()
+        assert y_hat.tobytes() == np.concatenate([r.y_hat.value for r in chunks]).tobytes()
+        if modality != "multimodal":
+            assert norms is None
+            return
+        for mod, n in norms.items():
+            expected = [np.linalg.norm(r.contributions[mod].value, axis=-1) for r in chunks]
+            assert n.tobytes() == np.concatenate(expected).tobytes(), mod
+
+    def test_peak_memory_does_not_grow_with_the_chunk_count(self):
+        # default widths and the default corpus's sequence lengths; one
+        # chunk's tape is several MB, so two chunks alive at once would
+        # show as about twice the one-chunk peak
+        rng = np.random.default_rng(29)
+        m = HireabilityModel("multimodal", "unprotected", seed=30)
+        lengths = {"language": 12, "audio": 25, "video": 20}
+        samples = [_FakeSample(rng, i) for i in range(2 * CHUNK + 1)]
+        for s in samples:
+            for mod, t in lengths.items():
+                setattr(s, f"seq_{mod}", rng.standard_normal((t, m.dims.input_dims[mod])))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                predict(m, samples[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict(m, samples[:CHUNK])
+        one, three = peak(CHUNK), peak(2 * CHUNK + 1)
+        assert three <= 1.2 * one, (one, three)
 
 
 class TestPersistence:
