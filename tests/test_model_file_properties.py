@@ -26,8 +26,7 @@ with tempfile.TemporaryDirectory() as _tmp:
     save_model(_model, os.path.join(_tmp, "model.json"))
     with open(os.path.join(_tmp, "model.json")) as _fh:
         TEXT = _fh.read()
-DOC = json.loads(TEXT)
-NAMES = sorted(DOC["params"])
+NAMES = sorted(json.loads(TEXT)["params"])
 
 
 @SETTINGS
