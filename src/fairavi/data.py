@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import ConfigError, ContractError
 from .fileio import atomic_write
@@ -288,7 +289,9 @@ def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
     if not isinstance(doc, dict) or not doc:
         raise ContractError(f"{path}: expected a non-empty video_id -> vector mapping")
     out = {}
-    for vid in doc:
+    for vid, vec in doc.items():
+        if not isinstance(vec, list) or any(type(v) not in (int, float) for v in vec):
+            raise ContractError(f"{path}: embedding for {vid!r} is not a list of numbers")
         arr = _float_array(doc, vid, path)
         if arr.shape != (q,):
             raise ContractError(
@@ -322,11 +325,20 @@ def _float_array(doc, name: str, where: str) -> np.ndarray:
     rejected as not being an array."""
     try:
         arr = np.asarray(doc[name], dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):   # the last: an int past float range
         raise ContractError(f"{where}: {name} is not a numeric array")
     if not np.all(np.isfinite(arr)):
         raise ContractError(f"{where}: {name} has a non-finite value")
     return arr
+
+
+def _text_mode_lines(fh):
+    """A binary file's lines, ended at LF, CRLF or CR as text mode ends them."""
+    for chunk in fh:
+        if b"\r" in chunk:
+            yield from chunk.splitlines()
+        else:
+            yield chunk
 
 
 def load_jsonl(path) -> list[InterviewSample]:
@@ -334,17 +346,33 @@ def load_jsonl(path) -> list[InterviewSample]:
 
     Ids must be unique strings and every row must carry a split tag; a
     video id may span splits (``fairavi audit`` measures that leak).
+
+    orjson parses each row.  A row it refuses (blank, or holding NaN,
+    Infinity, 1e400 or a lone surrogate escape) is decoded as UTF-8 and
+    given to the stdlib ``json``, which accepts it or words the error.  So
+    every row the stdlib parser accepts loads to the same float64 values,
+    except that orjson reads an integer outside the 64-bit range as a
+    float.
     """
     samples, seq_shapes, id_lines = [], None, {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(_text_mode_lines(fh), start=1):
             where = f"{path}:{lineno}"
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ContractError(f"{where}: malformed JSON ({e.msg})")
+                doc = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                try:
+                    text = line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ContractError(f"{where}: not UTF-8 text ({e})")
+                if not text.strip():
+                    continue
+                try:
+                    doc = json.loads(text)
+                except json.JSONDecodeError as e:
+                    raise ContractError(f"{where}: malformed JSON ({e.msg})")
+            if not isinstance(doc, dict):
+                raise ContractError(f"{where}: a row must be a JSON object")
             missing = [f for f in JSONL_FIELDS if f not in doc]
             if missing:
                 raise ContractError(f"{where}: missing field(s) {missing}")

@@ -67,17 +67,71 @@ class NegativeSamplingBatch:
             raise ContractError(f"negative sampling needs k >= 2, got k={self.faces.shape[1]}")
 
 
+def _check_kind(modality: str, variant: str, q: int) -> None:
+    if modality not in MODALITIES + ("multimodal",):
+        raise ContractError(f"unknown modality {modality!r}")
+    if variant not in VARIANTS:
+        raise ContractError(f"unknown variant {variant!r}")
+    if q not in FACE_DIMS:
+        raise ContractError(f"face dimension q must be one of {FACE_DIMS}, got {q}")
+
+
+def _active_modalities(modality: str) -> tuple[str, ...]:
+    return MODALITIES if modality == "multimodal" else (modality,)
+
+
+def adversary_shapes(variant: str, dims: ModelDims, q: int) -> dict[str, tuple]:
+    """Adversarial parameter shapes for a variant.
+
+    Key order is the RNG draw order and the theta_a order; the names are
+    part of the model file format.
+    """
+    d = dims
+    supervised = lambda out: {"W_3": (d.adv_hidden, d.trunk_width), "b_3": (d.adv_hidden,),
+                              "W_4": (out, d.adv_hidden), "b_4": (out,)}
+    table = {
+        "unprotected": {},
+        "supervised-gender": supervised(1),
+        "supervised-ethnicity": supervised(PROTECTED_CLASSES["ethnicity"]),
+        "static-faces": {"W_5": (d.adv_hidden, d.trunk_width), "b_5": (d.adv_hidden,),
+                         "W_6": (q, d.adv_hidden), "b_6": (q,)},
+        "negative-sampling": {"W_7": (q, d.face_raw), "b_7": (q,),
+                              "W_8": (d.ns_hidden, d.trunk_width), "b_8": (d.ns_hidden,),
+                              "W_9": (q, d.ns_hidden), "b_9": (q,),
+                              "W_10": (1, q), "b_10": (1,)},
+    }
+    return table[variant]
+
+
+def param_shapes(modality: str, variant: str, dims: ModelDims, q: int) -> dict[str, tuple]:
+    """Every parameter's shape in a model of this kind, without building it:
+    the trunk as HireabilityModel._build_trunk lays it out, then the
+    adversary."""
+    half, w, t, proj = dims.gru_width // 2, dims.gru_width, dims.trunk_width, dims.att_proj
+    shapes = {}
+    for m in _active_modalities(modality):
+        n_in = dims.input_dims[m]
+        gru = {**{f"W_{g}": (half, n_in) for g in "rzh"},
+               **{f"U_{g}": (half, half) for g in "rzh"},
+               **{f"b_{g}": (half,) for g in "rzh"}}
+        for side in ("fwd", "bwd"):
+            shapes.update({f"{m}.gru_{side}.{k}": v for k, v in gru.items()})
+        shapes.update({f"{m}.att.W_A": (proj, w), f"{m}.att.b": (proj,),
+                       f"{m}.att.u_p": (proj,)})
+    if modality == "multimodal":
+        shapes.update({f"gmu.W_{x}proj": (w, w) for x in "alv"})
+        shapes.update({f"gmu.W_{x}gating": (1, 3 * w) for x in "alv"})
+    shapes.update({"W_1": (t, w), "b_1": (t,), "W_2": (t, t), "b_2": (t,),
+                   "W_v": (1, t), "b_v": (1,)})
+    return {**shapes, **adversary_shapes(variant, dims, q)}
+
+
 class HireabilityModel:
     """One trainable network: trunk + hireability head + optional adversary."""
 
     def __init__(self, modality: str = "multimodal", variant: str = "unprotected",
                  dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0):
-        if modality not in MODALITIES + ("multimodal",):
-            raise ContractError(f"unknown modality {modality!r}")
-        if variant not in VARIANTS:
-            raise ContractError(f"unknown variant {variant!r}")
-        if q not in FACE_DIMS:
-            raise ContractError(f"face dimension q must be one of {FACE_DIMS}, got {q}")
+        _check_kind(modality, variant, q)
         self.modality = modality
         self.variant = variant
         self.dims = dims or ModelDims()
@@ -94,7 +148,7 @@ class HireabilityModel:
 
     @property
     def active_modalities(self) -> tuple[str, ...]:
-        return MODALITIES if self.modality == "multimodal" else (self.modality,)
+        return _active_modalities(self.modality)
 
     def _register(self, prefix: str, obj) -> None:
         for fname, node in vars(obj).items():
@@ -127,26 +181,7 @@ class HireabilityModel:
                             "W_v": self.hire_head.W, "b_v": self.hire_head.b})
 
     def _adversary_shapes(self) -> dict[str, tuple]:
-        """Adversarial parameter shapes for the current variant.
-
-        Key order is the RNG draw order and the theta_a order; the names are
-        part of the model file format.
-        """
-        d, q = self.dims, self.q
-        supervised = lambda out: {"W_3": (d.adv_hidden, d.trunk_width), "b_3": (d.adv_hidden,),
-                                  "W_4": (out, d.adv_hidden), "b_4": (out,)}
-        table = {
-            "unprotected": {},
-            "supervised-gender": supervised(1),
-            "supervised-ethnicity": supervised(PROTECTED_CLASSES["ethnicity"]),
-            "static-faces": {"W_5": (d.adv_hidden, d.trunk_width), "b_5": (d.adv_hidden,),
-                             "W_6": (q, d.adv_hidden), "b_6": (q,)},
-            "negative-sampling": {"W_7": (q, d.face_raw), "b_7": (q,),
-                                  "W_8": (d.ns_hidden, d.trunk_width), "b_8": (d.ns_hidden,),
-                                  "W_9": (q, d.ns_hidden), "b_9": (q,),
-                                  "W_10": (1, q), "b_10": (1,)},
-        }
-        return table[self.variant]
+        return adversary_shapes(self.variant, self.dims, self.q)
 
     def _init_adversary_params(self, rng) -> dict[str, np.ndarray]:
         """Fresh adversarial weights: Glorot draws for W_*, zeros for b_*."""
@@ -365,7 +400,7 @@ def _file_param(entry, shape: tuple, where: str) -> np.ndarray:
         raise ContractError(f"{where}: expected an object with 'shape' and 'data'")
     if entry["shape"] != list(shape):
         raise ContractError(f"{where} has shape {entry['shape']!r}, expected {list(shape)}")
-    data, size = entry["data"], int(np.prod(shape))
+    data, size = entry["data"], math.prod(shape)
     if not isinstance(data, list) or len(data) != size:
         held = len(data) if isinstance(data, list) else type(data).__name__
         raise ContractError(f"{where}: data holds {held} values, shape {list(shape)} "
@@ -410,12 +445,19 @@ def load_model(path) -> HireabilityModel:
                     ("params", isinstance(doc["params"], dict))):
         if not ok:
             raise ContractError(f"{path}: {key} has the wrong type ({doc[key]!r})")
-    model = HireabilityModel(doc["modality"], doc["variant"], _file_dims(doc["dims"], path),
-                             q=doc["q"], k=doc["k"], seed=0)
-    model.trained = doc["trained"]
+    try:
+        _check_kind(doc["modality"], doc["variant"], doc["q"])
+    except ContractError as e:
+        raise ContractError(f"{path}: {e}")
+    dims = _file_dims(doc["dims"], path)
+    shapes = param_shapes(doc["modality"], doc["variant"], dims, doc["q"])
     stored = doc["params"]
-    _check_keys(path, "parameter names", stored, model.params)
-    for name, entry in stored.items():
-        node = model.params[name]
-        node.value[...] = _file_param(entry, node.value.shape, f"{path}: {name}")
+    _check_keys(path, "parameter names", stored, shapes)
+    values = {name: _file_param(entry, shapes[name], f"{path}: {name}")
+              for name, entry in stored.items()}
+    model = HireabilityModel(doc["modality"], doc["variant"], dims, q=doc["q"], k=doc["k"],
+                             seed=0)
+    model.trained = doc["trained"]
+    for name, value in values.items():
+        model.params[name].value[...] = value
     return model

@@ -267,8 +267,8 @@ class _AdversaryTask:
                 missing = {s.video_id for s in [*train, *val]} - set(lookup)
                 if missing:
                     raise ContractError(
-                        f"face targets file lacks {len(missing)} video id(s), "
-                        f"e.g. {sorted(missing)[:3]}")
+                        f"{cfg.face_targets}: face targets file lacks {len(missing)} "
+                        f"video id(s), e.g. {sorted(missing)[:3]}")
                 self.fingerprint = "external"
                 code = lambda part: np.stack([lookup[s.video_id] for s in part])
             else:

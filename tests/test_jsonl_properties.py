@@ -116,3 +116,99 @@ def test_malformed_field_is_rejected_at_its_line(field):
                 dt.load_jsonl(path)
 
     check()
+
+
+# ------------------------------------------------- parser equivalence
+
+def _load_rows(tmp_path, *rows, raw=None):
+    """Write ROWS-shaped rows (dicts are dumped with json.dumps) and load them."""
+    path = tmp_path / "d.jsonl"
+    lines = [r if isinstance(r, str) else json.dumps(r) for r in rows]
+    path.write_bytes(raw if raw is not None else ("\n".join(lines) + "\n").encode())
+    return path, dt.load_jsonl(path)
+
+
+def _row_with(field, text, row=ROWS[1]):
+    """A row as JSON text with one field's value replaced by raw JSON text."""
+    return json.dumps(dict(row, **{field: "@"})).replace('"@"', text)
+
+
+def test_special_floats_load_as_the_stdlib_parses_them(tmp_path):
+    tokens = ["-0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+              "1e-05", "1e+16", "0", "-0", "3", str(2 ** 53 + 1), str(2 ** 64 - 1),
+              "-9223372036854775808", "1E5", "-0e0", "1e-400"]
+    line = _row_with("seq_audio", "[[" + ",".join(tokens) + "]]", ROWS[0])
+    _, loaded = _load_rows(tmp_path, line)
+    expected = np.asarray(json.loads(line)["seq_audio"], np.float64)
+    assert loaded[0].seq_audio.tobytes() == expected.tobytes()
+    assert loaded[0].seq_audio[0, 0].hex() == "-0x0.0p+0"
+
+
+@SETTINGS
+@given(st.lists(FINITE | st.floats(width=32, allow_nan=False, allow_infinity=False)
+                | st.integers(-2 ** 63, 2 ** 64 - 1), min_size=1, max_size=64))
+def test_any_finite_value_loads_as_the_stdlib_parses_it(values):
+    line = json.dumps(dict(ROWS[0], seq_language=[values]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+        seq = dt.load_jsonl(path)[0].seq_language
+    assert seq.tobytes() == np.asarray(json.loads(line)["seq_language"], np.float64).tobytes()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_token_is_rejected_at_its_line(tmp_path, token):
+    with pytest.raises(ContractError, match=r"d\.jsonl:2: seq_video has a non-finite value"):
+        _load_rows(tmp_path, ROWS[0], _row_with("seq_video", f"[[{token}, 0.5]]"))
+
+
+def test_integer_past_float_range_is_rejected_at_its_line(tmp_path):
+    with pytest.raises(ContractError, match=r"d\.jsonl:2: face is not a numeric array"):
+        _load_rows(tmp_path, ROWS[0], _row_with("face", "[" + "9" * 400 + "]"))
+
+
+def test_z_past_the_64_bit_range_is_rejected(tmp_path):
+    # orjson reads an integer outside [-2**63, 2**64) as a float, so such a z,
+    # which the stdlib parser would keep as an int, fails the integer check
+    _, loaded = _load_rows(tmp_path, dict(ROWS[0], z=2 ** 64 - 1))
+    assert loaded[0].z == 2 ** 64 - 1 and type(loaded[0].z) is int
+    with pytest.raises(ContractError,
+                       match=r"d\.jsonl:2: z must be null or a non-negative integer, "
+                             r"got 1e\+30"):
+        _load_rows(tmp_path, ROWS[0], dict(ROWS[1], z=10 ** 30))
+
+
+def test_lone_surrogate_escape_loads_as_the_stdlib_parses_it(tmp_path):
+    _, loaded = _load_rows(tmp_path, dict(ROWS[0], id="a\ud800"))
+    assert loaded[0].id == "a\ud800"
+
+
+def test_non_utf8_byte_is_rejected_at_its_line(tmp_path):
+    good = [json.dumps(r).encode() for r in (ROWS[0], ROWS[1])]
+    bad = json.dumps(dict(ROWS[1], id="row@")).encode().replace(b"@", b"\xff")
+    with pytest.raises(ContractError, match=r"d\.jsonl:3: not UTF-8 text \(.*0xff"):
+        _load_rows(tmp_path, raw=good[0] + b"\n\n" + bad + b"\n" + good[1] + b"\n")
+
+
+def test_utf8_bom_is_rejected(tmp_path):
+    raw = b"\xef\xbb\xbf" + json.dumps(ROWS[0]).encode() + b"\n"
+    with pytest.raises(ContractError, match=r"d\.jsonl:1: malformed JSON \(Unexpected UTF-8 BOM"):
+        _load_rows(tmp_path, raw=raw)
+
+
+@pytest.mark.parametrize("row", ["null", "5", "[]", '"id"'])
+def test_row_that_is_not_an_object_is_rejected_at_its_line(tmp_path, row):
+    with pytest.raises(ContractError, match=r"d\.jsonl:2: a row must be a JSON object"):
+        _load_rows(tmp_path, ROWS[0], row)
+
+
+def test_lines_end_as_in_text_mode(tmp_path):
+    """LF, CRLF and CR all end a line, and a line of Unicode whitespace is blank."""
+    rows = [json.dumps(r).encode() for r in (ROWS[0], ROWS[1])]
+    raw = rows[0] + b"\r\n\xc2\xa0\r" + rows[1] + b"\r"
+    _, loaded = _load_rows(tmp_path, raw=raw)
+    assert [s.id for s in loaded] == [ROWS[0]["id"], ROWS[1]["id"]]
+    dup = rows[0] + b"\r" + rows[0] + b"\n"
+    with pytest.raises(ContractError, match=r"d\.jsonl:2: duplicate id .* \(first on line 1\)"):
+        _load_rows(tmp_path, raw=dup)

@@ -7,9 +7,9 @@ from fairavi import autodiff as ad
 from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ContractError
-from fairavi.model import (CHUNK, HireabilityModel, ModelDims, NegativeSamplingBatch,
-                           batch_sequences, infer, load_model, modality_contributions,
-                           predict, save_model)
+from fairavi.model import (CHUNK, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
+                           NegativeSamplingBatch, batch_sequences, infer, load_model,
+                           modality_contributions, param_shapes, predict, save_model)
 
 TINY = ModelDims(input_dims={"language": 3, "audio": 4, "video": 2},
                  gru_width=4, att_proj=3, trunk_width=3,
@@ -344,6 +344,15 @@ class TestPersistence:
             assert set(loaded.params) == set(m.params)
             for n in m.params:
                 assert np.array_equal(loaded.params[n].value, m.params[n].value), n
+
+    @pytest.mark.parametrize("modality", MODALITIES + ("multimodal",))
+    @pytest.mark.parametrize("dims", [TINY, ModelDims(gru_width=5)], ids=["tiny", "odd-width"])
+    def test_param_shapes_are_the_built_model_shapes(self, modality, dims):
+        for variant in VARIANTS:
+            for q in (2, 16):
+                m = HireabilityModel(modality, variant, dims, q=q, seed=0)
+                built = {name: node.value.shape for name, node in m.params.items()}
+                assert param_shapes(modality, variant, dims, q) == built, (variant, q)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -188,6 +189,7 @@ def _probe_exits_3(content, data_path):
                              "--out-dir", os.path.join(tmp, "report")])
     assert code == 3, err.getvalue()
     assert path in err.getvalue()
+    return err.getvalue()
 
 
 def test_the_unmutated_file_loads(tmp_path):
@@ -217,3 +219,17 @@ def test_malformed_dims_exits_3(data_path, content):
 @given(document_mutation())
 def test_malformed_document_exits_3(data_path, content):
     _probe_exits_3(content, data_path)
+
+
+@pytest.mark.parametrize("key", ["gru_width", "att_proj", "trunk_width", "adv_hidden",
+                                 "input_dims.video"])
+def test_a_width_past_memory_exits_3_before_the_model_is_built(data_path, key):
+    """Each stored shape is compared with the one the dims give before any
+    array is made, so a width no allocation could hold (2**40; the GRU's
+    half width 2**39) fails as a file fault that names a parameter."""
+    doc = _copy()
+    outer, _, inner = key.partition(".")
+    (doc["dims"][outer] if inner else doc["dims"])[inner or outer] = 2 ** 40
+    err = _probe_exits_3(json.dumps(doc), data_path)
+    assert re.search(rf": [\w.]+ has shape \[[\d, ]+\], expected \[[\d, ]*"
+                     rf"({2 ** 40}|{2 ** 39})", err), err
