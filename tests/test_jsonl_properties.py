@@ -125,7 +125,7 @@ def _load_rows(tmp_path, *rows, raw=None):
     path = tmp_path / "d.jsonl"
     lines = [r if isinstance(r, str) else json.dumps(r) for r in rows]
     path.write_bytes(raw if raw is not None else ("\n".join(lines) + "\n").encode())
-    return path, dt.load_jsonl(path)
+    return dt.load_jsonl(path)
 
 
 def _row_with(field, text, row=ROWS[1]):
@@ -138,7 +138,7 @@ def test_special_floats_load_as_the_stdlib_parses_them(tmp_path):
               "1e-05", "1e+16", "0", "-0", "3", str(2 ** 53 + 1), str(2 ** 64 - 1),
               "-9223372036854775808", "1E5", "-0e0", "1e-400"]
     line = _row_with("seq_audio", "[[" + ",".join(tokens) + "]]", ROWS[0])
-    _, loaded = _load_rows(tmp_path, line)
+    loaded = _load_rows(tmp_path, line)
     expected = np.asarray(json.loads(line)["seq_audio"], np.float64)
     assert loaded[0].seq_audio.tobytes() == expected.tobytes()
     assert loaded[0].seq_audio[0, 0].hex() == "-0x0.0p+0"
@@ -171,7 +171,7 @@ def test_integer_past_float_range_is_rejected_at_its_line(tmp_path):
 def test_z_past_the_64_bit_range_is_rejected(tmp_path):
     # orjson reads an integer outside [-2**63, 2**64) as a float, so such a z,
     # which the stdlib parser would keep as an int, fails the integer check
-    _, loaded = _load_rows(tmp_path, dict(ROWS[0], z=2 ** 64 - 1))
+    loaded = _load_rows(tmp_path, dict(ROWS[0], z=2 ** 64 - 1))
     assert loaded[0].z == 2 ** 64 - 1 and type(loaded[0].z) is int
     with pytest.raises(ContractError,
                        match=r"d\.jsonl:2: z must be null or a non-negative integer, "
@@ -180,7 +180,7 @@ def test_z_past_the_64_bit_range_is_rejected(tmp_path):
 
 
 def test_lone_surrogate_escape_loads_as_the_stdlib_parses_it(tmp_path):
-    _, loaded = _load_rows(tmp_path, dict(ROWS[0], id="a\ud800"))
+    loaded = _load_rows(tmp_path, dict(ROWS[0], id="a\ud800"))
     assert loaded[0].id == "a\ud800"
 
 
@@ -207,7 +207,7 @@ def test_lines_end_as_in_text_mode(tmp_path):
     """LF, CRLF and CR all end a line, and a line of Unicode whitespace is blank."""
     rows = [json.dumps(r).encode() for r in (ROWS[0], ROWS[1])]
     raw = rows[0] + b"\r\n\xc2\xa0\r" + rows[1] + b"\r"
-    _, loaded = _load_rows(tmp_path, raw=raw)
+    loaded = _load_rows(tmp_path, raw=raw)
     assert [s.id for s in loaded] == [ROWS[0]["id"], ROWS[1]["id"]]
     dup = rows[0] + b"\r" + rows[0] + b"\n"
     with pytest.raises(ContractError, match=r"d\.jsonl:2: duplicate id .* \(first on line 1\)"):
