@@ -20,6 +20,8 @@ _samples = generate_synthetic(tiny_generator_config())
 split_group_disjoint(_samples, seed=3)
 TARGETS = {s.video_id: [float(v) for v in s.face[:2]] for s in _samples}
 VIDEOS = sorted(TARGETS)
+# Training reads face targets for the train and val clips only; a test clip may be absent.
+TRAINED = sorted({s.video_id for s in _samples if s.split in ("train", "val")})
 TEXT = json.dumps(TARGETS) + "\n"
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -31,7 +33,8 @@ NOT_AN_OBJECT = st.lists(FINITE, max_size=2) | st.text() | st.integers() | FINIT
 @st.composite
 def mutation(draw):
     """One fault: not JSON, not an object, a vector of another length, a
-    non-number, a non-finite token, a dropped video, a cut or a non-UTF-8 byte."""
+    non-number, a non-finite token, a dropped train or val video, a cut or a
+    non-UTF-8 byte."""
     kind = draw(st.sampled_from(["not-json", "not-an-object", "length", "not-a-number",
                                  "non-finite", "drop", "cut", "bad-byte"]))
     if kind == "not-json":
@@ -57,7 +60,7 @@ def mutation(draw):
         token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e999"]))
         return json.dumps(doc).replace('"@"', token)
     else:
-        del doc[vid]
+        del doc[draw(st.sampled_from(TRAINED))]
     return json.dumps(doc)
 
 
