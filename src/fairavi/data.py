@@ -302,32 +302,56 @@ def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
 
 # ------------------------------------------------------------- persistence
 
+def _array_json(a) -> str:
+    """``json.dumps(np.asarray(a).tolist())``, byte for byte.
+
+    orjson prints a double with Ryu's shortest round-trip digits, the ones
+    ``float.__repr__`` picks, and when every value is 0 or has
+    1e-4 <= |x| < 1e16 neither uses an exponent: the texts then differ only
+    by the space after each comma.  Other arrays take the stdlib path:
+    values outside that range or not finite, other dtypes (orjson misreads
+    ``>f8``) and 0-d arrays.
+    """
+    a = np.asarray(a)
+    if a.dtype == np.float64 and a.ndim:
+        m = np.abs(a)
+        if np.all(((m >= 1e-4) & (m < 1e16)) | (m == 0)):
+            text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+            return text.decode().replace(",", ", ")
+    return json.dumps(a.tolist())
+
+
 def save_jsonl(samples, path) -> None:
-    """One JSON object per line with the full sample schema."""
+    """One JSON object per line with the full sample schema, in the bytes
+    ``json.dumps`` writes for a dict of the JSONL_FIELDS in order."""
     with atomic_write(path) as fh:
         for s in samples:
-            doc = {
-                "id": s.id,
-                "video_id": s.video_id,
-                "seq_language": np.asarray(s.seq_language).tolist(),
-                "seq_audio": np.asarray(s.seq_audio).tolist(),
-                "seq_video": np.asarray(s.seq_video).tolist(),
-                "face": np.asarray(s.face).tolist(),
-                "y": int(s.y),
-                "z": None if s.z is None else int(s.z),
-                "split": s.split,
-            }
-            fh.write(json.dumps(doc) + "\n")
+            values = (json.dumps(s.id), json.dumps(s.video_id),
+                      *(_array_json(getattr(s, f)) for f in (*SEQ_FIELDS, "face")),
+                      json.dumps(int(s.y)), json.dumps(None if s.z is None else int(s.z)),
+                      json.dumps(s.split))
+            fh.write("{" + ", ".join(f'"{k}": {v}' for k, v in zip(JSONL_FIELDS, values))
+                     + "}\n")
 
 
 def _float_array(doc, name: str, where: str) -> np.ndarray:
-    """A field as a finite float64 array; ragged or non-numeric input is
-    rejected as not being an array."""
+    """A field as a finite float64 array.  Ragged input, and an element
+    that is not a JSON number (a string, a bool, null), is rejected as not
+    being a numeric array."""
     try:
-        arr = np.asarray(doc[name], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):   # the last: an int past float range
+        arr = np.asarray(doc[name])
+        if arr.dtype.kind not in "fiuO":
+            raise TypeError
+        exact = arr.dtype.kind == "O"       # ints past int64's range, or null
+        arr = arr.astype(np.float64, copy=False)    # OverflowError: past float range
+        # numpy reads [true, 2.5] as floats, a bool as 1.0 or 0.0; only then
+        # are the element types checked one by one
+        if (exact or ((arr == 0.0) | (arr == 1.0)).any()) and any(
+                type(v) not in (int, float) for v in np.asarray(doc[name], dtype=object).flat):
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):
         raise ContractError(f"{where}: {name} is not a numeric array")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ContractError(f"{where}: {name} has a non-finite value")
     return arr
 

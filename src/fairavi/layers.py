@@ -1,6 +1,6 @@
-"""Neural building blocks: dense layer, GRU cell, bidirectional GRU
-encoder, additive attention pooling, gated multimodal fusion, dropout,
-L2 penalty and global-norm gradient clipping.
+"""Neural building blocks: dense layer, bidirectional GRU encoder,
+additive attention pooling, gated multimodal fusion, dropout, L2 penalty
+and global-norm gradient clipping.
 
 All forwards operate on autodiff Nodes and take batches: a leading
 batch axis on every input, as model.forward_base builds them.  Weight
@@ -82,33 +82,6 @@ def init_gru(rng, hidden: int, n_in: int) -> GruParams:
         hidden=hidden)
 
 
-def gru_step(p: GruParams, x_t, h_prev) -> Node:
-    """One reset/update/candidate step on a (B, d) input and (B, h) state.
-
-    r = sig(W_r x + U_r h + b_r)
-    z = sig(W_z x + U_z h + b_z)
-    hhat = tanh(W_h x + U_h (r*h) + b_h)
-    h_t = (1 - z)*h_prev + z*hhat
-    """
-    x_t, h_prev = ad.constant(x_t), ad.constant(h_prev)
-    if h_prev.value.shape != (x_t.value.shape[0], p.hidden):
-        raise ShapeMismatch(f"gru_step: state {h_prev.value.shape} does not fit "
-                            f"input {x_t.value.shape} and hidden width {p.hidden}")
-    px = {g: ad.linear(x_t, W, b) for g, W, b in
-          (("r", p.W_r, p.b_r), ("z", p.W_z, p.b_z), ("h", p.W_h, p.b_h))}
-    return _gru_mix(p, px, h_prev)
-
-
-def _gru_mix(p: GruParams, px: dict, h_prev: Node) -> Node:
-    """Recurrent half of the step; px carries W x + b per gate."""
-    r = ad.sigmoid(ad.add(px["r"], ad.linear(h_prev, p.U_r)))
-    z = ad.sigmoid(ad.add(px["z"], ad.linear(h_prev, p.U_z)))
-    rh = ad.mul(r, h_prev)
-    hhat = ad.tanh(ad.add(px["h"], ad.linear(rh, p.U_h)))
-    # (1 - z)*h_prev + z*hhat, written as h_prev + z*(hhat - h_prev)
-    return ad.add(h_prev, ad.mul(z, ad.sub(hhat, h_prev)))
-
-
 def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
     """Both directions' hidden states as one (B, T, 2h) tape node.
 
@@ -117,12 +90,13 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
     itself: one stacked matmul over x's time-major rows, then the bias
     add while the products are copied into a (T, gate, direction, B, h)
     stack, the backward direction reversed in time.  Step s advances the
-    forward direction at t = s and the backward one at t = T-1-s with
-    _gru_mix's rules in numpy, r and z from one matmul and one sigmoid.
+    forward direction at t = s and the backward one at t = T-1-s, with r
+    and z from one matmul and one sigmoid: r = sig(W_r x + U_r h + b_r),
+    z likewise, hhat = tanh(W_h x + U_h (r*h) + b_h), h <- h + z*(hhat - h).
     The backward adds the W, b and x gradients of the projections too.
     Each gradient buffer gets its terms in the order a tape of linear
-    projections and _gru_mix steps adds them, so values and gradients
-    match that tape bit for bit."""
+    projections and one GRU cell per step (tests/test_layers.py's gru_mix)
+    adds them, so values and gradients match that tape bit for bit."""
     h, d = fwd.hidden, flat.value.shape[1]
     W, b, U = ([getattr(p, f"{kind}_{g}") for g in "rzh" for p in (fwd, bwd)]
                for kind in "WbU")

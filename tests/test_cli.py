@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -58,6 +59,15 @@ class TestGen:
         assert cli.main(["gen", "--config", str(cfg), "--out", str(a)]) == 0
         assert cli.main(["gen", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # the stdlib-only writer's sha256 for this config: save_jsonl's fast
+        # path must not change a byte of what gen writes
+        out = tmp_path / "data.jsonl"
+        cfg = write_gen_config(tmp_path / "gen.json")
+        assert cli.main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "131011fe68d81b5342690370aba9bb82fec9abf6585fe86236f5d3cccb6324c6")
 
     def test_bad_priors_exit_2(self, tmp_path, capsys):
         cfg = write_gen_config(tmp_path / "gen.json", n_classes=2,

@@ -19,17 +19,67 @@ NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 SETTINGS = settings(max_examples=30, deadline=None)
 
 
+IN_RANGE = (st.floats(1e-4, 1e16, exclude_max=True) | st.floats(-1e16, -1e-4, exclude_min=True)
+            | st.sampled_from([0.0, -0.0]))
+# dtype and elements of the arrays the writer may meet
+WRITTEN_ARRAYS = {
+    "in-range": (np.float64, IN_RANGE),         # save_jsonl's orjson case
+    "float64": (np.float64, st.floats()),       # NaN, +-inf, subnormals, 1e16 and up
+    "big-endian": (np.dtype(">f8"), st.floats()),
+    "float32": (np.float32, st.floats(width=32)),
+    "int64": (np.int64, st.integers(-2 ** 63, 2 ** 63 - 1)),
+}
+ODD_IDS = st.sampled_from(["naïve", 'say "hi"', "back\\slash", "日本\u2028", "tab\there"])
+
+
 @st.composite
-def datasets(draw):
-    """1-4 samples with unique ids and one random (T, d) shape per modality."""
-    shapes = {f: (draw(st.integers(1, 4)), draw(st.integers(1, 3))) for f in dt.SEQ_FIELDS}
-    ids = draw(st.lists(st.text(max_size=8), min_size=1, max_size=4, unique=True))
+def written_array(draw, shape):
+    """An array of any kind in WRITTEN_ARRAYS, a 2-D one sometimes as a
+    transposed (non-contiguous) view."""
+    dtype, elements = WRITTEN_ARRAYS[draw(st.sampled_from(sorted(WRITTEN_ARRAYS)))]
+    if len(shape) == 2 and draw(st.booleans()):
+        return draw(arrays(dtype, shape[::-1], elements=elements)).T
+    return draw(arrays(dtype, shape, elements=elements))
+
+
+@st.composite
+def datasets(draw, odd=False):
+    """1-4 samples with unique ids and one random (T, d) shape per modality.
+
+    ``odd`` adds what the writer must handle though the loader rejects or
+    converts it: the arrays of written_array, d = 0, and ids with quotes,
+    backslashes or non-ASCII text."""
+    shapes = {f: (draw(st.integers(1, 4)), draw(st.integers(0 if odd else 1, 3)))
+              for f in dt.SEQ_FIELDS}
+    ids = draw(st.lists(st.text(max_size=8) | ODD_IDS if odd else st.text(max_size=8),
+                        min_size=1, max_size=4, unique=True))
+    array = written_array if odd else lambda shape: arrays(np.float64, shape, elements=FINITE)
     return [dt.InterviewSample(
         id=sample_id, video_id=draw(st.text(max_size=6)),
-        **{f: draw(arrays(np.float64, shapes[f], elements=FINITE)) for f in dt.SEQ_FIELDS},
-        face=draw(arrays(np.float64, (dt.FACE_DIM,), elements=FINITE)),
+        **{f: draw(array(shapes[f])) for f in dt.SEQ_FIELDS},
+        face=draw(array((dt.FACE_DIM,))),
         y=draw(st.sampled_from([0, 1])), z=draw(st.none() | st.integers(0, 2 ** 40)),
         split=draw(st.sampled_from(dt.SPLITS))) for sample_id in ids]
+
+
+def stdlib_rows(samples) -> bytes:
+    """The oracle: the rows save_jsonl wrote when every value went through
+    the stdlib ``json``."""
+    lines = []
+    for s in samples:
+        doc = {
+            "id": s.id,
+            "video_id": s.video_id,
+            "seq_language": np.asarray(s.seq_language).tolist(),
+            "seq_audio": np.asarray(s.seq_audio).tolist(),
+            "seq_video": np.asarray(s.seq_video).tolist(),
+            "face": np.asarray(s.face).tolist(),
+            "y": int(s.y),
+            "z": None if s.z is None else int(s.z),
+            "split": s.split,
+        }
+        lines.append(json.dumps(doc) + "\n")
+    return "".join(lines).encode()
 
 
 @SETTINGS
@@ -45,6 +95,57 @@ def test_round_trip_is_exact(samples):
         for f in (*dt.SEQ_FIELDS, "face"):
             assert getattr(b, f).shape == getattr(a, f).shape, f
             assert getattr(b, f).tobytes() == getattr(a, f).tobytes(), f   # -0.0 included
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(odd=True) | datasets())
+def test_written_bytes_are_the_stdlib_writers(samples):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.jsonl")
+        dt.save_jsonl(samples, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == stdlib_rows(samples)
+
+
+def test_fast_case_tokens_match_float_repr(monkeypatch):
+    """A million doubles, log-uniform over 1e-4 <= |x| < 1e16, both signs:
+    orjson writes each as json.dumps(float(x))."""
+    rng = np.random.default_rng(1509)
+    mag = np.exp(rng.uniform(np.log(1e-4), np.log(1e16), 1_000_000))
+    mag = mag[(mag >= 1e-4) & (mag < 1e16)]     # exp may round past either end
+    values = np.where(rng.random(mag.size) < 0.5, -mag, mag)
+    expected = [json.dumps(float(x)) for x in values]
+    monkeypatch.setattr(dt.json, "dumps", None)     # so the stdlib path would raise
+    tokens = dt._array_json(values)[1:-1].split(", ")
+    monkeypatch.undo()
+    assert len(tokens) == len(expected) > 999_000
+    assert [(t, e) for t, e in zip(tokens, expected) if t != e] == []
+
+
+@pytest.mark.parametrize("value", [1e16, 9.999999999999999e-05, 5e-324, 1.5e300, -1.234e-7,
+                                   float("nan"), float("inf"), float("-inf")])
+def test_value_outside_the_fast_range_is_written_as_the_stdlib_writes_it(value):
+    # orjson writes these as 1e16, 0.00009999999999999999, 5e-324, 1.5e300,
+    # -1.234e-7 and null: the whole array takes the stdlib path
+    a = np.array([[0.5, value], [1e-4, 9999999999999998.0]])
+    assert dt._array_json(a) == json.dumps(a.tolist())
+
+
+def test_zero_d_array_is_written_as_a_scalar():
+    # orjson writes a 0-d array as [1.5] or refuses it, by version
+    assert dt._array_json(np.array(1.5)) == "1.5"
+
+
+def test_big_endian_array_is_written_by_value():
+    # orjson reads >f8 bytes as native ones: [1.0] came out as [3.03865e-319]
+    assert dt._array_json(np.array([1.0, -0.25], dtype=">f8")) == "[1.0, -0.25]"
+
+
+def test_views_and_empty_arrays_are_written_as_the_stdlib_writes_them():
+    a = np.arange(6.0).reshape(2, 3)
+    assert dt._array_json(a.T) == "[[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]"
+    assert dt._array_json(np.zeros((3, 0))) == "[[], [], []]"
+    assert dt._array_json(np.arange(3)) == "[0, 1, 2]"
 
 
 def _valid_rows():
@@ -161,6 +262,41 @@ def test_any_finite_value_loads_as_the_stdlib_parses_it(values):
 def test_non_finite_token_is_rejected_at_its_line(tmp_path, token):
     with pytest.raises(ContractError, match=r"d\.jsonl:2: seq_video has a non-finite value"):
         _load_rows(tmp_path, ROWS[0], _row_with("seq_video", f"[[{token}, 0.5]]"))
+
+
+NOT_A_NUMBER = st.booleans() | st.none() | st.text() | FINITE.map(repr)
+
+
+@pytest.mark.parametrize("field", [*dt.SEQ_FIELDS, "face"])
+def test_element_that_is_not_a_number_is_rejected_at_its_line(field):
+    """A bool, null, string or numeric string in one place or in every
+    place; numpy alone reads [true, 1.0] as floats and ["0.25"] as text."""
+
+    @SETTINGS
+    @given(NOT_A_NUMBER, st.data())
+    def check(value, data):
+        seq = np.array(ROWS[1][field], dtype=object)
+        if data.draw(st.booleans()):
+            seq[...] = value
+        else:
+            seq.flat[data.draw(st.integers(0, seq.size - 1))] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.jsonl")
+            with open(path, "w") as fh:
+                row = dict(ROWS[1], **{field: seq.tolist()})
+                fh.write(json.dumps(ROWS[0]) + "\n" + json.dumps(row) + "\n")
+            with pytest.raises(ContractError, match=rf"d\.jsonl:2: {field} is not a numeric array"):
+                dt.load_jsonl(path)
+
+    check()
+
+
+def test_true_outside_the_arrays_loads_the_same(tmp_path):
+    plain = _load_rows(tmp_path, ROWS[0], ROWS[1])
+    worded = _load_rows(tmp_path, dict(ROWS[0], id="true"), dict(ROWS[1], video_id="false"))
+    for a, b in zip(plain, worded):
+        for f in (*dt.SEQ_FIELDS, "face"):
+            assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
 
 
 def test_integer_past_float_range_is_rejected_at_its_line(tmp_path):

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Print short hashes of the outputs of seven small train + probe runs.
+# Print short hashes of two generated corpora and of the outputs of seven
+# small train + probe runs.
 #
 #   tools/output_hashes.sh <repo-root> <workdir>
 #
 # Runs the checkout at <repo-root> (its src/ on PYTHONPATH) inside
-# <workdir>, one row per config.  Columns: config, then the first 8 hex
+# <workdir>.  The first row, `corpora`, holds the first 8 hex digits of
+# the sha256 of the `gen` outputs binary.jsonl and ternary.jsonl.  Then
+# one row per config.  Columns: config, then the first 8 hex
 # digits of the sha256 of the saved model, its epoch log without the
 # seconds column, the probe's metrics.csv and report.md, the train
 # command's stdout and the model's `contributions` CSV over the test
@@ -43,6 +46,7 @@ JSON
 for corpus in binary ternary; do
     fairavi gen --config "gen-$corpus.json" --out "$corpus.jsonl" > /dev/null
 done
+printf '%-22s %s %s\n' corpora "$(h8 < binary.jsonl)" "$(h8 < ternary.jsonl)"
 python3 - binary.jsonl > faces-q2.json <<'PY'
 import json, sys
 rows = (json.loads(line) for line in open(sys.argv[1]))
