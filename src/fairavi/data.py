@@ -340,13 +340,13 @@ def _float_array(doc, name: str, where: str) -> np.ndarray:
     being a numeric array."""
     try:
         arr = np.asarray(doc[name])
-        if arr.dtype.kind not in "fiuO":
+        kind = arr.dtype.kind       # "O": e.g. an int past int64's range, or a null
+        if kind not in "fiuO":
             raise TypeError
-        exact = arr.dtype.kind == "O"       # ints past int64's range, or null
         arr = arr.astype(np.float64, copy=False)    # OverflowError: past float range
         # numpy reads [true, 2.5] as floats, a bool as 1.0 or 0.0; only then
         # are the element types checked one by one
-        if (exact or ((arr == 0.0) | (arr == 1.0)).any()) and any(
+        if (kind == "O" or ((arr == 0.0) | (arr == 1.0)).any()) and any(
                 type(v) not in (int, float) for v in np.asarray(doc[name], dtype=object).flat):
             raise TypeError
     except (TypeError, ValueError, OverflowError):
