@@ -111,3 +111,12 @@ def test_value_numpy_would_coerce_exits_3(files, value):
     doc[VIDEOS[0]][1] = value
     code, err, path = _train(json.dumps(doc), files)
     assert code == 3 and path in err, err
+
+
+@pytest.mark.parametrize("value", [0.5, {"a": 0.5}, "0.5", None],
+                         ids=["number", "object", "string", "null"])
+def test_embedding_that_is_no_array_exits_3(files, value):
+    doc = json.loads(TEXT)
+    doc[VIDEOS[0]] = value
+    code, err, path = _train(json.dumps(doc), files)
+    assert code == 3 and path in err, err

@@ -299,6 +299,25 @@ def test_true_outside_the_arrays_loads_the_same(tmp_path):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
 
 
+@pytest.mark.parametrize("worded", [False, True], ids=["no-literal", "true-in-id"])
+def test_zeros_and_ones_load_as_numbers(tmp_path, worded):
+    """Zero padding and one-hot columns are 0/1 numbers, not bools, whether
+    or not a true/false literal elsewhere in the line turns the check on."""
+    rows = []
+    for row in ROWS[:2]:
+        row = dict(row, id="true" if worded else row["id"])
+        for f in dt.SEQ_FIELDS:
+            seq = np.array(row[f], dtype=np.float64)
+            seq[len(seq) // 2:] = 0.0
+            seq[0] = np.eye(1, seq.shape[1]).ravel()
+            row[f] = seq.tolist()
+        rows.append(dict(row, face=[0, 1, 0.0, 1.0] * (dt.FACE_DIM // 4)))
+        worded = False      # one row carries the literal, the other not
+    for want, got in zip(rows, _load_rows(tmp_path, *rows)):
+        for f in (*dt.SEQ_FIELDS, "face"):
+            assert getattr(got, f).tobytes() == np.asarray(want[f], np.float64).tobytes()
+
+
 def test_integer_past_float_range_is_rejected_at_its_line(tmp_path):
     with pytest.raises(ContractError, match=r"d\.jsonl:2: face is not a numeric array"):
         _load_rows(tmp_path, ROWS[0], _row_with("face", "[" + "9" * 400 + "]"))
