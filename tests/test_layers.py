@@ -18,13 +18,6 @@ def scalar_gru_oracle(p, x, h):
     U_r, U_z, U_h = p.U_r.value, p.U_z.value, p.U_h.value
     b_r, b_z, b_h = p.b_r.value, p.b_z.value, p.b_h.value
     H = p.hidden
-    out = np.zeros(H)
-    for i in range(H):
-        r_i = sig(sum(W_r[i, j] * x[j] for j in range(x.size))
-                  + sum(U_r[i, j] * h[j] for j in range(H)) + b_r[i])
-        z_i = sig(sum(W_z[i, j] * x[j] for j in range(x.size))
-                  + sum(U_z[i, j] * h[j] for j in range(H)) + b_z[i])
-        out[i] = (r_i, z_i)[0]  # placeholder, replaced below
     r = np.array([sig(W_r[i] @ x + U_r[i] @ h + b_r[i]) for i in range(H)])
     z = np.array([sig(W_z[i] @ x + U_z[i] @ h + b_z[i]) for i in range(H)])
     hhat = np.array([np.tanh(W_h[i] @ x + U_h[i] @ (r * h) + b_h[i]) for i in range(H)])
