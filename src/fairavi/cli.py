@@ -29,29 +29,12 @@ import numpy as np
 from . import evaluation as ev
 from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_fields
 from .fileio import atomic_write
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
                     ModelDims, load_model, modality_contributions, predict, save_model)
 from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
                        select_lambda, train_alternating)
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("FAIRAVI_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"FAIRAVI_SEED must be an integer, got {raw!r}")
-
-
-def _resolve_seed(flag_seed, config_seed=None, default: int = 0) -> int:
-    for candidate in (flag_seed, config_seed, _env_seed()):
-        if candidate is not None:
-            return int(candidate)
-    return default
 
 
 def _sha256(path) -> str:
@@ -84,14 +67,32 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_json(path) -> dict:
+def _load_config(cls, path, flag_seed):
+    """The config dataclass `cls` built from the JSON object in the --config
+    file at `path` (or the defaults) and validated, its seed taken from
+    --seed, else the file, else FAIRAVI_SEED, else the default."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as e:
+            raise ConfigError(f"--config {path}: cannot read ({e.strerror})")
+        except ValueError as e:   # a JSON decode or text decode error
+            raise ConfigError(f"{path}: invalid JSON ({e})")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config must be a JSON object, got {doc!r:.40}")
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"--config {path}: cannot read ({e.strerror})")
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: invalid JSON ({e.msg})")
+        cfg = cls(**check_fields(cls, doc)).validate()
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    env = None if "seed" in doc else os.environ.get("FAIRAVI_SEED")
+    source, raw = ("--seed", flag_seed) if flag_seed is not None else ("FAIRAVI_SEED", env)
+    if raw is not None:
+        if not str(raw).isdecimal():
+            raise ConfigError(f"{source} must be a non-negative integer, got {raw!r}")
+        cfg.seed = int(raw)
+    return cfg
 
 
 INPUT_FLAGS = {"data": "--data", "model": "--model", "face_targets": "--face-targets"}
@@ -114,17 +115,12 @@ def _check_inputs(args) -> None:
 
 def cmd_gen(args) -> int:
     started = _now()
-    doc = _load_json(args.config) if args.config else {}
-    ratios = tuple(doc.pop("split_ratios", (0.7, 0.15, 0.15)))
-    cfg = GeneratorConfig.from_dict(doc)
-    cfg.seed = _resolve_seed(args.seed, doc.get("seed"), cfg.seed)
+    cfg = _load_config(GeneratorConfig, args.config, args.seed)
     samples = generate_synthetic(cfg)
-    split_group_disjoint(samples, ratios=ratios, seed=cfg.seed)
+    split_group_disjoint(samples, ratios=cfg.split_ratios, seed=cfg.seed)
     save_jsonl(samples, args.out)
-    manifest = _write_manifest(args.out, "gen",
-                               {**dataclasses.asdict(cfg), "split_ratios": list(ratios)},
-                               cfg.seed, [args.config] if args.config else [],
-                               [args.out], started)
+    manifest = _write_manifest(args.out, "gen", dataclasses.asdict(cfg), cfg.seed,
+                               [args.config] if args.config else [], [args.out], started)
     print(f"wrote {len(samples)} samples to {args.out}")
     print(f"manifest: {manifest}")
     return 0
@@ -133,19 +129,13 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _build_train_config(args) -> TrainConfig:
-    doc = _load_json(args.config) if getattr(args, "config", None) else {}
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown train config fields: {sorted(unknown)}")
-    cfg = TrainConfig(**doc)
+    cfg = _load_config(TrainConfig, args.config, args.seed)
     for flag, attr in (("variant", "variant"), ("modality", "modality"),
                        ("lam", "lam"), ("face_dim", "q"), ("k", "k"),
                        ("face_targets", "face_targets")):
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, attr, value)
-    cfg.seed = _resolve_seed(args.seed, doc.get("seed"), cfg.seed)
     return cfg.validate()
 
 

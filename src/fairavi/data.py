@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .errors import ConfigError, ContractError
+from .errors import (MODALITIES, ConfigError, ContractError, NonNegativeInt, PositiveInt, Scale,
+                     check_fields)
 from .fileio import atomic_write
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
@@ -26,6 +27,7 @@ JSONL_FIELDS = ("id", "video_id", *SEQ_FIELDS, "face", "y", "z", "split")
 
 FACE_DIM = 512
 SPLITS = ("train", "val", "test")
+MAX_FLOATS = 10 ** 8     # most sequence, face and direction floats gen may draw
 
 
 @dataclass
@@ -72,52 +74,50 @@ def blind(sample) -> BlindSample:
 
 @dataclass
 class GeneratorConfig:
-    n: int = 2000
+    n: PositiveInt = 2000
     max_clips: int = 5                   # clips per video drawn uniformly in 1..max_clips
     seq_len: dict = field(default_factory=lambda: {"language": 12, "audio": 25, "video": 20})
     feat_dim: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
     n_classes: int = 2
     class_priors: tuple | None = None    # default: uniform
     bias: float = 0.8                    # beta: protected leak strength
-    skill_scale: float = 2.5             # label-logit weight on the skill latent
-    leak_scale: float = 1.0              # label-logit weight on the protected leak
-    protected_scale: float = 1.0         # per-frame protected offset magnitude
-    identity_scale: float = 0.35
-    noise_scale: float = 0.3
-    face_separation: float = 12.0        # class structure must dominate face noise,
-    face_noise: float = 0.5              # or the face-matching adversary learns nothing
-    seed: int = 7
+    skill_scale: Scale = 2.5             # label-logit weight on the skill latent
+    leak_scale: Scale = 1.0              # label-logit weight on the protected leak
+    protected_scale: Scale = 1.0         # per-frame protected offset magnitude
+    identity_scale: Scale = 0.35
+    noise_scale: Scale = 0.3
+    face_separation: Scale = 12.0        # class structure must dominate face noise,
+    face_noise: Scale = 0.5              # or the face-matching adversary learns nothing
+    seed: NonNegativeInt = 7
+    split_ratios: tuple = (0.7, 0.15, 0.15)   # train, val, test
 
     def validate(self) -> "GeneratorConfig":
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
+        check_fields(GeneratorConfig, vars(self))
         if not 0.0 <= self.bias <= 1.0:
             raise ConfigError(f"bias must be in [0, 1], got {self.bias}")
         if self.n_classes < 2:
             raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
-        if not 1 <= self.max_clips:
-            raise ConfigError(f"max_clips must be at least 1, got {self.max_clips}")
+        if not 1 <= self.max_clips < 2 ** 63:     # rng.integers draws an int64
+            raise ConfigError(f"max_clips must be in [1, 2**63), got {self.max_clips}")
+        if len(r := self.split_ratios) != 3 or min(r) < 0 or abs(sum(r) - 1.0) > 1e-9:
+            raise ConfigError(f"split_ratios must be 3 nonnegative numbers summing to 1, got {r}")
+        floats = (self.n * (FACE_DIM + sum(self.seq_len[m] * self.feat_dim[m] for m in MODALITIES))
+                  + self.n_classes * (FACE_DIM + sum(self.feat_dim.values())))
+        if floats > MAX_FLOATS:
+            raise ConfigError(f"n, n_classes, seq_len and feat_dim ask for {floats:,} floats, "
+                              f"over the limit of {MAX_FLOATS:,}")
         priors = self.priors()
         if len(priors) != self.n_classes:
-            raise ConfigError(f"class priors must have {self.n_classes} entries")
+            raise ConfigError(f"class_priors must hold {self.n_classes} class priors")
         if abs(sum(priors) - 1.0) > 1e-9 or min(priors) < 0:
-            raise ConfigError(f"class priors must be nonnegative and sum to 1, got {priors}")
+            raise ConfigError(f"class_priors must be nonnegative class priors that sum to 1, "
+                              f"got {priors}")
         return self
 
     def priors(self) -> tuple:
         if self.class_priors is None:
             return tuple(1.0 / self.n_classes for _ in range(self.n_classes))
         return tuple(float(p) for p in self.class_priors)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GeneratorConfig":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown generator config fields: {sorted(unknown)}")
-        merged = cls(**doc)
-        if isinstance(merged.class_priors, list):
-            merged.class_priors = tuple(merged.class_priors)
-        return merged.validate()
 
 
 def _sigmoid(x):
@@ -129,12 +129,11 @@ def generate_synthetic(cfg: GeneratorConfig) -> list[InterviewSample]:
     """Draw a dataset of clip-level samples grouped into candidate videos."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    modalities = ("language", "audio", "video")
     priors = np.array(cfg.priors())
     # run-level directions, shared by every candidate
-    skill_dir = {m: _unit(rng.standard_normal(cfg.feat_dim[m])) for m in modalities}
+    skill_dir = {m: _unit(rng.standard_normal(cfg.feat_dim[m])) for m in MODALITIES}
     prot_dir = {m: np.stack([_unit(rng.standard_normal(cfg.feat_dim[m]))
-                             for _ in range(cfg.n_classes)]) for m in modalities}
+                             for _ in range(cfg.n_classes)]) for m in MODALITIES}
     face_dir = np.stack([_unit(rng.standard_normal(FACE_DIM))
                          for _ in range(cfg.n_classes)])
     # class leak values, evenly spaced and centered
@@ -149,7 +148,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> list[InterviewSample]:
         z = int(rng.choice(cfg.n_classes, p=priors))
         skill = float(rng.standard_normal())
         id_offset = {m: cfg.identity_scale * rng.standard_normal(cfg.feat_dim[m])
-                     for m in modalities}
+                     for m in MODALITIES}
         face = (cfg.face_separation * face_dir[z]
                 + cfg.identity_scale * rng.standard_normal(FACE_DIM)
                 + cfg.face_noise * rng.standard_normal(FACE_DIM))
@@ -157,7 +156,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> list[InterviewSample]:
         p_hire = float(_sigmoid(np.array(logit)))
         for c in range(n_clips):
             seqs = {}
-            for m in modalities:
+            for m in MODALITIES:
                 base = (skill_dir[m] * skill
                         + cfg.bias * cfg.protected_scale * prot_dir[m][z]
                         + id_offset[m])

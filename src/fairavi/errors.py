@@ -1,4 +1,12 @@
-"""Shared exception types, mapped to CLI exit codes 2 and 3."""
+"""Shared exception types, mapped to CLI exit codes 2 and 3, and the one
+check of a JSON object's fields against a dataclass's declarations."""
+
+import dataclasses
+import sys
+
+MODALITIES = ("language", "audio", "video")
+NonNegativeInt = PositiveInt = PositiveEvenInt = int    # field annotations that carry a
+Scale = float                                           # range; RULES gives each one's test
 
 
 class ConfigError(ValueError):
@@ -7,3 +15,40 @@ class ConfigError(ValueError):
 
 class ContractError(RuntimeError):
     """Data or variant contract violation; CLI exit code 3."""
+
+
+_finite = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max   # bools fail
+_ints = lambda low, step=1: lambda v: type(v) is int and v >= low and v % step == 0
+_numbers = lambda v: type(v) in (list, tuple) and all(map(_finite, v))
+RULES = {   # annotation -> (test, what a value must be); float ranges in validate() test NaN
+    "int": (lambda v: type(v) is int, "an int"),
+    "NonNegativeInt": (_ints(0), "a non-negative int"),
+    "PositiveInt": (_ints(1), "a positive int"),
+    "PositiveEvenInt": (_ints(2, 2), "a positive even int"),
+    "float": (lambda v: type(v) is float or _finite(v), "a number"),
+    "Scale": (lambda v: _finite(v) and 0 <= v <= 1e6, "a number in [0, 1e6]"),
+    "bool": (lambda v: type(v) is bool, "true or false"),
+    "str": (lambda v: type(v) is str, "a string"),
+    "str | None": (lambda v: v is None or type(v) is str, "a string or null"),
+    "tuple": (_numbers, "a list of finite numbers"),
+    "tuple | None": (lambda v: v is None or _numbers(v), "null or a list of finite numbers"),
+    "dict": (lambda v: isinstance(v, dict) and set(v) == set(MODALITIES)
+             and all(map(_ints(1), v.values())), "positive ints keyed language, audio and video"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+
+def check_fields(cls, doc: dict, error=ConfigError, part: str = "", complete=False) -> dict:
+    """Return JSON object `doc`, uncoerced, if each value passes the RULES of its
+    field's annotation in dataclass `cls`; else raise `error` naming the field
+    (after `part`) that is unknown, missing when `complete`, or refused."""
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}
+    for what, keys in (("unknown", set(doc) - set(declared)),
+                       ("missing", complete and set(declared) - set(doc))):
+        if keys:
+            raise error(f"{what} fields {sorted(part + k for k in keys)}")
+    for name, value in doc.items():
+        test, rule = RULES[declared[name]]
+        if not test(value):
+            raise error(f"{part}{name} must be {rule}, got {value!r}")
+    return doc

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -26,10 +26,9 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import FACE_DIM
-from .errors import ContractError
+from .errors import MODALITIES, ContractError, PositiveEvenInt, PositiveInt, check_fields
 from .fileio import atomic_write
 
-MODALITIES = ("language", "audio", "video")
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
             "static-faces", "negative-sampling")
 FACE_DIMS = (2, 16)
@@ -40,12 +39,12 @@ CHUNK = 512                    # clips per inference forward pass
 @dataclass
 class ModelDims:
     input_dims: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
-    gru_width: int = 16        # total bidirectional output width (8 per direction)
-    att_proj: int = 30
-    trunk_width: int = 16
-    adv_hidden: int = 30       # supervised / static-faces hidden width
-    ns_hidden: int = 32        # negative-sampling interview-encoder hidden width
-    face_raw: int = FACE_DIM
+    gru_width: PositiveEvenInt = 16    # total bidirectional output width (8 per direction)
+    att_proj: PositiveInt = 30
+    trunk_width: PositiveInt = 16
+    adv_hidden: PositiveInt = 30       # supervised / static-faces hidden width
+    ns_hidden: PositiveInt = 32        # negative-sampling interview-encoder hidden width
+    face_raw: PositiveInt = FACE_DIM
 
 
 @dataclass
@@ -67,13 +66,14 @@ class NegativeSamplingBatch:
             raise ContractError(f"negative sampling needs k >= 2, got k={self.faces.shape[1]}")
 
 
-def _check_kind(modality: str, variant: str, q: int) -> None:
+def check_kind(modality: str, variant: str, q: int, error=ContractError) -> None:
+    """A model kind's choices; `error` is ConfigError for a config."""
     if modality not in MODALITIES + ("multimodal",):
-        raise ContractError(f"unknown modality {modality!r}")
+        raise error(f"unknown modality {modality!r}")
     if variant not in VARIANTS:
-        raise ContractError(f"unknown variant {variant!r}")
+        raise error(f"unknown variant {variant!r}")
     if q not in FACE_DIMS:
-        raise ContractError(f"face dimension q must be one of {FACE_DIMS}, got {q}")
+        raise error(f"face dimension q must be one of {FACE_DIMS}, got {q}")
 
 
 def _active_modalities(modality: str) -> tuple[str, ...]:
@@ -131,7 +131,7 @@ class HireabilityModel:
 
     def __init__(self, modality: str = "multimodal", variant: str = "unprotected",
                  dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0):
-        _check_kind(modality, variant, q)
+        check_kind(modality, variant, q)
         self.modality = modality
         self.variant = variant
         self.dims = dims or ModelDims()
@@ -344,54 +344,29 @@ def modality_contributions(model: HireabilityModel, samples):
 
 # ------------------------------------------------------------- persistence
 
+@dataclass
+class _ModelFile:
+    """The fields of a save_model document, as load_model checks them."""
+    modality: str
+    variant: str
+    q: int
+    k: int
+    trained: bool
+    dims: object
+    params: object
+    format: str = "fairavi-model-v1"
+
+
 def save_model(model: HireabilityModel, path) -> None:
     """Serialize to JSON with hex-float payloads (bit-exact round trip)."""
-    doc = {
-        "format": "fairavi-model-v1",
-        "modality": model.modality,
-        "variant": model.variant,
-        "q": model.q,
-        "k": model.k,
-        "trained": model.trained,
-        "dims": asdict(model.dims),
-        "params": {name: {"shape": list(node.value.shape),
-                          "data": [v.hex() for v in node.value.ravel().tolist()]}
-                   for name, node in sorted(model.params.items())},
-    }
+    params = {name: {"shape": list(node.value.shape),
+                     "data": [v.hex() for v in node.value.ravel().tolist()]}
+              for name, node in sorted(model.params.items())}
+    doc = _ModelFile(model.modality, model.variant, model.q, model.k, model.trained,
+                     asdict(model.dims), params)
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
+        json.dump(vars(doc), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-FILE_KEYS = ("dims", "format", "k", "modality", "params", "q", "trained", "variant")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_keys(path, what: str, got: dict, expected) -> None:
-    missing, extra = set(expected) - set(got), set(got) - set(expected)
-    if missing or extra:
-        raise ContractError(f"{path}: {what} mismatch (missing {sorted(missing)}, "
-                            f"unexpected {sorted(extra)})")
-
-
-def _file_dims(doc, path) -> ModelDims:
-    """A model file's dims: exactly ModelDims's keys, every width a positive int."""
-    if not isinstance(doc, dict):
-        raise ContractError(f"{path}: dims must be an object")
-    _check_keys(path, "dims keys", doc, [f.name for f in fields(ModelDims)])
-    inputs = doc["input_dims"]
-    if not isinstance(inputs, dict):
-        raise ContractError(f"{path}: dims.input_dims must be an object")
-    _check_keys(path, "dims.input_dims keys", inputs, MODALITIES)
-    widths = {**{f"input_dims.{m}": v for m, v in inputs.items()}, **doc}
-    del widths["input_dims"]
-    for name, v in widths.items():
-        if not (_is_int(v) and v >= 1):
-            raise ContractError(f"{path}: dims.{name} must be a positive integer, got {v!r}")
-    return ModelDims(**{**doc, "input_dims": dict(inputs)})
 
 
 def _file_param(entry, shape: tuple, where: str) -> np.ndarray:
@@ -421,12 +396,12 @@ def load_model(path) -> HireabilityModel:
     """Read a save_model file, bit-exact.
 
     Any fault in the file raises ContractError naming the path, and the
-    parameter where there is one: an unreadable or non-JSON file, a
-    document that is not an object with exactly save_model's keys, dims
-    keys other than ModelDims's or a width that is not a positive integer,
-    a parameter set other than the model's, a shape other than the
-    model's, a data length that does not fit the shape, or a value that
-    is not a finite hex float string.
+    field or parameter where there is one: an unreadable or non-JSON file,
+    a document that is not an object with exactly save_model's keys, a
+    header or dims field that check_fields refuses (a width must be a
+    positive int, gru_width an even one), a parameter set or shape other
+    than the model's, a data length that does not fit the shape, or a
+    value that is not a finite hex float string.
     """
     try:
         with open(path) as fh:
@@ -437,27 +412,20 @@ def load_model(path) -> HireabilityModel:
         raise ContractError(f"{path}: not a JSON file ({e})")
     if not isinstance(doc, dict) or doc.get("format") != "fairavi-model-v1":
         raise ContractError(f"{path}: not a recognized model file")
-    _check_keys(path, "keys", doc, FILE_KEYS)
-    for key, ok in (("modality", isinstance(doc["modality"], str)),
-                    ("variant", isinstance(doc["variant"], str)),
-                    ("q", _is_int(doc["q"])), ("k", _is_int(doc["k"])),
-                    ("trained", isinstance(doc["trained"], bool)),
-                    ("params", isinstance(doc["params"], dict))):
-        if not ok:
-            raise ContractError(f"{path}: {key} has the wrong type ({doc[key]!r})")
     try:
-        _check_kind(doc["modality"], doc["variant"], doc["q"])
+        f = _ModelFile(**check_fields(_ModelFile, doc, ContractError, complete=True))
+        check_kind(f.modality, f.variant, f.q)
+        dims = ModelDims(**check_fields(ModelDims, f.dims, ContractError, "dims.", complete=True))
     except ContractError as e:
-        raise ContractError(f"{path}: {e}")
-    dims = _file_dims(doc["dims"], path)
-    shapes = param_shapes(doc["modality"], doc["variant"], dims, doc["q"])
-    stored = doc["params"]
-    _check_keys(path, "parameter names", stored, shapes)
+        raise ContractError(f"{path}: {e}") from None
+    shapes = param_shapes(f.modality, f.variant, dims, f.q)
+    if (missing := set(shapes) - set(f.params)) | (extra := set(f.params) - set(shapes)):
+        raise ContractError(f"{path}: parameter names mismatch (missing {sorted(missing)}, "
+                            f"unexpected {sorted(extra)})")
     values = {name: _file_param(entry, shapes[name], f"{path}: {name}")
-              for name, entry in stored.items()}
-    model = HireabilityModel(doc["modality"], doc["variant"], dims, q=doc["q"], k=doc["k"],
-                             seed=0)
-    model.trained = doc["trained"]
+              for name, entry in f.params.items()}
+    model = HireabilityModel(f.modality, f.variant, dims, q=f.q, k=f.k, seed=0)
+    model.trained = f.trained
     for name, value in values.items():
         model.params[name].value[...] = value
     return model

@@ -31,10 +31,10 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NonNegativeInt, check_fields
 from .fileio import atomic_write
-from .model import (CHUNK, FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS,
-                    HireabilityModel, NegativeSamplingBatch, batch_sequences, predict)
+from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, NegativeSamplingBatch,
+                    batch_sequences, check_kind, predict)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -58,15 +58,13 @@ class TrainConfig:
     patience_outer: int = 3
     max_epochs_pretrain: int = 200
     max_epochs_adv: int = 80
-    max_outer: int = 40
+    max_outer: NonNegativeInt = 40
     face_targets: str | None = None   # external q-dim embeddings for static-faces
-    seed: int = 0
+    seed: NonNegativeInt = 0
 
     def validate(self) -> "TrainConfig":
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.modality not in MODALITIES + ("multimodal",):
-            raise ConfigError(f"unknown modality {self.modality!r}")
+        check_fields(TrainConfig, vars(self))
+        check_kind(self.modality, self.variant, self.q, ConfigError)
         # written so that NaN fails every comparison
         for name in ("lam", "l2"):
             if not 0 <= getattr(self, name) < np.inf:
@@ -87,8 +85,6 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
-        if self.q not in FACE_DIMS:
-            raise ConfigError(f"face dimension q must be one of {FACE_DIMS}, got {self.q}")
         return self
 
 

@@ -3,6 +3,7 @@ bit-exact, and any one malformed part of a saved model makes `fairavi
 probe` exit 3 with the file's path in its message, before any work."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -233,3 +234,14 @@ def test_a_width_past_memory_exits_3_before_the_model_is_built(data_path, key):
     err = _probe_exits_3(json.dumps(doc), data_path)
     assert re.search(rf": [\w.]+ has shape \[[\d, ]+\], expected \[[\d, ]*"
                      rf"({2 ** 40}|{2 ** 39})", err), err
+
+
+def test_an_odd_gru_width_exits_3_at_load(data_path, tmp_path):
+    """param_shapes halves gru_width, so the shapes of a model built with an
+    odd width match its dims; the width itself is refused before the model
+    is built, where numpy's matmul would fail later."""
+    model = HireabilityModel("multimodal", "unprotected",
+                             dataclasses.replace(tiny_dims(), gru_width=3), seed=0)
+    save_model(model, tmp_path / "model.json")
+    err = _probe_exits_3((tmp_path / "model.json").read_text(), data_path)
+    assert "dims.gru_width must be a positive even int, got 3" in err
