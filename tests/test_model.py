@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -351,8 +352,27 @@ class TestPersistence:
         for variant in VARIANTS:
             for q in (2, 16):
                 m = HireabilityModel(modality, variant, dims, q=q, seed=0)
-                built = {name: node.value.shape for name, node in m.params.items()}
-                assert param_shapes(modality, variant, dims, q) == built, (variant, q)
+                built = [(name, node.value.shape) for name, node in m.params.items()]
+                assert list(param_shapes(modality, variant, dims, q).items()) == built, \
+                    (variant, q)
+
+    def test_initial_parameters_pinned(self):
+        # every kind's initial names, shapes and bytes in params order, then a
+        # reinit_adversary draw: the draw order is the model file's layout,
+        # and params order fixes Adam's buffers and the clipping norm's sum
+        digest = hashlib.sha256()
+        for modality in MODALITIES + ("multimodal",):
+            for variant in VARIANTS:
+                for q in (2, 16):
+                    for seed in (0, 7):
+                        m = HireabilityModel(modality, variant, q=q, seed=seed)
+                        initial = list(m.snapshot().items())
+                        m.reinit_adversary(seed + 1)
+                        for name, value in initial + list(m.snapshot(m.theta_a()).items()):
+                            digest.update(f"{name}{value.shape}".encode())
+                            digest.update(value.tobytes())
+        assert digest.hexdigest() == \
+            "3fddf09aa5b14eb5243f3be747db0db599c4ff81de8261ffa19b01af82c84e48"
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
