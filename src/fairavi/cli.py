@@ -30,7 +30,7 @@ from . import evaluation as ev
 from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
 from .errors import ConfigError, ContractError, check_fields
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
                     ModelDims, load_model, modality_contributions, predict, save_model)
 from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
@@ -67,25 +67,21 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _load_config(cls, path, flag_seed):
+def _load_config(cls, path, flag_seed, flags=None):
     """The config dataclass `cls` built from the JSON object in the --config
-    file at `path` (or the defaults) and validated, its seed taken from
-    --seed, else the file, else FAIRAVI_SEED, else the default."""
+    file at `path` (or the defaults) with the fields in `flags` replaced,
+    then validated, its seed taken from --seed, else the file, else
+    FAIRAVI_SEED, else the default."""
     doc = {}
     if path is not None:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"--config {path}: cannot read ({e.strerror})")
-        except ValueError as e:   # a JSON decode or text decode error
-            raise ConfigError(f"{path}: invalid JSON ({e})")
+        doc = read_json(path, ConfigError, "--config ")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: a config must be a JSON object, got {doc!r:.40}")
-    try:
-        cfg = cls(**check_fields(cls, doc)).validate()
+    try:   # flags apply first: a file's face_targets needs --variant static-faces
+        cfg = cls(**{**check_fields(cls, doc), **(flags or {})}).validate()
     except ConfigError as e:
-        raise ConfigError(f"{path}: {e}") from None
+        where = " + ".join([str(path)] * (path is not None) + ["flags"] * bool(flags))
+        raise ConfigError(f"{where}: {e}") from None
     env = None if "seed" in doc else os.environ.get("FAIRAVI_SEED")
     source, raw = ("--seed", flag_seed) if flag_seed is not None else ("FAIRAVI_SEED", env)
     if raw is not None:
@@ -129,14 +125,11 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _build_train_config(args) -> TrainConfig:
-    cfg = _load_config(TrainConfig, args.config, args.seed)
-    for flag, attr in (("variant", "variant"), ("modality", "modality"),
-                       ("lam", "lam"), ("face_dim", "q"), ("k", "k"),
-                       ("face_targets", "face_targets")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg.validate()
+    flags = {attr: getattr(args, flag, None) for flag, attr in (
+        ("variant", "variant"), ("modality", "modality"), ("lam", "lam"),
+        ("face_dim", "q"), ("k", "k"), ("face_targets", "face_targets"))}
+    return _load_config(TrainConfig, args.config, args.seed,
+                        {attr: v for attr, v in flags.items() if v is not None})
 
 
 def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:

@@ -20,7 +20,7 @@ import orjson
 
 from .errors import (MODALITIES, ConfigError, ContractError, NonNegativeInt, PositiveInt, Scale,
                      check_fields)
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
 JSONL_FIELDS = ("id", "video_id", *SEQ_FIELDS, "face", "y", "z", "split")
@@ -272,13 +272,7 @@ def reconstruct(proj: FaceProjection, compressed: np.ndarray) -> np.ndarray:
 def load_face_targets(path, q: int) -> dict[str, np.ndarray]:
     """Import externally computed q-dim face embeddings (e.g. genuine UMAP
     output) as a JSON object mapping video_id -> q finite floats."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ContractError(f"{path}: cannot read ({e.strerror})")
-    except ValueError as e:  # a JSON decode or text decode error
-        raise ContractError(f"{path}: not a JSON file ({e})")
+    doc = read_json(path, ContractError)
     if not isinstance(doc, dict) or not doc:
         raise ContractError(f"{path}: expected a non-empty video_id -> vector mapping")
     out = {}

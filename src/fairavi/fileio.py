@@ -1,10 +1,33 @@
-"""Atomic file output: readers see the old file or the whole new one."""
+"""JSON input that refuses a repeated key, and atomic file output:
+readers see the old file or the whole new one."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import uuid
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A json object_pairs_hook: json.load would keep the last of two equal keys."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} is repeated")
+    return doc
+
+
+def read_json(path, error, flag: str = ""):
+    """The JSON document in the file at `path`, else `error` naming the file
+    (after `flag`): it cannot be read, is not JSON, or repeats a key."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except OSError as e:
+        raise error(f"{flag}{path}: cannot read ({e.strerror})")
+    except ValueError as e:   # a JSON or text decode error, or a repeated key
+        raise error(f"{path}: invalid JSON ({e})")
 
 
 @contextlib.contextmanager

@@ -1,16 +1,20 @@
-"""Neural building blocks: dense layer, bidirectional GRU encoder,
-additive attention pooling, gated multimodal fusion, dropout, L2 penalty
-and global-norm gradient clipping.
+"""Neural building blocks: the initialisation rule, dense layer,
+bidirectional GRU encoder, additive attention pooling, gated multimodal
+fusion, dropout, L2 penalty and global-norm gradient clipping.
 
 All forwards operate on autodiff Nodes and take batches: a leading
 batch axis on every input, as model.forward_base builds them.  Weight
-matrices are stored [out, in] and applied as x @ W.T + b.  The BiGRU
-encoder, attention pooling and the GMU are one tape node each, whose
-numpy backward keeps the summation order of the unfused tape.
+matrices are stored [out, in] and applied as x @ W.T + b.  A layer's
+parameters are a view: a dataclass over Nodes that `draw` made from a
+name -> shape table (model.param_shapes), each field named as the
+name's last component.  The BiGRU encoder, attention pooling and the
+GMU are one tape node each, whose numpy backward keeps the summation
+order of the unfused tape.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +23,23 @@ from . import autodiff as ad
 from .autodiff import Node, ShapeMismatch
 
 
-def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
-    """Uniform in +-sqrt(6 / (fan_in + fan_out))."""
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    return rng.uniform(-limit, limit, size=(n_out, n_in))
+def glorot(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (fan_in + fan_out)) over an [out, in] shape;
+    a vector is drawn as one [out, 1] column."""
+    limit = math.sqrt(6.0 / (shape[0] + (shape[1] if len(shape) == 2 else 1)))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def is_bias(name: str) -> bool:
+    """A bias is named with a last component that starts with 'b'."""
+    return name.rsplit(".", 1)[-1].startswith("b")
+
+
+def draw(rng: np.random.Generator, shapes: dict[str, tuple]) -> dict[str, Node]:
+    """Initial parameters in key order: zeros for a bias (is_bias), a Glorot
+    draw from rng for anything else."""
+    return {name: ad.parameter(np.zeros(shape) if is_bias(name) else glorot(rng, shape))
+            for name, shape in shapes.items()}
 
 
 # ------------------------------------------------------------------- dense
@@ -32,11 +49,6 @@ class DenseParams:
     W: Node                 # [out, in]
     b: Node                 # [out]
     activation: str = "identity"   # tanh | sigmoid | identity
-
-
-def init_dense(rng, n_out: int, n_in: int, activation: str = "identity") -> DenseParams:
-    return DenseParams(ad.parameter(glorot(rng, n_out, n_in)),
-                       ad.parameter(np.zeros(n_out)), activation)
 
 
 _ACTIVATIONS = {
@@ -68,18 +80,6 @@ class GruParams:
     b_r: Node
     b_z: Node
     b_h: Node
-    hidden: int
-
-
-def init_gru(rng, hidden: int, n_in: int) -> GruParams:
-    p = lambda shape: ad.parameter(glorot(rng, *shape))
-    return GruParams(
-        W_r=p((hidden, n_in)), W_z=p((hidden, n_in)), W_h=p((hidden, n_in)),
-        U_r=p((hidden, hidden)), U_z=p((hidden, hidden)), U_h=p((hidden, hidden)),
-        b_r=ad.parameter(np.zeros(hidden)),
-        b_z=ad.parameter(np.zeros(hidden)),
-        b_h=ad.parameter(np.zeros(hidden)),
-        hidden=hidden)
 
 
 def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
@@ -97,7 +97,7 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
     Each gradient buffer gets its terms in the order a tape of linear
     projections and one GRU cell per step (tests/test_layers.py's gru_mix)
     adds them, so values and gradients match that tape bit for bit."""
-    h, d = fwd.hidden, flat.value.shape[1]
+    h, d = fwd.U_r.value.shape[0], flat.value.shape[1]
     W, b, U = ([getattr(p, f"{kind}_{g}") for g in "rzh" for p in (fwd, bwd)]
                for kind in "WbU")
     Ws = np.stack([w.value for w in W])                     # (6, h, d)
@@ -215,12 +215,6 @@ class AttentionParams:
     u_p: Node      # [proj]
 
 
-def init_attention(rng, proj: int, n_in: int) -> AttentionParams:
-    return AttentionParams(ad.parameter(glorot(rng, proj, n_in)),
-                           ad.parameter(np.zeros(proj)),
-                           ad.parameter(glorot(rng, proj, 1).reshape(proj)))
-
-
 def attention_pool(p: AttentionParams, z) -> tuple[Node, Node]:
     """Additive attention over time as one `attention` node on (z, W_A, b, u_p).
 
@@ -278,13 +272,6 @@ class GmuParams:
 
 
 GMU_ORDER = ("audio", "language", "video")
-
-
-def init_gmu(rng, width: int) -> GmuParams:
-    p = lambda shape: ad.parameter(glorot(rng, *shape))
-    return GmuParams(
-        W_aproj=p((width, width)), W_lproj=p((width, width)), W_vproj=p((width, width)),
-        W_agating=p((1, 3 * width)), W_lgating=p((1, 3 * width)), W_vgating=p((1, 3 * width)))
 
 
 def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
@@ -359,10 +346,6 @@ def l2_penalty(params: dict[str, Node], coeff: float) -> Node:
     if coeff < 0:
         raise ValueError(f"l2_penalty: coeff must be nonnegative, got {coeff}")
     return ad.l2([node for name, node in sorted(params.items()) if not is_bias(name)], coeff)
-
-
-def is_bias(name: str) -> bool:
-    return name.rsplit(".", 1)[-1].startswith("b")
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> dict[str, np.ndarray]:

@@ -1,5 +1,10 @@
 """Assembly of the hireability network and its adversarial heads.
 
+A model's parameters are one name -> shape table, param_shapes: its key
+order is the draw order of layers.draw, the order of `params` and the
+model file's names.  The layers read their parameters through views
+over those same Nodes.
+
 The base network encodes each requested modality with a bidirectional
 GRU plus additive attention, fuses the pooled vectors through a gated
 multimodal unit (multimodal mode only), and runs a two-layer tanh trunk
@@ -27,7 +32,7 @@ from . import layers as ly
 from .autodiff import Node
 from .data import FACE_DIM
 from .errors import MODALITIES, ContractError, PositiveEvenInt, PositiveInt, check_fields
-from .fileio import atomic_write
+from .fileio import atomic_write, read_json
 
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
             "static-faces", "negative-sampling")
@@ -104,9 +109,9 @@ def adversary_shapes(variant: str, dims: ModelDims, q: int) -> dict[str, tuple]:
 
 
 def param_shapes(modality: str, variant: str, dims: ModelDims, q: int) -> dict[str, tuple]:
-    """Every parameter's shape in a model of this kind, without building it:
-    the trunk as HireabilityModel._build_trunk lays it out, then the
-    adversary."""
+    """Every parameter's shape in a model of this kind, in draw order: per
+    modality its forward and backward GRU and attention, the GMU, the
+    trunk and hireability head, then the adversary."""
     half, w, t, proj = dims.gru_width // 2, dims.gru_width, dims.trunk_width, dims.att_proj
     shapes = {}
     for m in _active_modalities(modality):
@@ -138,11 +143,19 @@ class HireabilityModel:
         self.q = q
         self.k = k
         self.trained = False
-        self.params: dict[str, Node] = {}
-        rng = np.random.default_rng(seed)
-        self._build_trunk(rng)
-        for name, value in self._init_adversary_params(rng).items():
-            self.params[name] = ad.parameter(value)
+        p = self.params = ly.draw(np.random.default_rng(seed),
+                                  param_shapes(modality, variant, self.dims, q))
+        # the layers' views over the same Nodes, built once: fields are name suffixes
+        view = lambda cls, prefix: cls(**{f: p[prefix + f] for f in cls.__dataclass_fields__})
+        self.encoders = {m: (view(ly.GruParams, f"{m}.gru_fwd."),
+                             view(ly.GruParams, f"{m}.gru_bwd."))
+                         for m in self.active_modalities}
+        self.attentions = {m: view(ly.AttentionParams, f"{m}.att.")
+                           for m in self.active_modalities}
+        self.gmu = view(ly.GmuParams, "gmu.") if modality == "multimodal" else None
+        self.trunk1 = ly.DenseParams(p["W_1"], p["b_1"], "tanh")
+        self.trunk2 = ly.DenseParams(p["W_2"], p["b_2"], "tanh")
+        self.hire_head = ly.DenseParams(p["W_v"], p["b_v"], "sigmoid")
 
     # ------------------------------------------------------------- building
 
@@ -150,50 +163,14 @@ class HireabilityModel:
     def active_modalities(self) -> tuple[str, ...]:
         return _active_modalities(self.modality)
 
-    def _register(self, prefix: str, obj) -> None:
-        for fname, node in vars(obj).items():
-            if isinstance(node, Node):
-                self.params[f"{prefix}{fname}" if prefix else fname] = node
-
-    def _build_trunk(self, rng) -> None:
-        d = self.dims
-        half = d.gru_width // 2
-        self.encoders = {}
-        self.attentions = {}
-        for m in self.active_modalities:
-            fwd = ly.init_gru(rng, half, d.input_dims[m])
-            bwd = ly.init_gru(rng, half, d.input_dims[m])
-            att = ly.init_attention(rng, d.att_proj, d.gru_width)
-            self.encoders[m] = (fwd, bwd)
-            self.attentions[m] = att
-            self._register(f"{m}.gru_fwd.", fwd)
-            self._register(f"{m}.gru_bwd.", bwd)
-            self._register(f"{m}.att.", att)
-        self.gmu = None
-        if self.modality == "multimodal":
-            self.gmu = ly.init_gmu(rng, d.gru_width)
-            self._register("gmu.", self.gmu)
-        self.trunk1 = ly.init_dense(rng, d.trunk_width, d.gru_width, "tanh")
-        self.trunk2 = ly.init_dense(rng, d.trunk_width, d.trunk_width, "tanh")
-        self.hire_head = ly.init_dense(rng, 1, d.trunk_width, "sigmoid")
-        self.params.update({"W_1": self.trunk1.W, "b_1": self.trunk1.b,
-                            "W_2": self.trunk2.W, "b_2": self.trunk2.b,
-                            "W_v": self.hire_head.W, "b_v": self.hire_head.b})
-
     def _adversary_shapes(self) -> dict[str, tuple]:
         return adversary_shapes(self.variant, self.dims, self.q)
 
-    def _init_adversary_params(self, rng) -> dict[str, np.ndarray]:
-        """Fresh adversarial weights: Glorot draws for W_*, zeros for b_*."""
-        return {name: ly.glorot(rng, *shape) if name.startswith("W_") else np.zeros(shape)
-                for name, shape in self._adversary_shapes().items()}
-
     def reinit_adversary(self, seed: int) -> None:
-        """Overwrite adversarial weights with a fresh seeded draw, in place."""
-        fresh = self._init_adversary_params(np.random.default_rng(seed))
-        for name, value in fresh.items():
+        """Overwrite adversarial weights with a fresh layers.draw from seed, in place."""
+        for name, fresh in ly.draw(np.random.default_rng(seed), self._adversary_shapes()).items():
             node = self.params[name]
-            node.value[...] = value
+            node.value[...] = fresh.value
             node.zero_grad()
 
     # ---------------------------------------------------------- partitions
@@ -396,20 +373,15 @@ def load_model(path) -> HireabilityModel:
     """Read a save_model file, bit-exact.
 
     Any fault in the file raises ContractError naming the path, and the
-    field or parameter where there is one: an unreadable or non-JSON file,
-    a document that is not an object with exactly save_model's keys, a
-    header or dims field that check_fields refuses (a width must be a
-    positive int, gru_width an even one), a parameter set or shape other
-    than the model's, a data length that does not fit the shape, or a
-    value that is not a finite hex float string.
+    field or parameter where there is one: an unreadable or non-JSON file
+    or one that repeats a key, a document that is not an object with
+    exactly save_model's keys, a header or dims field that check_fields
+    refuses (a width must be a positive int, gru_width an even one), a
+    parameter set or shape other than the model's, a data length that
+    does not fit the shape, or a value that is not a finite hex float
+    string.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ContractError(f"{path}: cannot read ({e.strerror})")
-    except ValueError as e:   # a JSON decode or text decode error
-        raise ContractError(f"{path}: not a JSON file ({e})")
+    doc = read_json(path, ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "fairavi-model-v1":
         raise ContractError(f"{path}: not a recognized model file")
     try:

@@ -85,6 +85,8 @@ class TrainConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.k < 2:
             raise ConfigError(f"k must be at least 2, got {self.k}")
+        if self.face_targets is not None and self.variant != "static-faces":
+            raise ConfigError(f"face_targets is read only by static-faces, not {self.variant}")
         return self
 
 

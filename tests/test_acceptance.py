@@ -18,8 +18,8 @@ from fairavi import evaluation as ev
 from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.model import (HireabilityModel, ModelDims, NegativeSamplingBatch,
-                           predict)
-from tests.conftest import tiny_dims, tiny_generator_config
+                           adversary_shapes, predict)
+from tests.conftest import layer_params, tiny_dims, tiny_generator_config
 from tests.test_evaluation import brute_force_auc
 
 
@@ -71,7 +71,7 @@ def _head_case(variant, q=2):
 
 def _bigru_case(seed):
     r = np.random.default_rng(seed)
-    fwd, bwd = ly.init_gru(r, 2, 2), ly.init_gru(r, 2, 2)
+    fwd, bwd = layer_params(r, ly.GruParams, 2, 2), layer_params(r, ly.GruParams, 2, 2)
     x = 0.5 * r.standard_normal((1, 2, 2))
     params = {}
     for tag, p in (("f", fwd), ("b", bwd)):
@@ -248,9 +248,10 @@ def test_criterion_6_training_state_machine():
                          "joint", "adv-refit"]
     assert any(not np.array_equal(captured["pre"][n], captured["post"][n])
                for n in captured["pre"])
-    fresh = model._init_adversary_params(np.random.default_rng(captured["seed"]))
+    fresh = ly.draw(np.random.default_rng(captured["seed"]),
+                    adversary_shapes(model.variant, model.dims, model.q))
     for n, v in fresh.items():
-        assert np.array_equal(captured["post"][n], v), n
+        assert np.array_equal(captured["post"][n], v.value), n
     report(6, "phase tags follow pretrain-main, pretrain-adv, then "
               "(joint, reinit, adv-refit) x 2; reinit matches the seeded draw")
 

@@ -8,7 +8,7 @@ from fairavi import cli
 from fairavi import evaluation as ev
 from fairavi import training as tr
 from fairavi.data import generate_synthetic, load_jsonl, split_group_disjoint
-from fairavi.model import VARIANTS, HireabilityModel
+from fairavi.model import VARIANTS, HireabilityModel, save_model
 from tests.conftest import TINY_DIM, TINY_SEQ, tiny_dims, tiny_generator_config
 
 
@@ -212,22 +212,40 @@ class TestTrain:
         assert strip(outs[0]) == strip(outs[1])
 
 
+def targets_argv(tmp_path, dataset_path, variant, source):
+    """A train command given a face-target file by flag or in its --config."""
+    rng = np.random.default_rng(3)
+    lookup = {s.video_id: rng.standard_normal(2).tolist() for s in load_jsonl(dataset_path)}
+    targets = tmp_path / "faces.json"
+    targets.write_text(json.dumps(lookup))
+    in_config = {"face_targets": str(targets)} if source == "config" else {}
+    tcfg = write_train_config(tmp_path / "t.json", **in_config)
+    return (["train", "--data", str(dataset_path), "--variant", variant, "--modality",
+             "language", "--face-dim", "2", "--config", str(tcfg),
+             "--out", str(tmp_path / "model.json")]
+            + ["--face-targets", str(targets)] * (not in_config)), targets
+
+
 class TestFaceTargets:
-    def test_external_embeddings_accepted(self, tmp_path, dataset_path):
-        data = load_jsonl(dataset_path)
-        rng = np.random.default_rng(3)
-        lookup = {s.video_id: rng.standard_normal(2).tolist() for s in data}
-        targets = tmp_path / "faces.json"
-        targets.write_text(json.dumps(lookup))
-        tcfg = write_train_config(tmp_path / "t.json")
-        out = tmp_path / "model.json"
-        code = cli.main(["train", "--data", str(dataset_path), "--variant",
-                         "static-faces", "--modality", "language", "--face-dim", "2",
-                         "--face-targets", str(targets), "--config", str(tcfg),
-                         "--out", str(out)])
-        assert code == 0
+    def test_external_embeddings_accepted(self, tmp_path, dataset_path, source="flag"):
+        argv, targets = targets_argv(tmp_path, dataset_path, "static-faces", source)
+        assert cli.main(argv) == 0
         manifest = json.loads((tmp_path / "model.json.manifest.json").read_text())
         assert manifest["config"]["face_targets"] == str(targets)
+
+    def test_config_file_embeddings_accepted(self, tmp_path, dataset_path):
+        # the file's face_targets meets the --variant flag before validation
+        self.test_external_embeddings_accepted(tmp_path, dataset_path, "config")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "static-faces"])
+    def test_refused_for_other_variants(self, tmp_path, dataset_path, capsys, variant,
+                                        source):
+        argv, _ = targets_argv(tmp_path, dataset_path, variant, source)
+        assert cli.main(argv) == 2
+        assert f"face_targets is read only by static-faces, not {variant}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("fault", ["truncated", "not-a-number", "nan"])
     def test_bad_file_exits_3_naming_it(self, tmp_path, dataset_path, capsys, fault):
@@ -441,6 +459,42 @@ class TestInputFiles:
         code, err = self._run(capsys, ["gen", "--config", str(missing), "--out",
                                        str(tmp_path / "d.jsonl")])
         assert code == 2 and f"--config {missing}" in err
+
+
+class TestRepeatedKeys:
+    """json.load keeps the last of two equal keys; a JSON input file that
+    repeats one exits 2 (--config) or 3 (model, face targets), naming the
+    file and the key."""
+
+    def _run(self, capsys, argv, path, key):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert str(path) in err and f"key {key!r} is repeated" in err, err
+        return code
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"n": 40, "seed": 1, "n": 5}', "n"),
+        ('{"seq_len": {"language": 3, "audio": 4, "video": 3, "audio": 2}}', "audio")])
+    def test_config(self, tmp_path, capsys, text, key):
+        cfg, out = tmp_path / "gen.json", tmp_path / "d.jsonl"
+        cfg.write_text(text)
+        assert self._run(capsys, ["gen", "--config", str(cfg), "--out", str(out)],
+                         cfg, key) == 2
+        assert not out.exists()
+
+    def test_model_file(self, tmp_path, dataset_path, capsys):
+        model = tmp_path / "m.json"
+        save_model(HireabilityModel("language", "unprotected", tiny_dims()), model)
+        model.write_text('{"trained": true,' + model.read_text()[1:])
+        argv = ["probe", "--model", str(model), "--data", str(dataset_path),
+                "--target", "gender", "--out-dir", str(tmp_path / "report")]
+        assert self._run(capsys, argv, model, "trained") == 3
+
+    def test_face_target_file(self, tmp_path, dataset_path, capsys):
+        argv, targets = targets_argv(tmp_path, dataset_path, "static-faces", "flag")
+        first = load_jsonl(dataset_path)[0].video_id
+        targets.write_text(f'{{"{first}": [0.0, 0.0], ' + targets.read_text()[1:])
+        assert self._run(capsys, argv, targets, first) == 3
 
 
 class TestProbe:

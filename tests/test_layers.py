@@ -5,10 +5,16 @@ from hypothesis import strategies as st
 
 from fairavi import autodiff as ad
 from fairavi import layers as ly
+from tests.conftest import layer_params
 
 
 def rng_of(seed):
     return np.random.default_rng(seed)
+
+
+def gru_pair(rng, h, d):
+    """Forward, then backward GRU parameters."""
+    return layer_params(rng, ly.GruParams, h, d), layer_params(rng, ly.GruParams, h, d)
 
 
 def scalar_gru_oracle(p, x, h):
@@ -17,7 +23,7 @@ def scalar_gru_oracle(p, x, h):
     W_r, W_z, W_h = p.W_r.value, p.W_z.value, p.W_h.value
     U_r, U_z, U_h = p.U_r.value, p.U_z.value, p.U_h.value
     b_r, b_z, b_h = p.b_r.value, p.b_z.value, p.b_h.value
-    H = p.hidden
+    H = p.U_r.value.shape[0]
     r = np.array([sig(W_r[i] @ x + U_r[i] @ h + b_r[i]) for i in range(H)])
     z = np.array([sig(W_z[i] @ x + U_z[i] @ h + b_z[i]) for i in range(H)])
     hhat = np.array([np.tanh(W_h[i] @ x + U_h[i] @ (r * h) + b_h[i]) for i in range(H)])
@@ -34,9 +40,10 @@ def gru_step(p, x_t, h_prev):
     h_t = (1 - z)*h_prev + z*hhat
     """
     x_t, h_prev = ad.constant(x_t), ad.constant(h_prev)
-    if h_prev.value.shape != (x_t.value.shape[0], p.hidden):
+    hidden = p.U_r.value.shape[0]
+    if h_prev.value.shape != (x_t.value.shape[0], hidden):
         raise ad.ShapeMismatch(f"gru_step: state {h_prev.value.shape} does not fit "
-                               f"input {x_t.value.shape} and hidden width {p.hidden}")
+                               f"input {x_t.value.shape} and hidden width {hidden}")
     px = {g: ad.linear(x_t, W, b) for g, W, b in
           (("r", p.W_r, p.b_r), ("z", p.W_z, p.b_z), ("h", p.W_h, p.b_h))}
     return gru_mix(p, px, h_prev)
@@ -108,19 +115,19 @@ class TestDense:
 
     def test_random_layer_matches_hand_evaluation(self):
         rng = rng_of(1)
-        p = ly.init_dense(rng, 3, 4, "tanh")
+        p = layer_params(rng, ly.DenseParams, 3, 4, activation="tanh")
         x = rng.standard_normal(4)
         expected = np.tanh(p.W.value @ x + p.b.value)
         assert np.allclose(ly.dense_forward(p, x[None]).value, expected[None], atol=1e-14)
 
     def test_width_mismatch(self):
-        p = ly.init_dense(rng_of(0), 3, 4)
+        p = layer_params(rng_of(0), ly.DenseParams, 3, 4)
         with pytest.raises(ad.ShapeMismatch, match="dense"):
             ly.dense_forward(p, np.zeros((1, 5)))
 
     def test_batched_equals_rowwise(self):
         rng = rng_of(2)
-        p = ly.init_dense(rng, 3, 4, "sigmoid")
+        p = layer_params(rng, ly.DenseParams, 3, 4, activation="sigmoid")
         xs = rng.standard_normal((5, 4))
         batched = ly.dense_forward(p, xs).value
         rows = np.concatenate([ly.dense_forward(p, x[None]).value for x in xs])
@@ -129,7 +136,7 @@ class TestDense:
 
 class TestGruStep:
     def test_all_zero_params_halve_hidden(self):
-        p = ly.init_gru(rng_of(0), 4, 3)
+        p = layer_params(rng_of(0), ly.GruParams, 4, 3)
         for node in (p.W_r, p.W_z, p.W_h, p.U_r, p.U_z, p.U_h):
             node.value[...] = 0.0
         v = rng_of(1).standard_normal(4)
@@ -138,7 +145,7 @@ class TestGruStep:
 
     def test_saturated_update_gate_returns_candidate(self):
         rng = rng_of(3)
-        p = ly.init_gru(rng, 4, 3)
+        p = layer_params(rng, ly.GruParams, 4, 3)
         p.b_z.value[...] = 50.0  # z ~= 1 so h_t ~= hhat
         x, h = rng.standard_normal(3), rng.standard_normal(4)
         out = gru_step(p, x[None], h[None]).value[0]
@@ -149,7 +156,7 @@ class TestGruStep:
     def test_matches_scalar_oracle(self):
         rng = rng_of(4)
         for seed in range(10):
-            p = ly.init_gru(rng_of(100 + seed), 5, 3)
+            p = layer_params(rng_of(100 + seed), ly.GruParams, 5, 3)
             x, h = rng.standard_normal(3), rng.standard_normal(5)
             assert np.allclose(gru_step(p, x[None], h[None]).value[0],
                                scalar_gru_oracle(p, x, h), atol=1e-12)
@@ -157,14 +164,14 @@ class TestGruStep:
     def test_bounded_hidden_state(self):
         rng = rng_of(5)
         for seed in range(20):
-            p = ly.init_gru(rng_of(200 + seed), 4, 3)
+            p = layer_params(rng_of(200 + seed), ly.GruParams, 4, 3)
             x = 3 * rng.standard_normal(3)
             h = rng.uniform(-1, 1, 4)
             out = gru_step(p, x[None], h[None]).value
             assert (np.abs(out) <= 1.0 + 1e-12).all()
 
     def test_width_mismatch(self):
-        p = ly.init_gru(rng_of(0), 4, 3)
+        p = layer_params(rng_of(0), ly.GruParams, 4, 3)
         with pytest.raises(ad.ShapeMismatch):
             gru_step(p, np.zeros((1, 7)), np.zeros((1, 4)))
 
@@ -172,7 +179,7 @@ class TestGruStep:
 class TestBigru:
     def test_single_step_sequence(self):
         rng = rng_of(6)
-        fwd, bwd = ly.init_gru(rng, 3, 2), ly.init_gru(rng, 3, 2)
+        fwd, bwd = gru_pair(rng, 3, 2)
         x = rng.standard_normal((1, 2))
         out = ly.bigru_encode(fwd, bwd, x[None]).value
         f = gru_step(fwd, x, np.zeros((1, 3))).value
@@ -181,13 +188,13 @@ class TestBigru:
 
     def test_output_shape_total_width(self):
         rng = rng_of(7)
-        fwd, bwd = ly.init_gru(rng, 8, 5), ly.init_gru(rng, 8, 5)
+        fwd, bwd = gru_pair(rng, 8, 5)
         out = ly.bigru_encode(fwd, bwd, rng.standard_normal((20, 5))[None])
         assert out.value.shape == (1, 20, 16)
 
     def test_matches_stepwise_loop(self):
         rng = rng_of(8)
-        fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
+        fwd, bwd = gru_pair(rng, 4, 3)
         x = rng.standard_normal((6, 3))[None]
         out = ly.bigru_encode(fwd, bwd, x).value
         h = np.zeros((1, 4))
@@ -206,7 +213,7 @@ class TestBigru:
 
     def test_reversal_symmetry_with_shared_params(self):
         rng = rng_of(9)
-        p = ly.init_gru(rng, 3, 2)
+        p = layer_params(rng, ly.GruParams, 3, 2)
         x = rng.standard_normal((5, 2))[None]
         fwd_rev = ly.bigru_encode(p, p, x[:, ::-1].copy()).value
         enc = ly.bigru_encode(p, p, x).value
@@ -215,7 +222,7 @@ class TestBigru:
 
     def test_empty_sequence_rejected(self):
         rng = rng_of(0)
-        fwd, bwd = ly.init_gru(rng, 3, 2), ly.init_gru(rng, 3, 2)
+        fwd, bwd = gru_pair(rng, 3, 2)
         with pytest.raises(ad.ShapeMismatch, match="empty"):
             ly.bigru_encode(fwd, bwd, np.zeros((1, 0, 2)))
 
@@ -234,11 +241,11 @@ class TestBigru:
         # training batches: B=32 clips of its (T, d) per modality; the last
         # is audio's 512-clip inference chunk.
         rng = rng_of(20 + T)
-        fwd, bwd = ly.init_gru(rng, h, d), ly.init_gru(rng, h, d)
+        fwd, bwd = gru_pair(rng, h, d)
         x = (ad.parameter if x_grad else ad.constant)(rng.standard_normal((B, T, d)))
         weight = ad.constant(rng.standard_normal((B, T, 2 * h)))
         params = {f"{tag}.{k}": v for tag, p in (("f", fwd), ("b", bwd))
-                  for k, v in vars(p).items() if k != "hidden"}
+                  for k, v in vars(p).items()}
         grads = dict(params, x=x) if x_grad else params
 
         def tape_sequence(p, reverse):
@@ -267,7 +274,7 @@ class TestBigru:
 
     def test_one_tape_node_per_encoder(self):
         rng = rng_of(3)
-        fwd, bwd = ly.init_gru(rng, 4, 3), ly.init_gru(rng, 4, 3)
+        fwd, bwd = gru_pair(rng, 4, 3)
         out = ly.bigru_encode(fwd, bwd, rng.standard_normal((2, 6, 3)))
         assert out.op == "gru" and out.value.shape == (2, 6, 8)
         ops = sorted(n.op for n in ad.topo_order(out) if n.parents)
@@ -277,7 +284,7 @@ class TestBigru:
 class TestAttention:
     def test_identical_rows_give_uniform_weights(self):
         rng = rng_of(10)
-        p = ly.init_attention(rng, 4, 3)
+        p = layer_params(rng, ly.AttentionParams, 4, 3)
         v = rng.standard_normal(3)
         z = np.tile(v, (1, 6, 1))
         o, alpha = ly.attention_pool(p, z)
@@ -286,7 +293,7 @@ class TestAttention:
 
     def test_saturated_score_selects_row(self):
         rng = rng_of(11)
-        p = ly.init_attention(rng, 4, 3)
+        p = layer_params(rng, ly.AttentionParams, 4, 3)
         z = rng.standard_normal((5, 3))
         # craft u_p so row 2's score dominates by ~50
         u = np.tanh(z @ p.W_A.value.T + p.b.value)
@@ -301,7 +308,7 @@ class TestAttention:
         rng = rng_of(12)
         for seed in range(25):
             r = rng_of(300 + seed)
-            p = ly.init_attention(r, 4, 3)
+            p = layer_params(r, ly.AttentionParams, 4, 3)
             z = r.standard_normal((7, 3))
             o, alpha = ly.attention_pool(p, z[None])
             assert (alpha.value >= 0).all()
@@ -316,7 +323,7 @@ class TestAttention:
         # B=25 is the last partial batch of 1,401 training clips, B=512 the
         # inference chunk; T=12, 25 and 20 are language, audio and video.
         rng = rng_of(40 + T)
-        p = ly.init_attention(rng, 30, 16)
+        p = layer_params(rng, ly.AttentionParams, 30, 16)
         p.b.value[...] = rng.standard_normal(30)
         z = (ad.parameter if z_grad else ad.constant)(rng.standard_normal((B, T, 16)))
         params = {f"att.{k}": v for k, v in vars(p).items()}
@@ -327,7 +334,7 @@ class TestAttention:
 
     def test_one_tape_node_per_attention(self):
         rng = rng_of(3)
-        p = ly.init_attention(rng, 4, 3)
+        p = layer_params(rng, ly.AttentionParams, 4, 3)
         z = ad.parameter(rng.standard_normal((2, 6, 3)))
         o, alpha = ly.attention_pool(p, z)
         assert o.op == "attention" and o.parents == (z, p.W_A, p.b, p.u_p)
@@ -338,7 +345,7 @@ class TestAttention:
     @given(st.integers(0, 10 ** 6), st.integers(1, 9), st.floats(0.1, 20))
     def test_weights_normalized_property(self, seed, t_len, scale):
         r = rng_of(seed)
-        p = ly.init_attention(r, 3, 2)
+        p = layer_params(r, ly.AttentionParams, 3, 2)
         z = scale * r.standard_normal((1, t_len, 2))
         _, alpha = ly.attention_pool(p, z)
         assert (alpha.value >= 0).all()
@@ -348,7 +355,7 @@ class TestAttention:
 class TestGmu:
     def fused(self, seed, width=4):
         r = rng_of(seed)
-        p = ly.init_gmu(r, width)
+        p = layer_params(r, ly.GmuParams, width)
         oa, ol, ov = (r.standard_normal((1, width)) for _ in range(3))
         return p, oa, ol, ov
 
@@ -384,7 +391,7 @@ class TestGmu:
     @pytest.mark.parametrize("B", [1, 25, 32, 512])
     def test_fused_gmu_matches_tape_bitwise(self, B, o_grad):
         rng = rng_of(60 + B)
-        p = ly.init_gmu(rng, 16)
+        p = layer_params(rng, ly.GmuParams, 16)
         os = [(ad.parameter if o_grad else ad.constant)(rng.standard_normal((B, 16)))
               for _ in range(3)]
         params = {f"gmu.{k}": v for k, v in vars(p).items()}
@@ -410,14 +417,15 @@ class TestGmu:
 
 # each layer's former single-sample form, which only batches now replace
 UNBATCHED_CALLS = {
-    "dense_forward": lambda r: ly.dense_forward(ly.init_dense(r, 3, 4), r.standard_normal(4)),
-    "gru_step": lambda r: gru_step(ly.init_gru(r, 4, 3), r.standard_normal(3),
+    "dense_forward": lambda r: ly.dense_forward(layer_params(r, ly.DenseParams, 3, 4),
+                                                r.standard_normal(4)),
+    "gru_step": lambda r: gru_step(layer_params(r, ly.GruParams, 4, 3), r.standard_normal(3),
                                       r.standard_normal(4)),
-    "bigru_encode": lambda r: ly.bigru_encode(ly.init_gru(r, 3, 2), ly.init_gru(r, 3, 2),
+    "bigru_encode": lambda r: ly.bigru_encode(*gru_pair(r, 3, 2),
                                               r.standard_normal((5, 2))),
-    "attention_pool": lambda r: ly.attention_pool(ly.init_attention(r, 4, 3),
+    "attention_pool": lambda r: ly.attention_pool(layer_params(r, ly.AttentionParams, 4, 3),
                                                   r.standard_normal((6, 3))),
-    "gmu_fuse": lambda r: ly.gmu_fuse(ly.init_gmu(r, 4),
+    "gmu_fuse": lambda r: ly.gmu_fuse(layer_params(r, ly.GmuParams, 4),
                                       *(r.standard_normal(4) for _ in range(3))),
 }
 
@@ -501,7 +509,7 @@ def _dense_case(r):
 
 def _gru_case(r):
     x, h = r.standard_normal((2, 2)), r.standard_normal((2, 3))
-    fn = lambda lv: ad.sum_(gru_step(ly.GruParams(*lv, hidden=3),
+    fn = lambda lv: ad.sum_(gru_step(ly.GruParams(*lv),
                                         ad.constant(x), ad.constant(h)))
     point = ([r.standard_normal((3, 2)) for _ in range(3)]
              + [r.standard_normal((3, 3)) for _ in range(3)]
@@ -513,7 +521,7 @@ def _bigru_case(r):
     weight = r.standard_normal((2, 3, 6))
 
     def fn(lv):
-        fwd, bwd = ly.GruParams(*lv[:9], hidden=3), ly.GruParams(*lv[9:18], hidden=3)
+        fwd, bwd = ly.GruParams(*lv[:9]), ly.GruParams(*lv[9:18])
         return ad.sum_(ad.mul(ly.bigru_encode(fwd, bwd, lv[18]), ad.constant(weight)))
 
     point = [r.standard_normal(shape) for _ in range(2)

@@ -9,8 +9,9 @@ from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ContractError
 from fairavi.model import (CHUNK, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
-                           NegativeSamplingBatch, batch_sequences, infer, load_model,
-                           modality_contributions, param_shapes, predict, save_model)
+                           NegativeSamplingBatch, adversary_shapes, batch_sequences, infer,
+                           load_model, modality_contributions, param_shapes, predict,
+                           save_model)
 
 TINY = ModelDims(input_dims={"language": 3, "audio": 4, "video": 2},
                  gru_width=4, att_proj=3, trunk_width=3,
@@ -386,9 +387,9 @@ class TestPersistence:
         m.reinit_adversary(12345)
         after = m.snapshot(m.theta_a())
         assert any(not np.array_equal(before[n], after[n]) for n in before)
-        fresh = m._init_adversary_params(np.random.default_rng(12345))
+        fresh = ly.draw(np.random.default_rng(12345), adversary_shapes(m.variant, TINY, 2))
         for n in after:
-            assert np.array_equal(after[n], fresh[n]), n
+            assert np.array_equal(after[n], fresh[n].value), n
 
     def test_adversary_names_and_order_pinned(self):
         # names are part of the model file format; theta_a order fixes the
@@ -408,9 +409,9 @@ class TestPersistence:
         # W_* are Glorot draws in table order, b_* start at zero
         m = HireabilityModel("language", "static-faces", TINY, q=2, seed=0)
         rng = np.random.default_rng(7)
-        expected = {"W_5": ly.glorot(rng, 3, 3), "b_5": np.zeros(3),
-                    "W_6": ly.glorot(rng, 2, 3), "b_6": np.zeros(2)}
-        fresh = m._init_adversary_params(np.random.default_rng(7))
-        assert list(fresh) == list(expected)
+        expected = {"W_5": ly.glorot(rng, (3, 3)), "b_5": np.zeros(3),
+                    "W_6": ly.glorot(rng, (2, 3)), "b_6": np.zeros(2)}
+        m.reinit_adversary(7)
+        assert list(m.theta_a()) == list(expected)
         for n, v in expected.items():
-            assert np.array_equal(fresh[n], v), n
+            assert np.array_equal(m.params[n].value, v), n

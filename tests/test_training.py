@@ -7,7 +7,7 @@ from fairavi import autodiff as ad
 from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ConfigError, ContractError
-from fairavi.model import HireabilityModel
+from fairavi.model import VARIANTS, HireabilityModel, adversary_shapes
 from tests.conftest import tiny_dims
 
 
@@ -314,9 +314,10 @@ class TestTrainAlternating:
         tr.train_alternating(cfg, model, tiny_dataset, observer=observer)
         pre, post = captured["pre_reset"], captured["post_reset"]
         assert any(not np.array_equal(pre[n], post[n]) for n in pre)
-        fresh = model._init_adversary_params(np.random.default_rng(captured["seed"]))
+        fresh = ly.draw(np.random.default_rng(captured["seed"]),
+                        adversary_shapes(model.variant, model.dims, model.q))
         for n, v in fresh.items():
-            assert np.array_equal(post[n], v), n
+            assert np.array_equal(post[n], v.value), n
 
     def test_lambda_zero_matches_detached_step(self, tiny_dataset):
         train = [s for s in tiny_dataset if s.split == "train"]
@@ -422,6 +423,16 @@ class TestTrainAlternating:
         with pytest.raises(ContractError, match=match):
             tr.train_alternating(short_cfg(variant=variant, **kw), model, tiny_dataset,
                                  observer=lambda e, p: events.append(e))
+        assert events == []
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "static-faces"])
+    def test_face_targets_refused_unless_static_faces(self, tiny_dataset, variant):
+        # only static-faces reads them: elsewhere they would train unread
+        model = HireabilityModel("multimodal", variant, tiny_dims(), seed=0)
+        events = []
+        with pytest.raises(ConfigError, match=f"face_targets .* not {variant}"):
+            tr.train_alternating(short_cfg(variant=variant, face_targets="faces.json"),
+                                 model, tiny_dataset, observer=lambda e, p: events.append(e))
         assert events == []
 
     def test_alternate_rejects_nan_lambda(self, tiny_dataset):

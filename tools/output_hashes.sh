@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Print short hashes of two generated corpora and of the outputs of seven
+# Print short hashes of two generated corpora and of the outputs of ten
 # small train + probe runs.
 #
 #   tools/output_hashes.sh <repo-root> <workdir>
@@ -11,14 +11,15 @@
 # digits of the sha256 of the saved model, its epoch log without the
 # seconds column, the probe's metrics.csv and report.md, the train
 # command's stdout and the model's `contributions` CSV over the test
-# split.  Every path a command sees is relative, so two checkouts that
+# split (`-` for a single-modality model, which has none).  Every path a command sees is relative, so two checkouts that
 # compute the same bytes print the same rows: run it on a parent and on a
 # change to check that the change kept the outputs byte-identical.
 #
 # The corpus is acceptance criterion 11's generator config (n=160,
 # seed 11), the training schedule criterion 11's with max_outer 2.  Each
-# config runs `train --modality multimodal --lambda 2`, then `probe` and
-# `contributions`.  The external face targets of `static-faces-file` are
+# config runs `train --lambda 2` on its modality, then `probe` and, for a
+# multimodal model, `contributions`: seven multimodal configs, then one
+# per single modality.  The external face targets of `static-faces-file` are
 # the first two coordinates of each candidate's face vector in the corpus.
 set -euo pipefail
 
@@ -53,33 +54,38 @@ rows = (json.loads(line) for line in open(sys.argv[1]))
 json.dump({r["video_id"]: r["face"][:2] for r in rows}, sys.stdout, sort_keys=True)
 PY
 
-# name, corpus, probe target, train flags
-while read -r name corpus target flags; do
+# name, corpus, probe target, modality, train flags
+while read -r name corpus target modality flags; do
     rm -rf "$name"
     mkdir "$name"
     (
         cd "$name"
         # shellcheck disable=SC2086  # flags is a word list
-        fairavi train --data "../$corpus.jsonl" --modality multimodal --lambda 2 \
+        fairavi train --data "../$corpus.jsonl" --modality "$modality" --lambda 2 \
             --config ../train.json --out model.json $flags > train.out
         fairavi probe --model model.json --data "../$corpus.jsonl" --target "$target" \
             --out-dir probe > /dev/null
-        fairavi contributions --model model.json --data "../$corpus.jsonl" \
-            --out contributions.csv > /dev/null
+        if [ "$modality" = multimodal ]; then
+            fairavi contributions --model model.json --data "../$corpus.jsonl" \
+                --out contributions.csv > /dev/null
+        fi
         printf '%-22s %s %s %s %s %s %s\n' "$name" \
             "$(h8 < model.json)" \
             "$(sed 's/,[^,]*$//' model.json.log.csv | h8)" \
             "$(h8 < probe/metrics.csv)" \
             "$(h8 < probe/report.md)" \
             "$(h8 < train.out)" \
-            "$(h8 < contributions.csv)"
+            "$(if [ "$modality" = multimodal ]; then h8 < contributions.csv; else echo -; fi)"
     )
 done <<'CONFIGS'
-unprotected            binary  gender    --variant unprotected
-supervised-gender      binary  gender    --variant supervised-gender
-static-faces-q2        binary  gender    --variant static-faces --face-dim 2
-static-faces-q16       binary  gender    --variant static-faces --face-dim 16
-static-faces-file      binary  gender    --variant static-faces --face-dim 2 --face-targets ../faces-q2.json
-negative-sampling-k3   binary  gender    --variant negative-sampling --k 3
-supervised-ethnicity   ternary ethnicity --variant supervised-ethnicity
+unprotected            binary  gender    multimodal --variant unprotected
+supervised-gender      binary  gender    multimodal --variant supervised-gender
+static-faces-q2        binary  gender    multimodal --variant static-faces --face-dim 2
+static-faces-q16       binary  gender    multimodal --variant static-faces --face-dim 16
+static-faces-file      binary  gender    multimodal --variant static-faces --face-dim 2 --face-targets ../faces-q2.json
+negative-sampling-k3   binary  gender    multimodal --variant negative-sampling --k 3
+supervised-ethnicity   ternary ethnicity multimodal --variant supervised-ethnicity
+language-supervised    binary  gender    language   --variant supervised-gender
+audio-static-faces     binary  gender    audio      --variant static-faces --face-dim 2
+video-negative-k3      binary  gender    video      --variant negative-sampling --k 3
 CONFIGS
