@@ -125,11 +125,11 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _build_train_config(args) -> TrainConfig:
-    flags = {attr: getattr(args, flag, None) for flag, attr in (
-        ("variant", "variant"), ("modality", "modality"), ("lam", "lam"),
-        ("face_dim", "q"), ("k", "k"), ("face_targets", "face_targets"))}
-    return _load_config(TrainConfig, args.config, args.seed,
-                        {attr: v for attr, v in flags.items() if v is not None})
+    flags = {attr: v for flag, attr in (("variant", "variant"), ("modality", "modality"),
+                                        ("lam", "lam"), ("face_dim", "q"), ("k", "k"),
+                                        ("face_targets", "face_targets"))
+             if (v := getattr(args, flag, None)) is not None}
+    return _load_config(TrainConfig, args.config, args.seed, flags)
 
 
 def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:
