@@ -15,8 +15,9 @@ that entered it: another thread keeps recording.
 The op set covers what the network needs: the affine map ``linear``,
 (broadcast) add, subtract, Hadamard product, tanh, sigmoid, softmax over
 the last axis, log, clip, sum, mean, slicing, reshape, the L2 penalty
-``l2`` and the gradient reversal node ``grl``.  ``matmul`` and ``concat``
-serve only the tests' tape oracles of the fused layer nodes.
+``l2`` and the gradient reversal node ``grl``.  ``logistic`` is the one
+value-level logistic function: ``sigmoid``, the fused GMU gates, the data
+generator and the probes all compute it.
 """
 
 from __future__ import annotations
@@ -77,9 +78,6 @@ class Node:
 
     def __repr__(self):
         return f"Node(op={self.op!r}, shape={self.value.shape}, requires_grad={self.requires_grad})"
-
-    def __getitem__(self, idx):
-        return slice_(self, idx)
 
 
 @contextmanager
@@ -163,21 +161,6 @@ def mul(a, b) -> Node:
     return Node(_combine(np.multiply, a, b), (a, b), op="mul", backward=backward)
 
 
-def matmul(a, b) -> Node:
-    """2-D matrix product."""
-    a, b = constant(a), constant(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeMismatch(f"matmul: shapes {a.value.shape} and {b.value.shape} are not aligned")
-
-    def backward(g):
-        if a.requires_grad:
-            a.grad += g @ b.value.T
-        if b.requires_grad:
-            b.grad += a.value.T @ g
-
-    return Node(a.value @ b.value, (a, b), op="matmul", backward=backward)
-
-
 def linear(x, W, b=None) -> Node:
     """x @ W.T (+ b) for a 2-D batch x and a weight W stored [out, in]."""
     x, W = constant(x), constant(W)
@@ -229,11 +212,16 @@ def tanh(a) -> Node:
     return _unary(a, y, lambda g: g * (1.0 - y * y), op="tanh")
 
 
+def logistic(x):
+    """1 / (1 + exp(-x)) of an array; exp overflow on the far-negative tail
+    yields inf, so the value there is exactly 0.0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a) -> Node:
     a = constant(a)
-    # exp overflow on the far-negative tail yields inf -> exactly 0.0
-    with np.errstate(over="ignore"):
-        y = 1.0 / (1.0 + np.exp(-a.value))
+    y = logistic(a.value)
     return _unary(a, y, lambda g: g * y * (1.0 - y), op="sigmoid")
 
 
@@ -260,29 +248,6 @@ def softmax(a) -> Node:
 
 
 # ------------------------------------------------------------ shape ops
-
-def concat(nodes, axis: int = -1) -> Node:
-    nodes = [constant(n) for n in nodes]
-    if not nodes:
-        raise ShapeMismatch("concat: empty input list")
-    try:
-        value = np.concatenate([n.value for n in nodes], axis=axis)
-    except ValueError:
-        raise ShapeMismatch(
-            f"concat: shapes {[n.value.shape for n in nodes]} do not align on axis {axis}")
-    ax = axis if axis >= 0 else value.ndim + axis
-    sizes = [n.value.shape[ax] for n in nodes]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        sl = [slice(None)] * value.ndim
-        for n, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
-            if n.requires_grad:
-                sl[ax] = slice(start, stop)
-                n.grad += g[tuple(sl)]
-
-    return Node(value, tuple(nodes), op="concat", backward=backward)
-
 
 def reshape(a, shape) -> Node:
     a = constant(a)

@@ -4,8 +4,10 @@
     fairavi train          train one variant/modality, persist the model
     fairavi sweep          run the lambda grid and mark the selected value
     fairavi probe          diagnostic probes + fairness report for a model
-    fairavi audit          split overlap and per-group label-rate table
-    fairavi contributions  per-modality gated-vector norm summary (CSV)
+    fairavi audit          test clips whose video_id is in train, and the
+                           per-group label-rate table
+    fairavi contributions  per-modality gated-vector norm summary of one
+                           split (CSV)
 
 Exit codes: 0 success, 2 configuration error, 3 data/variant contract
 violation, 1 runtime failure.  A --data, --model or --face-targets file
@@ -286,7 +288,7 @@ def cmd_audit(args) -> int:
     if not dataset:
         raise ContractError("dataset is empty")
     split = {t: [s for s in dataset if s.split == t] for t in SPLITS}
-    overlap = ev.audit_overlap(split["train"], split["test"], key=args.key)
+    overlap = ev.audit_overlap(split["train"], split["test"])
     print(f"test/train group overlap: {overlap:.4f}")
     has_z = all(s.z is not None for s in dataset)
     lines = []
@@ -318,8 +320,7 @@ def cmd_audit(args) -> int:
             fh.write(f"overlap,{overlap!r}\n")
             for line in lines:
                 fh.write(line + "\n")
-        _write_manifest(args.out, "audit", {"key": args.key},
-                        None, [args.data], [args.out], _now())
+        _write_manifest(args.out, "audit", {}, None, [args.data], [args.out], _now())
     return 0
 
 
@@ -329,7 +330,9 @@ def cmd_contributions(args) -> int:
     started = _now()
     model = load_model(args.model)
     dataset = load_jsonl(args.data)
-    part = [s for s in dataset if s.split == args.split] or dataset
+    part = [s for s in dataset if s.split == args.split]
+    if not part:
+        raise ContractError(f"dataset has no {args.split!r} split")
     _, summary = modality_contributions(model, part)
     with atomic_write(args.out) as fh:
         fh.write("modality,mean,q25,median,q75\n")
@@ -388,14 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("audit", help="split overlap and initial-bias table")
     a.add_argument("--data", required=True)
-    a.add_argument("--key", default="video_id")
     a.add_argument("--out")
     a.set_defaults(fn=cmd_audit)
 
     c = sub.add_parser("contributions", help="per-modality GMU contribution norms")
     c.add_argument("--model", required=True)
     c.add_argument("--data", required=True)
-    c.add_argument("--split", default="test")
+    c.add_argument("--split", default="test", choices=SPLITS)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_contributions)
     return p

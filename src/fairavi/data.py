@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .errors import (MODALITIES, ConfigError, ContractError, NonNegativeInt, PositiveInt, Scale,
-                     check_fields)
+from .autodiff import logistic
+from .errors import (MODALITIES, AtLeastTwoInt, ConfigError, ContractError, NonNegativeInt,
+                     PositiveInt, Scale, check_fields)
 from .fileio import atomic_write, read_json
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
@@ -78,7 +79,7 @@ class GeneratorConfig:
     max_clips: int = 5                   # clips per video drawn uniformly in 1..max_clips
     seq_len: dict = field(default_factory=lambda: {"language": 12, "audio": 25, "video": 20})
     feat_dim: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
-    n_classes: int = 2
+    n_classes: AtLeastTwoInt = 2
     class_priors: tuple | None = None    # default: uniform
     bias: float = 0.8                    # beta: protected leak strength
     skill_scale: Scale = 2.5             # label-logit weight on the skill latent
@@ -95,8 +96,6 @@ class GeneratorConfig:
         check_fields(GeneratorConfig, vars(self))
         if not 0.0 <= self.bias <= 1.0:
             raise ConfigError(f"bias must be in [0, 1], got {self.bias}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be at least 2, got {self.n_classes}")
         if not 1 <= self.max_clips < 2 ** 63:     # rng.integers draws an int64
             raise ConfigError(f"max_clips must be in [1, 2**63), got {self.max_clips}")
         if len(r := self.split_ratios) != 3 or min(r) < 0 or abs(sum(r) - 1.0) > 1e-9:
@@ -118,11 +117,6 @@ class GeneratorConfig:
         if self.class_priors is None:
             return tuple(1.0 / self.n_classes for _ in range(self.n_classes))
         return tuple(float(p) for p in self.class_priors)
-
-
-def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 def generate_synthetic(cfg: GeneratorConfig) -> list[InterviewSample]:
@@ -153,7 +147,7 @@ def generate_synthetic(cfg: GeneratorConfig) -> list[InterviewSample]:
                 + cfg.identity_scale * rng.standard_normal(FACE_DIM)
                 + cfg.face_noise * rng.standard_normal(FACE_DIM))
         logit = cfg.skill_scale * skill + cfg.bias * cfg.leak_scale * leak[z]
-        p_hire = float(_sigmoid(np.array(logit)))
+        p_hire = float(logistic(np.array(logit)))
         for c in range(n_clips):
             seqs = {}
             for m in MODALITIES:
@@ -263,10 +257,6 @@ def apply_compressor(proj: FaceProjection, faces: np.ndarray) -> np.ndarray:
     single = faces.ndim == 1
     out = (np.atleast_2d(faces) - proj.mean) @ proj.components.T
     return out[0] if single else out
-
-
-def reconstruct(proj: FaceProjection, compressed: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(compressed) @ proj.components + proj.mean
 
 
 def load_face_targets(path, q: int) -> dict[str, np.ndarray]:

@@ -5,8 +5,8 @@ import dataclasses
 import sys
 
 MODALITIES = ("language", "audio", "video")
-NonNegativeInt = PositiveInt = PositiveEvenInt = int    # field annotations that carry a
-Scale = float                                           # range; RULES gives each one's test
+NonNegativeInt = PositiveInt = PositiveEvenInt = AtLeastTwoInt = int   # field annotations
+Scale = float                          # that carry a range; RULES gives each one's test
 
 
 class ConfigError(ValueError):
@@ -25,6 +25,7 @@ RULES = {   # annotation -> (test, what a value must be); float ranges in valida
     "NonNegativeInt": (_ints(0), "a non-negative int"),
     "PositiveInt": (_ints(1), "a positive int"),
     "PositiveEvenInt": (_ints(2, 2), "a positive even int"),
+    "AtLeastTwoInt": (_ints(2), "an int of at least 2"),
     "float": (lambda v: type(v) is float or _finite(v), "a number"),
     "Scale": (lambda v: _finite(v) and 0 <= v <= 1e6, "a number in [0, 1e6]"),
     "bool": (lambda v: type(v) is bool, "true or false"),

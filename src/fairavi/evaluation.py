@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import logistic
 from .errors import ContractError
 from .fileio import atomic_write
 from .model import HireabilityModel, predict
@@ -103,34 +104,14 @@ def disparate_impact(outcomes, groups, expected_groups=None) -> float:
     return di_from_rates(group_rates(outcomes, groups, expected_groups).values())
 
 
-def audit_overlap(train_samples, test_samples, key: str = "video_id") -> float:
-    """Fraction of test samples whose group appears in the train split."""
+def audit_overlap(train_samples, test_samples) -> float:
+    """Fraction of test samples whose candidate (video_id) appears in the
+    train split."""
     if not test_samples:
         raise UndefinedMetricError("overlap audit undefined: empty test split")
-    train_groups = {getattr(s, key) for s in train_samples}
-    shared = sum(1 for s in test_samples if getattr(s, key) in train_groups)
+    train_groups = {s.video_id for s in train_samples}
+    shared = sum(1 for s in test_samples if s.video_id in train_groups)
     return shared / len(test_samples)
-
-
-def naive_speaker_baseline(train_samples, test_samples, extra_samples=()) -> np.ndarray:
-    """Score each test clip by its candidate's mean train label; clips of
-    unseen candidates get the pooled train(+extra) mean label."""
-    if not train_samples:
-        raise ContractError("naive baseline requires a non-empty train split")
-    sums: dict = {}
-    for s in train_samples:
-        tot, cnt = sums.get(s.video_id, (0.0, 0))
-        sums[s.video_id] = (tot + s.y, cnt + 1)
-    pool = list(train_samples) + list(extra_samples)
-    fallback = float(np.mean([s.y for s in pool]))
-    out = np.empty(len(test_samples))
-    for i, s in enumerate(test_samples):
-        if s.video_id in sums:
-            tot, cnt = sums[s.video_id]
-            out[i] = tot / cnt
-        else:
-            out[i] = fallback
-    return out
 
 
 # ----------------------------------------------------------------- probing
@@ -159,11 +140,6 @@ class OvrProbe:
     strength: float
 
 
-def _sigmoid(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
 def _fit_logistic(h, targets, strengths, cfg: ProbeConfig) -> list[LogisticProbe]:
     """One regularized logistic regression per row of `targets` (R, n),
     row r at strength strengths[r], all rows fitted in one loop.
@@ -184,7 +160,7 @@ def _fit_logistic(h, targets, strengths, cfg: ProbeConfig) -> list[LogisticProbe
     w_out, b_out = np.empty_like(w), np.empty_like(b)
     live = np.arange(len(lam))           # output index of every row still fitting
     for _ in range(cfg.max_iter):
-        r = _sigmoid(np.matmul(h, w[:, :, None])[:, :, 0] + b[:, None]) - y
+        r = logistic(np.matmul(h, w[:, :, None])[:, :, 0] + b[:, None]) - y
         gw = np.matmul(h.T, r[:, :, None])[:, :, 0] / n
         gb = r.mean(axis=1)
         if cfg.penalty == "l2":
@@ -255,8 +231,8 @@ def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
 def probe_scores(probe, h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if isinstance(probe, OvrProbe):
-        return np.stack([_sigmoid(h @ p.w + p.b) for p in probe.probes], axis=1)
-    return _sigmoid(h @ probe.w + probe.b)
+        return np.stack([logistic(h @ p.w + p.b) for p in probe.probes], axis=1)
+    return logistic(h @ probe.w + probe.b)
 
 
 def diagnose(h_train, z_train, h_val, z_val, h_test, z_test,

@@ -295,8 +295,7 @@ def gmu_fuse(p: GmuParams, o_a, o_l, o_v):
     Wg = (p.W_agating, p.W_lgating, p.W_vgating)
     cat = np.concatenate([o.value for o in xs], axis=-1)
     proj = [np.tanh(o.value @ w.value.T) for o, w in zip(xs, W)]
-    with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
-        gates = [1.0 / (1.0 + np.exp(-(cat @ w.value.T))) for w in Wg]
+    gates = [ad.logistic(cat @ w.value.T) for w in Wg]
     contributions = [gt * pr for gt, pr in zip(gates, proj)]
 
     def backward(g):

@@ -31,7 +31,8 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import FACE_DIM
-from .errors import MODALITIES, ContractError, PositiveEvenInt, PositiveInt, check_fields
+from .errors import (MODALITIES, AtLeastTwoInt, ContractError, PositiveEvenInt, PositiveInt,
+                     check_fields)
 from .fileio import atomic_write, read_json
 
 VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
@@ -327,7 +328,7 @@ class _ModelFile:
     modality: str
     variant: str
     q: int
-    k: int
+    k: AtLeastTwoInt
     trained: bool
     dims: object
     params: object
@@ -376,10 +377,10 @@ def load_model(path) -> HireabilityModel:
     field or parameter where there is one: an unreadable or non-JSON file
     or one that repeats a key, a document that is not an object with
     exactly save_model's keys, a header or dims field that check_fields
-    refuses (a width must be a positive int, gru_width an even one), a
-    parameter set or shape other than the model's, a data length that
-    does not fit the shape, or a value that is not a finite hex float
-    string.
+    refuses (a width must be a positive int, gru_width an even one, k at
+    least 2), a parameter set or shape other than the model's, a data
+    length that does not fit the shape, or a value that is not a finite
+    hex float string.
     """
     doc = read_json(path, ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "fairavi-model-v1":

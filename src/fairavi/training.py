@@ -31,7 +31,7 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
-from .errors import ConfigError, ContractError, NonNegativeInt, check_fields
+from .errors import AtLeastTwoInt, ConfigError, ContractError, NonNegativeInt, check_fields
 from .fileio import atomic_write
 from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, NegativeSamplingBatch,
                     batch_sequences, check_kind, predict)
@@ -45,7 +45,7 @@ class TrainConfig:
     variant: str = "unprotected"
     modality: str = "multimodal"
     lam: float = 1.0
-    k: int = 5
+    k: AtLeastTwoInt = 5
     q: int = 2
     batch_size: int = 32
     lr_joint: float = 1e-4
@@ -83,8 +83,6 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.k < 2:
-            raise ConfigError(f"k must be at least 2, got {self.k}")
         if self.face_targets is not None and self.variant != "static-faces":
             raise ConfigError(f"face_targets is read only by static-faces, not {self.variant}")
         return self

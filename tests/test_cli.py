@@ -633,8 +633,9 @@ class TestAudit:
         out = tmp_path / "audit.csv"
         assert cli.main(["audit", "--data", str(dataset_path), "--out", str(out)]) == 0
         assert out.read_text().startswith("overlap,")
-        # audit draws no random numbers
-        assert json.loads((tmp_path / "audit.csv.manifest.json").read_text())["seed"] is None
+        # audit draws no random numbers and takes no setting
+        manifest = json.loads((tmp_path / "audit.csv.manifest.json").read_text())
+        assert manifest["seed"] is None and manifest["config"] == {}
 
 
 class TestContributions:
@@ -653,3 +654,24 @@ class TestContributions:
         assert lines[0] == "modality,mean,q25,median,q75"
         assert {line.split(",")[0] for line in lines[1:]} == \
             {"language", "audio", "video"}
+
+    def test_unknown_split_exits_2(self, tmp_path, dataset_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0), model_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["contributions", "--model", str(model_path), "--data", str(dataset_path),
+                      "--split", "tset", "--out", str(tmp_path / "c.csv")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'tset'" in capsys.readouterr().err
+
+    def test_empty_split_exits_3_naming_it(self, tmp_path, dataset_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0), model_path)
+        no_val = tmp_path / "no_val.jsonl"
+        no_val.write_text("".join(line + "\n" for line in dataset_path.read_text().splitlines()
+                                  if json.loads(line)["split"] != "val"))
+        out = tmp_path / "c.csv"
+        assert cli.main(["contributions", "--model", str(model_path), "--data", str(no_val),
+                         "--split", "val", "--out", str(out)]) == 3
+        assert "dataset has no 'val' split" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fairavi import autodiff as ad
 from fairavi import data as dt
 from fairavi import evaluation as ev
 from fairavi.errors import ContractError
@@ -179,16 +180,37 @@ class TestOverlapAudit:
             ev.audit_overlap([FakeClip("v0")], [])
 
 
+def naive_speaker_baseline(train_samples, test_samples, extra_samples=()) -> np.ndarray:
+    """Score each test clip by its candidate's mean train label; clips of
+    unseen candidates get the pooled train(+extra) mean label."""
+    if not train_samples:
+        raise ContractError("naive baseline requires a non-empty train split")
+    sums: dict = {}
+    for s in train_samples:
+        tot, cnt = sums.get(s.video_id, (0.0, 0))
+        sums[s.video_id] = (tot + s.y, cnt + 1)
+    pool = list(train_samples) + list(extra_samples)
+    fallback = float(np.mean([s.y for s in pool]))
+    out = np.empty(len(test_samples))
+    for i, s in enumerate(test_samples):
+        if s.video_id in sums:
+            tot, cnt = sums[s.video_id]
+            out[i] = tot / cnt
+        else:
+            out[i] = fallback
+    return out
+
+
 class TestNaiveBaseline:
     def test_mean_of_seen_video(self):
         train = [FakeClip("v0", 1), FakeClip("v0", 1), FakeClip("v0", 0)]
-        scores = ev.naive_speaker_baseline(train, [FakeClip("v0")])
+        scores = naive_speaker_baseline(train, [FakeClip("v0")])
         assert abs(scores[0] - 2 / 3) < 1e-15
 
     def test_unseen_video_gets_global_mean(self):
         train = [FakeClip("v0", 1), FakeClip("v1", 0)]
         extra = [FakeClip("v2", 1), FakeClip("v3", 0), FakeClip("v4", 0)]
-        scores = ev.naive_speaker_baseline(train, [FakeClip("zz")], extra)
+        scores = naive_speaker_baseline(train, [FakeClip("zz")], extra)
         assert abs(scores[0] - 2 / 5) < 1e-15
 
     def test_leaked_split_beats_disjoint_at_beta_zero(self):
@@ -205,15 +227,15 @@ class TestNaiveBaseline:
         # disjoint: whole videos on one side
         disjoint_train = [s for g in multi[: len(multi) // 2] for s in g]
         disjoint_test = [s for g in multi[len(multi) // 2:] for s in g]
-        auc_leak = ev.auc(ev.naive_speaker_baseline(leaked_train, leaked_test),
+        auc_leak = ev.auc(naive_speaker_baseline(leaked_train, leaked_test),
                           [s.y for s in leaked_test])
-        auc_disj = ev.auc(ev.naive_speaker_baseline(disjoint_train, disjoint_test),
+        auc_disj = ev.auc(naive_speaker_baseline(disjoint_train, disjoint_test),
                           [s.y for s in disjoint_test])
         assert auc_leak > auc_disj
 
     def test_empty_train_rejected(self):
         with pytest.raises(ContractError):
-            ev.naive_speaker_baseline([], [FakeClip("v0")])
+            naive_speaker_baseline([], [FakeClip("v0")])
 
 
 class TestProbes:
@@ -282,7 +304,7 @@ def reference_fit(h, y, penalty, strength, cfg):
     b = 0.0
     deltas = []
     for it in range(1, cfg.max_iter + 1):
-        p = ev._sigmoid(h @ w + b)
+        p = ad.logistic(h @ w + b)
         gw = h.T @ (p - y) / n
         gb = float((p - y).mean())
         if penalty == "l2":
@@ -355,7 +377,7 @@ class TestStackedProbeFit:
         for s in cfg.strengths:
             fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s, cfg)
                     for c in range(3)]
-            scores = np.stack([ev._sigmoid(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
+            scores = np.stack([ad.logistic(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
             aucs.append(ev.macro_ovr_auc(scores, z[200:]))
         assert best.strength == cfg.strengths[int(np.argmax(aucs))]
         assert val_auc == max(aucs)

@@ -59,18 +59,69 @@ def gru_mix(p, px, h_prev):
     return ad.add(h_prev, ad.mul(z, ad.sub(hhat, h_prev)))
 
 
+def matmul(a, b):
+    """2-D matrix product as a tape node."""
+    a, b = ad.constant(a), ad.constant(b)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
+        raise ad.ShapeMismatch(f"matmul: shapes {a.value.shape} and {b.value.shape} "
+                               f"are not aligned")
+
+    def backward(g):
+        if a.requires_grad:
+            a.grad += g @ b.value.T
+        if b.requires_grad:
+            b.grad += a.value.T @ g
+
+    return ad.Node(a.value @ b.value, (a, b), op="matmul", backward=backward)
+
+
+def concat(nodes, axis=-1):
+    """Concatenation along `axis` as a tape node."""
+    nodes = [ad.constant(n) for n in nodes]
+    value = np.concatenate([n.value for n in nodes], axis=axis)
+    ax = axis % value.ndim
+    offsets = np.cumsum([0] + [n.value.shape[ax] for n in nodes])
+
+    def backward(g):
+        sl = [slice(None)] * value.ndim
+        for n, start, stop in zip(nodes, offsets[:-1], offsets[1:]):
+            if n.requires_grad:
+                sl[ax] = slice(start, stop)
+                n.grad += g[tuple(sl)]
+
+    return ad.Node(value, tuple(nodes), op="concat", backward=backward)
+
+
+TAPE_OP_CASES = {
+    "matmul": lambda r: (lambda lv: ad.sum_(matmul(lv[0], lv[1])),
+                         [r.standard_normal((2, 3)), r.standard_normal((3, 2))]),
+    "concat": lambda r: (lambda lv: ad.sum_(ad.mul(concat(lv, axis=-1), concat(lv, axis=-1))),
+                         [r.standard_normal((2, 2)), r.standard_normal((2, 3))]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(TAPE_OP_CASES))
+def test_tape_op_gradients(op):
+    worst = 0.0
+    for seed in range(100):
+        rng = np.random.default_rng(1000 + seed)
+        fn, point = TAPE_OP_CASES[op](rng)
+        worst = max(worst, ad.grad_check(fn, point, h=1e-5))
+    assert worst < 1e-4, f"{op}: worst relative error {worst}"
+
+
 def tape_attention(p, z):
     """attention_pool as a tape of linear, tanh, matmul, softmax, mul and sum_."""
     B, T, w = z.value.shape
     proj = p.u_p.value.shape[0]
     u = ad.tanh(ad.linear(ad.reshape(z, (B * T, w)), p.W_A, p.b))
-    alpha = ad.softmax(ad.reshape(ad.matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T)))
+    alpha = ad.softmax(ad.reshape(matmul(u, ad.reshape(p.u_p, (proj, 1))), (B, T)))
     return ad.sum_(ad.mul(z, ad.reshape(alpha, (B, T, 1))), axis=1), alpha
 
 
 def tape_gmu(p, o_a, o_l, o_v):
     """gmu_fuse as a tape of concat, linear, tanh, sigmoid, mul and add."""
-    cat = ad.concat([o_a, o_l, o_v], axis=-1)
+    cat = concat([o_a, o_l, o_v], axis=-1)
     proj = {m: ad.tanh(ad.linear(o, w)) for m, o, w in
             zip(ly.GMU_ORDER, (o_a, o_l, o_v), (p.W_aproj, p.W_lproj, p.W_vproj))}
     gates = {m: ad.sigmoid(ad.linear(cat, w)) for m, w in
@@ -254,12 +305,13 @@ class TestBigru:
                                   (B, T, h)) for g in "rzh"}
             state, out = ad.constant(np.zeros((B, h))), [None] * T
             for t in (range(T - 1, -1, -1) if reverse else range(T)):
-                state = out[t] = gru_mix(p, {g: proj[g][:, t, :] for g in "rzh"}, state)
+                step = {g: ad.slice_(proj[g], np.s_[:, t, :]) for g in "rzh"}
+                state = out[t] = gru_mix(p, step, state)
             return out
 
         def tape_encode():
             rows = zip(tape_sequence(fwd, False), tape_sequence(bwd, True))
-            flat = ad.concat([ad.concat([hf, hb], axis=-1) for hf, hb in rows], axis=-1)
+            flat = concat([concat([hf, hb], axis=-1) for hf, hb in rows], axis=-1)
             return ad.reshape(flat, (B, T, 2 * h))
 
         results = []

@@ -141,7 +141,7 @@ def dims_mutation(draw):
 WRONG_TYPE = {"modality": NOT_A_STRING,
               "variant": NOT_A_STRING,
               "q": st.text() | st.none() | st.booleans() | FINITE,
-              "k": st.text() | st.none() | st.booleans() | FINITE,
+              "k": st.text() | st.none() | st.booleans() | FINITE | st.integers(max_value=1),
               "trained": st.integers() | st.none() | st.text(),
               "params": NOT_AN_OBJECT}
 
@@ -245,3 +245,13 @@ def test_an_odd_gru_width_exits_3_at_load(data_path, tmp_path):
     save_model(model, tmp_path / "model.json")
     err = _probe_exits_3((tmp_path / "model.json").read_text(), data_path)
     assert "dims.gru_width must be a positive even int, got 3" in err
+
+
+@pytest.mark.parametrize("k", [1, 0, -7])
+def test_a_k_below_2_exits_3_naming_the_file_and_k(data_path, k):
+    """Training needs k >= 2 negative-sampling candidates (TrainConfig), and a
+    model file is held to the same range."""
+    doc = _copy()
+    doc["k"] = k
+    err = _probe_exits_3(json.dumps(doc), data_path)
+    assert f"k must be an int of at least 2, got {k}" in err

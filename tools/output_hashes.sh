@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# Print short hashes of two generated corpora and of the outputs of ten
-# small train + probe runs.
+# Print short hashes of two generated corpora, of their audits and of the
+# outputs of ten small train + probe runs.
 #
 #   tools/output_hashes.sh <repo-root> <workdir>
 #
 # Runs the checkout at <repo-root> (its src/ on PYTHONPATH) inside
 # <workdir>.  The first row, `corpora`, holds the first 8 hex digits of
-# the sha256 of the `gen` outputs binary.jsonl and ternary.jsonl.  Then
-# one row per config.  Columns: config, then the first 8 hex
-# digits of the sha256 of the saved model, its epoch log without the
-# seconds column, the probe's metrics.csv and report.md, the train
-# command's stdout and the model's `contributions` CSV over the test
-# split (`-` for a single-modality model, which has none).  Every path a command sees is relative, so two checkouts that
-# compute the same bytes print the same rows: run it on a parent and on a
-# change to check that the change kept the outputs byte-identical.
+# the sha256 of the `gen` outputs binary.jsonl and ternary.jsonl; the
+# second, `audit`, the same of each corpus's `audit --out` CSV.  Then one
+# row per config.  Columns: config, then the first 8 hex digits of the
+# sha256 of the saved model, its epoch log without the seconds column,
+# the probe's metrics.csv and report.md, the train command's stdout and
+# the model's `contributions` CSV over the test split (`-` for a
+# single-modality model, which has none).  Every path a command sees is
+# relative, so two checkouts that compute the same bytes print the same
+# rows: run it on a parent and on a change to check that the change kept
+# the outputs byte-identical.
 #
 # The corpus is acceptance criterion 11's generator config (n=160,
 # seed 11), the training schedule criterion 11's with max_outer 2.  Each
@@ -48,6 +50,10 @@ for corpus in binary ternary; do
     fairavi gen --config "gen-$corpus.json" --out "$corpus.jsonl" > /dev/null
 done
 printf '%-22s %s %s\n' corpora "$(h8 < binary.jsonl)" "$(h8 < ternary.jsonl)"
+for corpus in binary ternary; do
+    fairavi audit --data "$corpus.jsonl" --out "audit-$corpus.csv" > /dev/null
+done
+printf '%-22s %s %s\n' audit "$(h8 < audit-binary.csv)" "$(h8 < audit-ternary.csv)"
 python3 - binary.jsonl > faces-q2.json <<'PY'
 import json, sys
 rows = (json.loads(line) for line in open(sys.argv[1]))
