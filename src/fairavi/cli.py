@@ -262,9 +262,16 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
         di_predictions={target: ev.disparate_impact(preds, z_test)})
 
 
+def _trained_model(path) -> HireabilityModel:
+    model = load_model(path)
+    if not model.trained:
+        raise ContractError(f"--model {path}: model has not been trained")
+    return model
+
+
 def cmd_probe(args) -> int:
     started = _now()
-    model = load_model(args.model)
+    model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     report = build_report(model, dataset, args.target)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -328,7 +335,7 @@ def cmd_audit(args) -> int:
 
 def cmd_contributions(args) -> int:
     started = _now()
-    model = load_model(args.model)
+    model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     part = [s for s in dataset if s.split == args.split]
     if not part:

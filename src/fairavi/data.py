@@ -20,7 +20,7 @@ import orjson
 
 from .autodiff import logistic
 from .errors import (MODALITIES, AtLeastTwoInt, ConfigError, ContractError, NonNegativeInt,
-                     PositiveInt, Scale, check_fields)
+                     PositiveInt, Probability, Scale, check_fields)
 from .fileio import atomic_write, read_json
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
@@ -81,7 +81,7 @@ class GeneratorConfig:
     feat_dim: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
     n_classes: AtLeastTwoInt = 2
     class_priors: tuple | None = None    # default: uniform
-    bias: float = 0.8                    # beta: protected leak strength
+    bias: Probability = 0.8              # beta: protected leak strength
     skill_scale: Scale = 2.5             # label-logit weight on the skill latent
     leak_scale: Scale = 1.0              # label-logit weight on the protected leak
     protected_scale: Scale = 1.0         # per-frame protected offset magnitude
@@ -94,8 +94,6 @@ class GeneratorConfig:
 
     def validate(self) -> "GeneratorConfig":
         check_fields(GeneratorConfig, vars(self))
-        if not 0.0 <= self.bias <= 1.0:
-            raise ConfigError(f"bias must be in [0, 1], got {self.bias}")
         if not 1 <= self.max_clips < 2 ** 63:     # rng.integers draws an int64
             raise ConfigError(f"max_clips must be in [1, 2**63), got {self.max_clips}")
         if len(r := self.split_ratios) != 3 or min(r) < 0 or abs(sum(r) - 1.0) > 1e-9:
@@ -398,8 +396,9 @@ def load_jsonl(path) -> list[InterviewSample]:
             seqs = {f: _float_array(doc, f, where, bools) for f in SEQ_FIELDS}
             seq_shapes = seq_shapes or {f: seq.shape for f, seq in seqs.items()}
             for f, seq in seqs.items():
-                if seq.ndim != 2:
-                    raise ContractError(f"{where}: {f} must be 2-D, got shape {seq.shape}")
+                if seq.ndim != 2 or not seq.shape[1]:
+                    raise ContractError(f"{where}: {f} must be 2-D with at least one "
+                                        f"column, got shape {seq.shape}")
                 if seq.shape != seq_shapes[f]:
                     raise ContractError(f"{where}: {f} has shape {seq.shape}, but the "
                                         f"first row's is {seq_shapes[f]}")

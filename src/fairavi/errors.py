@@ -1,12 +1,13 @@
 """Shared exception types, mapped to CLI exit codes 2 and 3, and the one
-check of a JSON object's fields against a dataclass's declarations."""
+check of a JSON object's fields against a dataclass's declarations, whose
+annotations carry each field's range; RULES holds the one test of each."""
 
 import dataclasses
 import sys
 
 MODALITIES = ("language", "audio", "video")
 NonNegativeInt = PositiveInt = PositiveEvenInt = AtLeastTwoInt = int   # field annotations
-Scale = float                          # that carry a range; RULES gives each one's test
+NonNegative = Positive = Fraction = Probability = Scale = float        # that carry a range
 
 
 class ConfigError(ValueError):
@@ -20,13 +21,16 @@ class ContractError(RuntimeError):
 _finite = lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max   # bools fail
 _ints = lambda low, step=1: lambda v: type(v) is int and v >= low and v % step == 0
 _numbers = lambda v: type(v) in (list, tuple) and all(map(_finite, v))
-RULES = {   # annotation -> (test, what a value must be); float ranges in validate() test NaN
+RULES = {   # annotation -> (test, what a value must be)
     "int": (lambda v: type(v) is int, "an int"),
     "NonNegativeInt": (_ints(0), "a non-negative int"),
     "PositiveInt": (_ints(1), "a positive int"),
     "PositiveEvenInt": (_ints(2, 2), "a positive even int"),
     "AtLeastTwoInt": (_ints(2), "an int of at least 2"),
-    "float": (lambda v: type(v) is float or _finite(v), "a number"),
+    "NonNegative": (lambda v: _finite(v) and v >= 0, "a finite number of at least 0"),
+    "Positive": (lambda v: _finite(v) and v > 0, "a finite number above 0"),
+    "Fraction": (lambda v: _finite(v) and 0 <= v < 1, "a finite number in [0, 1)"),
+    "Probability": (lambda v: _finite(v) and 0 <= v <= 1, "a finite number in [0, 1]"),
     "Scale": (lambda v: _finite(v) and 0 <= v <= 1e6, "a number in [0, 1e6]"),
     "bool": (lambda v: type(v) is bool, "true or false"),
     "str": (lambda v: type(v) is str, "a string"),

@@ -22,6 +22,7 @@ frozen trunk in inference mode, so they are deterministic and cheap.
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +32,8 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
-from .errors import AtLeastTwoInt, ConfigError, ContractError, NonNegativeInt, check_fields
+from .errors import (AtLeastTwoInt, ConfigError, ContractError, Fraction, NonNegative,
+                     NonNegativeInt, Positive, PositiveInt, check_fields)
 from .fileio import atomic_write
 from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, NegativeSamplingBatch,
                     batch_sequences, check_kind, predict)
@@ -44,20 +46,22 @@ SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
 class TrainConfig:
     variant: str = "unprotected"
     modality: str = "multimodal"
-    lam: float = 1.0
+    lam: NonNegative = 1.0
     k: AtLeastTwoInt = 5
     q: int = 2
-    batch_size: int = 32
-    lr_joint: float = 1e-4
-    lr_adv: float = 3e-3
-    l2: float = 1e-4
-    dropout: float = 0.2
-    clip: float = 1.0
-    patience_pretrain: int = 5
-    patience_adv: int = 3
-    patience_outer: int = 3
-    max_epochs_pretrain: int = 200
-    max_epochs_adv: int = 80
+    batch_size: PositiveInt = 32
+    lr_joint: Positive = 1e-4
+    lr_adv: Positive = 3e-3
+    l2: NonNegative = 1e-4
+    dropout: Fraction = 0.2
+    clip: Positive = 1.0
+    patience_pretrain: PositiveInt = 5
+    patience_adv: PositiveInt = 3
+    patience_outer: PositiveInt = 3
+    # the adversary fit starts from the best pretrain epoch's val pass, and with
+    # no adversary epoch the starting objective is -inf and no joint epoch is kept
+    max_epochs_pretrain: PositiveInt = 200
+    max_epochs_adv: PositiveInt = 80
     max_outer: NonNegativeInt = 40
     face_targets: str | None = None   # external q-dim embeddings for static-faces
     seed: NonNegativeInt = 0
@@ -65,24 +69,6 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         check_fields(TrainConfig, vars(self))
         check_kind(self.modality, self.variant, self.q, ConfigError)
-        # written so that NaN fails every comparison
-        for name in ("lam", "l2"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be nonnegative and finite, "
-                                  f"got {getattr(self, name)}")
-        for name in ("lr_joint", "lr_adv", "batch_size", "clip",
-                     "patience_pretrain", "patience_adv", "patience_outer"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)}")
-        # the adversary fit starts from the best pretrain epoch's val pass, and
-        # with no adversary epoch the starting objective is -inf and no joint
-        # epoch could ever be kept
-        for name in ("max_epochs_pretrain", "max_epochs_adv"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.face_targets is not None and self.variant != "static-faces":
             raise ConfigError(f"face_targets is read only by static-faces, not {self.variant}")
         return self
@@ -196,12 +182,12 @@ class Adam:
 class LogRow:
     epoch: int
     phase: str
-    l_t_train: float | None
-    l_t_val: float | None
-    l_a_train: float | None
-    l_a_val: float | None
-    objective_val: float | None
     seconds: float
+    l_t_train: float | None = None
+    l_t_val: float | None = None
+    l_a_train: float | None = None
+    l_a_val: float | None = None
+    objective_val: float | None = None
 
 
 CSV_HEADER = "epoch,phase,l_t_train,l_t_val,l_a_train,l_a_val,objective_val,seconds"
@@ -215,8 +201,10 @@ class TrainLog:
     final_l_t_val: float | None = None    # validation losses of the state kept so far
     final_l_a_val: float | None = None
 
-    def add(self, **kw) -> None:
-        self.rows.append(LogRow(epoch=len(self.rows), **kw))
+    def add(self, phase: str, t0: float, **losses) -> None:
+        """Record an epoch of `phase` that began at `time.perf_counter()` reading
+        `t0`, with the LogRow loss fields given in `losses` (the rest None)."""
+        self.rows.append(LogRow(len(self.rows), phase, time.perf_counter() - t0, **losses))
 
     def phases(self) -> list[str]:
         return [r.phase for r in self.rows]
@@ -387,46 +375,41 @@ def _step(opts, clip: float) -> None:
         opt.step(ly.clip_gradients({n: p.grad for n, p in opt.params.items()}, clip))
 
 
+def _descend(cfg, n, rng, opts, batch_losses) -> list[float]:
+    """One epoch of minibatch descent over `n` samples, shuffled by `rng`.
+    `batch_losses(idx)` gives a batch's loss terms; their sum plus the L2
+    penalty of the parameters `opts` hold is minimized.  Returns each term's
+    mean over the epoch."""
+    params = {name: p for opt in opts for name, p in opt.params.items()}
+    sums, n_seen = [], 0
+    for idx in _batches(n, cfg.batch_size, rng):
+        terms = batch_losses(idx)
+        total = ad.add(functools.reduce(ad.add, terms), ly.l2_penalty(params, cfg.l2))
+        ad.zero_grad(params.values())
+        ad.backward(total)
+        _step(opts, cfg.clip)
+        sums = [s + float(t.value) * idx.size for s, t in zip(sums or [0.0] * len(terms), terms)]
+        n_seen += idx.size
+    return [s / n_seen for s in sums]
+
+
 def _train_epoch(model, cfg, samples, rng, opt_main,
                  adv_task=None, opt_adv=None) -> tuple[float, float | None]:
     """One epoch over the task loss, optionally joint with the adversary."""
     mods = model.active_modalities
-    sum_t, sum_a, n_seen = 0.0, 0.0, 0
     joint = adv_task is not None
-    opts = [opt_main, opt_adv] if joint else [opt_main]
-    trained = {n: p for opt in opts for n, p in opt.params.items()}
-    for idx in _batches(len(samples), cfg.batch_size, rng):
+
+    def batch_losses(idx):
         part = [samples[i] for i in idx]
         res = model.forward_base(batch_sequences(part, mods), training=True,
                                  rng=rng, dropout_rate=cfg.dropout)
-        loss_t = bce_loss(res.y_hat, [samples[i].y for i in idx])
-        total = loss_t
-        if joint:
-            loss_a = adv_task.loss(model, ad.grl(res.H, cfg.lam), idx, "train")
-            total = ad.add(total, loss_a)
-            sum_a += float(loss_a.value) * idx.size
-        total = ad.add(total, ly.l2_penalty(trained, cfg.l2))
-        ad.zero_grad(model.params.values())
-        ad.backward(total)
-        _step(opts, cfg.clip)
-        sum_t += float(loss_t.value) * idx.size
-        n_seen += idx.size
-    return sum_t / n_seen, (sum_a / n_seen if joint else None)
+        loss_t = bce_loss(res.y_hat, [s.y for s in part])
+        if not joint:
+            return [loss_t]
+        return [loss_t, adv_task.loss(model, ad.grl(res.H, cfg.lam), idx, "train")]
 
-
-def _adv_epoch(model, cfg, adv_task, h_cache, opt, rng) -> float:
-    """One adversary-only epoch on cached (frozen-trunk) representations."""
-    adv_params = model.theta_a()
-    total, n_seen = 0.0, 0
-    for idx in _batches(h_cache.shape[0], cfg.batch_size, rng):
-        loss = adv_task.loss(model, ad.constant(h_cache[idx]), idx, "train")
-        full = ad.add(loss, ly.l2_penalty(adv_params, cfg.l2))
-        ad.zero_grad(adv_params.values())
-        ad.backward(full)
-        _step([opt], cfg.clip)
-        total += float(loss.value) * idx.size
-        n_seen += idx.size
-    return total / n_seen
+    means = _descend(cfg, len(samples), rng, [opt_main, opt_adv][:1 + joint], batch_losses)
+    return means[0], (means[1] if joint else None)
 
 
 def _notify(observer, event: str, **payload) -> None:
@@ -512,9 +495,8 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
         t0 = time.perf_counter()
         l_t_train, _ = _train_epoch(model, cfg, train, rng, opt_main)
         h_val, l_t_val = _val_pass(model, val)
-        log.add(phase="pretrain-main", l_t_train=l_t_train, l_t_val=l_t_val,
-                l_a_train=None, l_a_val=None, objective_val=l_t_val,
-                seconds=time.perf_counter() - t0)
+        log.add("pretrain-main", t0, l_t_train=l_t_train, l_t_val=l_t_val,
+                objective_val=l_t_val)
         return l_t_val, h_val
 
     _notify(observer, "phase_start", phase="pretrain-main")
@@ -558,10 +540,8 @@ def _outer_epoch(state: Pretrained, cfg: TrainConfig, observer):
     h_train, _ = predict(model, state.train)
     h_val, l_t_val = _val_pass(model, state.val)
     l_a_val = task.evaluate(model, h_val)
-    log.add(phase="joint", l_t_train=l_t_train, l_t_val=l_t_val,
-            l_a_train=l_a_train, l_a_val=l_a_val,
-            objective_val=l_t_val - cfg.lam * l_a_val,
-            seconds=time.perf_counter() - t0)
+    log.add("joint", t0, l_t_train=l_t_train, l_t_val=l_t_val, l_a_train=l_a_train,
+            l_a_val=l_a_val, objective_val=l_t_val - cfg.lam * l_a_val)
     _notify(observer, "phase_end", phase="joint")
 
     reinit_seed = int(rng.integers(2 ** 31))
@@ -584,11 +564,11 @@ def _adv_phase(model, cfg, task, h_train, h_val, rng, log, tag, observer,
     def epoch():
         t0 = time.perf_counter()
         task.resample(int(rng.integers(2 ** 31)))
-        l_a_train = _adv_epoch(model, cfg, task, h_train, opt, rng)
+        [l_a_train] = _descend(cfg, h_train.shape[0], rng, [opt], lambda idx: [
+            task.loss(model, ad.constant(h_train[idx]), idx, "train")])
         l_a_val = task.evaluate(model, h_val)
-        obj = None if l_t_val is None else l_t_val - cfg.lam * l_a_val
-        log.add(phase=tag, l_t_train=None, l_t_val=l_t_val, l_a_train=l_a_train,
-                l_a_val=l_a_val, objective_val=obj, seconds=time.perf_counter() - t0)
+        log.add(tag, t0, l_t_val=l_t_val, l_a_train=l_a_train, l_a_val=l_a_val,
+                objective_val=None if l_t_val is None else l_t_val - cfg.lam * l_a_val)
         return l_a_val, None
 
     _notify(observer, "phase_start", phase=tag)

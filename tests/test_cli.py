@@ -171,6 +171,22 @@ class TestTrain:
         # rows are held to the first row's shapes, so line 2 is the one named
         assert f"{bad}:2: seq_audio has shape" in capsys.readouterr().err
 
+    def test_zero_width_sequence_exits_3_with_line(self, tmp_path, dataset_path, capsys):
+        lines = dataset_path.read_text().splitlines()
+        for i, line in enumerate(lines):      # every row, so no row holds the first shape
+            doc = json.loads(line)
+            doc["seq_video"] = [[] for _ in doc["seq_video"]]
+            lines[i] = json.dumps(doc)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        tcfg = write_train_config(tmp_path / "t.json")
+        code = cli.main(["train", "--data", str(bad), "--variant", "unprotected",
+                         "--config", str(tcfg), "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert (f"{bad}:1: seq_video must be 2-D with at least one column, got shape (3, 0)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
+
     def test_empty_dataset_exits_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -182,10 +198,10 @@ class TestTrain:
     @pytest.mark.parametrize("field, value, message", [
         ("variant", "foo", "unknown variant 'foo'"),
         ("modality", "smell", "unknown modality 'smell'"),
-        ("l2", -1.0, "l2 must be nonnegative"),
-        ("max_epochs_adv", 0, "max_epochs_adv must be at least 1"),
-        ("max_epochs_pretrain", 0, "max_epochs_pretrain must be at least 1"),
-        ("lr_joint", float("nan"), "lr_joint must be positive and finite"),
+        ("l2", -1.0, "l2 must be a finite number of at least 0, got -1.0"),
+        ("max_epochs_adv", 0, "max_epochs_adv must be a positive int, got 0"),
+        ("max_epochs_pretrain", 0, "max_epochs_pretrain must be a positive int, got 0"),
+        ("lr_joint", float("nan"), "lr_joint must be a finite number above 0, got nan"),
     ])
     def test_bad_config_field_exits_2(self, tmp_path, dataset_path, capsys, field, value,
                                       message):
@@ -567,6 +583,15 @@ class TestProbe:
         err = capsys.readouterr().err
         assert "'language'" in err and "width 16" in err and "expects 3" in err
 
+    def test_untrained_model_exits_3_naming_it(self, tmp_path, dataset_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0), model_path)
+        out_dir = tmp_path / "p"
+        assert cli.main(["probe", "--model", str(model_path), "--data", str(dataset_path),
+                         "--target", "gender", "--out-dir", str(out_dir)]) == 3
+        assert f"--model {model_path}: model has not been trained" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestBuildReport:
     def test_one_forward_pass_per_split(self, monkeypatch):
@@ -664,9 +689,20 @@ class TestContributions:
         assert exit_.value.code == 2
         assert "invalid choice: 'tset'" in capsys.readouterr().err
 
-    def test_empty_split_exits_3_naming_it(self, tmp_path, dataset_path, capsys):
+    def test_untrained_model_exits_3_naming_it(self, tmp_path, dataset_path, capsys):
         model_path = tmp_path / "model.json"
         save_model(HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0), model_path)
+        out = tmp_path / "c.csv"
+        assert cli.main(["contributions", "--model", str(model_path), "--data",
+                         str(dataset_path), "--out", str(out)]) == 3
+        assert f"--model {model_path}: model has not been trained" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_split_exits_3_naming_it(self, tmp_path, dataset_path, capsys):
+        model_path = tmp_path / "model.json"
+        model = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0)
+        model.trained = True      # contributions refuses an untrained model first
+        save_model(model, model_path)
         no_val = tmp_path / "no_val.jsonl"
         no_val.write_text("".join(line + "\n" for line in dataset_path.read_text().splitlines()
                                   if json.loads(line)["split"] != "val"))

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairavi import cli
 from fairavi.data import GeneratorConfig, load_jsonl
-from fairavi.errors import ConfigError
+from fairavi.errors import RULES, ConfigError
 from fairavi.model import FACE_DIMS, MODALITIES, VARIANTS
 from fairavi.training import TrainConfig
 from tests.conftest import TINY_DIM, TINY_SEQ
@@ -172,6 +172,12 @@ def test_a_malformed_gen_config_exits_2_naming_the_field(data_path, case):
 @given(mutation(TRAIN, TRAIN_KINDS))
 def test_a_malformed_train_config_exits_2_naming_the_field(data_path, case):
     _exits_2("train", *case, data_path)
+
+
+def test_no_rule_takes_a_non_finite_number():
+    for annotation, (test, _) in RULES.items():
+        for value in (math.nan, math.inf, -math.inf):
+            assert not test(value), (annotation, value)
 
 
 def test_the_field_kinds_cover_every_config_field():

@@ -36,13 +36,11 @@ def test_clean_write_replaces_and_leaves_no_temp(tmp_path):
 def test_log_failing_mid_row_keeps_previous_log(tmp_path):
     path = tmp_path / "model.json.log.csv"
     log = tr.TrainLog()
-    log.add(phase="pretrain-main", l_t_train=0.5, l_t_val=0.6, l_a_train=None,
-            l_a_val=None, objective_val=0.6, seconds=1.0)
+    log.add("pretrain-main", 0.0, l_t_train=0.5, l_t_val=0.6, objective_val=0.6)
     log.to_csv(path)
     before = path.read_bytes()
     # the second row fails to format after the header and first row were written
-    log.add(phase="joint", l_t_train="not a number", l_t_val=0.6, l_a_train=None,
-            l_a_val=None, objective_val=0.6, seconds=1.0)
+    log.add("joint", 0.0, l_t_train="not a number", l_t_val=0.6, objective_val=0.6)
     with pytest.raises(ValueError):
         log.to_csv(path)
     assert path.read_bytes() == before

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Print short hashes of two generated corpora, of their audits and of the
-# outputs of ten small train + probe runs.
+# Print short hashes of two generated corpora, of their audits, of the
+# outputs of ten small train + probe runs and of one small sweep.
 #
 #   tools/output_hashes.sh <repo-root> <workdir>
 #
@@ -12,10 +12,13 @@
 # sha256 of the saved model, its epoch log without the seconds column,
 # the probe's metrics.csv and report.md, the train command's stdout and
 # the model's `contributions` CSV over the test split (`-` for a
-# single-modality model, which has none).  Every path a command sees is
-# relative, so two checkouts that compute the same bytes print the same
-# rows: run it on a parent and on a change to check that the change kept
-# the outputs byte-identical.
+# single-modality model, which has none).  The last row, `sweep`, holds
+# the same of the two models of a static-faces (q 2) sweep over the grid
+# 1,4 on the binary corpus, of their epoch logs without the seconds column
+# and of selected.json.  Every path a command sees is relative, and
+# selected.json names the fixed out-dir `sweep`, so two checkouts that
+# compute the same bytes print the same rows: run it on a parent and on a
+# change to check that the change kept the outputs byte-identical.
 #
 # The corpus is acceptance criterion 11's generator config (n=160,
 # seed 11), the training schedule criterion 11's with max_outer 2.  Each
@@ -95,3 +98,12 @@ language-supervised    binary  gender    language   --variant supervised-gender
 audio-static-faces     binary  gender    audio      --variant static-faces --face-dim 2
 video-negative-k3      binary  gender    video      --variant negative-sampling --k 3
 CONFIGS
+
+rm -rf sweep
+fairavi sweep --data binary.jsonl --variant static-faces --face-dim 2 --grid 1,4 \
+    --config train.json --out-dir sweep > /dev/null
+printf '%-22s %s %s %s %s %s\n' sweep \
+    "$(h8 < sweep/model_lambda1.json)" "$(h8 < sweep/model_lambda4.json)" \
+    "$(sed 's/,[^,]*$//' sweep/model_lambda1.json.log.csv | h8)" \
+    "$(sed 's/,[^,]*$//' sweep/model_lambda4.json.log.csv | h8)" \
+    "$(h8 < sweep/selected.json)"
