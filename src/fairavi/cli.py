@@ -34,7 +34,8 @@ from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save
 from .errors import ConfigError, ContractError, check_fields
 from .fileio import atomic_write, read_json
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
-                    ModelDims, load_model, modality_contributions, predict, save_model)
+                    ModelDims, load_model, modality_contributions, predict, protected_labels,
+                    save_model)
 from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
                        select_lambda, train_alternating)
 
@@ -184,13 +185,11 @@ def cmd_sweep(args) -> int:
     cfg = _build_train_config(args)
     configs = {lam: dataclasses.replace(cfg, lam=lam).validate() for lam in grid}
     dataset = load_jsonl(args.data)
+    # lambda is first read in the joint epochs, so one pretrain serves the grid
+    state = pretrain(cfg, _new_model(cfg, dataset), dataset)
     os.makedirs(args.out_dir, exist_ok=True)
 
     results, failures = {}, {}
-    try:  # lambda is first read in the joint epochs, so one pretrain serves the grid
-        state = pretrain(cfg, _new_model(cfg, dataset), dataset)
-    except Exception as e:  # a failed pretrain fails every grid value
-        failures, configs = dict.fromkeys(grid, repr(e)), {}
     for lam, lam_cfg in configs.items():
         try:
             model, log = run_training(lam_cfg, dataset, pretrained=state)
@@ -229,28 +228,16 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- probe
 
-def _require_target(dataset, target: str) -> None:
-    z = {s.z for s in dataset}
-    if None in z:
-        raise ContractError(f"target column {target!r} absent from the dataset")
-    need = PROTECTED_CLASSES[target]
-    if len(z) != need:
-        raise ContractError(
-            f"target {target!r} expects {need} protected classes, data has {len(z)}")
-
-
 def build_report(model, dataset, target: str) -> ev.MetricsReport:
-    _require_target(dataset, target)
     split = {t: [s for s in dataset if s.split == t] for t in SPLITS}
     for tag, part in split.items():
         if not part:
             raise ContractError(f"dataset has no {tag!r} split")
+    z = protected_labels(split, target)
     reps = {t: ev.extract_representations(model, split[t]) for t in ("train", "val")}
     h_test, y_hat = predict(model, split["test"])
     y_test = np.array([s.y for s in split["test"]], dtype=int)
-    z_test = np.array([s.z for s in split["test"]], dtype=int)
-    diag = ev.diagnose(reps["train"].h, reps["train"].z, reps["val"].h, reps["val"].z,
-                       h_test, z_test)
+    diag = ev.diagnose(reps["train"].h, z["train"], reps["val"].h, z["val"], h_test, z["test"])
     preds = (y_hat >= ev.THRESHOLD).astype(int)
     return ev.MetricsReport(
         model_name=f"{model.variant}/{model.modality}",
@@ -258,8 +245,8 @@ def build_report(model, dataset, target: str) -> ev.MetricsReport:
         hire_auc=ev.auc(y_hat, y_test),
         diag_auc={target: diag["auc"]},
         diag_acc={target: diag["acc"]},
-        di_labels={target: ev.disparate_impact(y_test, z_test)},
-        di_predictions={target: ev.disparate_impact(preds, z_test)})
+        di_labels={target: ev.disparate_impact(y_test, z["test"])},
+        di_predictions={target: ev.disparate_impact(preds, z["test"])})
 
 
 def _trained_model(path) -> HireabilityModel:

@@ -42,6 +42,21 @@ PROTECTED_CLASSES = {"gender": 2, "ethnicity": 3}
 CHUNK = 512                    # clips per inference forward pass
 
 
+def protected_labels(parts: dict, target: str) -> dict[str, np.ndarray]:
+    """Each split's protected labels z as an int array, refused unless every
+    label lies in range(n) for the target's n classes, with all n in train
+    (where the adversary and the probe are fitted) and 2+ in any other split."""
+    n = PROTECTED_CLASSES[target]
+    for split, part in parts.items():
+        found = {s.z for s in part}
+        if not all(z in range(n) for z in found) or len(found) < (n if split == "train" else 2):
+            raise ContractError(
+                f"protected target {target!r}: z in the {split!r} split holds "
+                f"{sorted(found, key=str)}; every z must lie in range({n}), with all {n} "
+                f"classes in train and 2+ elsewhere")
+    return {split: np.array([s.z for s in part], dtype=int) for split, part in parts.items()}
+
+
 @dataclass
 class ModelDims:
     input_dims: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
@@ -133,10 +148,12 @@ def param_shapes(modality: str, variant: str, dims: ModelDims, q: int) -> dict[s
 
 
 class HireabilityModel:
-    """One trainable network: trunk + hireability head + optional adversary."""
+    """One trainable network: trunk + hireability head + optional adversary,
+    its parameters drawn from `seed` or, given `values`, wrapping those arrays."""
 
     def __init__(self, modality: str = "multimodal", variant: str = "unprotected",
-                 dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0):
+                 dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0,
+                 values: dict | None = None):
         check_kind(modality, variant, q)
         self.modality = modality
         self.variant = variant
@@ -144,8 +161,9 @@ class HireabilityModel:
         self.q = q
         self.k = k
         self.trained = False
-        p = self.params = ly.draw(np.random.default_rng(seed),
-                                  param_shapes(modality, variant, self.dims, q))
+        shapes = param_shapes(modality, variant, self.dims, q)
+        p = self.params = (ly.draw(np.random.default_rng(seed), shapes) if values is None
+                           else {name: ad.parameter(values[name]) for name in shapes})
         # the layers' views over the same Nodes, built once: fields are name suffixes
         view = lambda cls, prefix: cls(**{f: p[prefix + f] for f in cls.__dataclass_fields__})
         self.encoders = {m: (view(ly.GruParams, f"{m}.gru_fwd."),
@@ -397,8 +415,6 @@ def load_model(path) -> HireabilityModel:
                             f"unexpected {sorted(extra)})")
     values = {name: _file_param(entry, shapes[name], f"{path}: {name}")
               for name, entry in f.params.items()}
-    model = HireabilityModel(f.modality, f.variant, dims, q=f.q, k=f.k, seed=0)
+    model = HireabilityModel(f.modality, f.variant, dims, q=f.q, k=f.k, values=values)
     model.trained = f.trained
-    for name, value in values.items():
-        model.params[name].value[...] = value
     return model

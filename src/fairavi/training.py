@@ -36,7 +36,7 @@ from .errors import (AtLeastTwoInt, ConfigError, ContractError, Fraction, NonNeg
                      NonNegativeInt, Positive, PositiveInt, check_fields)
 from .fileio import atomic_write
 from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, NegativeSamplingBatch,
-                    batch_sequences, check_kind, predict)
+                    batch_sequences, check_kind, predict, protected_labels)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -235,16 +235,9 @@ class _AdversaryTask:
         self._ns = None
         splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
-            n_classes = PROTECTED_CLASSES[self.variant.removeprefix("supervised-")]
-            if any(s.z is None for s in [*train, *val]):
-                raise ContractError("protected variable required for the supervised variant")
-            zs = {k: np.array([s.z for s in part], dtype=int) for k, part in splits.items()}
-            observed = int(max(z.max() for z in zs.values())) + 1
-            if observed > n_classes:
-                raise ContractError(
-                    f"{self.variant} expects at most {n_classes} protected classes, "
-                    f"data has {observed}")
-            self.targets = zs if n_classes == 2 else {k: onehot(z, 3) for k, z in zs.items()}
+            target = self.variant.removeprefix("supervised-")
+            zs, n = protected_labels(splits, target), PROTECTED_CLASSES[target]
+            self.targets = zs if n == 2 else {k: onehot(z, n) for k, z in zs.items()}
         elif self.variant == "static-faces":
             if cfg.face_targets:
                 lookup = load_face_targets(cfg.face_targets, cfg.q)

@@ -7,7 +7,7 @@ import pytest
 from fairavi import cli
 from fairavi import evaluation as ev
 from fairavi import training as tr
-from fairavi.data import generate_synthetic, load_jsonl, split_group_disjoint
+from fairavi.data import generate_synthetic, load_jsonl, save_jsonl, split_group_disjoint
 from fairavi.model import VARIANTS, HireabilityModel, save_model
 from tests.conftest import TINY_DIM, TINY_SEQ, tiny_dims, tiny_generator_config
 
@@ -360,11 +360,11 @@ class TestSweep:
             assert swept.read_bytes() == alone.read_bytes(), lam
             assert log_without_seconds(swept) == log_without_seconds(alone), lam
 
-    def test_failed_pretrain_fails_every_lambda(self, tmp_path, dataset_path):
+    def test_refused_pretrain_exits_3_leaving_no_output(self, tmp_path, dataset_path, capsys):
+        # the shared pretrain refuses as train does: no manifest, no out-dir
         data = load_jsonl(dataset_path)
         for s in data:
             s.z = None
-        from fairavi.data import save_jsonl
         stripped = tmp_path / "noz.jsonl"
         save_jsonl(data, stripped)
         tcfg = write_train_config(tmp_path / "t.json")
@@ -372,13 +372,34 @@ class TestSweep:
         code = cli.main(["sweep", "--data", str(stripped), "--variant",
                          "supervised-gender", "--modality", "language", "--grid", "0.5,2",
                          "--config", str(tcfg), "--out-dir", str(out_dir)])
+        assert code == 3
+        assert "protected" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_failed_lambda_keeps_the_others(self, tmp_path, dataset_path, monkeypatch,
+                                            capsys):
+        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
+            if cfg.lam == 2.0:
+                raise RuntimeError("joint epoch diverged")
+            model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=0)
+            model.trained = True
+            log = tr.TrainLog()
+            log.final_l_t_val, log.final_l_a_val = 0.5, 0.0
+            return model, log
+
+        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "run_training", fake_run_training)
+        tcfg = write_train_config(tmp_path / "t.json")
+        out_dir = tmp_path / "sweep"
+        code = cli.main(["sweep", "--data", str(dataset_path), "--variant",
+                         "supervised-gender", "--modality", "language", "--grid", "0.5,2",
+                         "--config", str(tcfg), "--out-dir", str(out_dir)])
         assert code == 1
+        assert "lambda=2 failed" in capsys.readouterr().err
         manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
-        failures = manifest["config"]["failures"]
-        assert set(failures) == {"0.5", "2.0"}
-        assert all("protected" in err for err in failures.values())
-        assert manifest["outputs"] == []
-        assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.manifest.json"]
+        assert list(manifest["config"]["failures"]) == ["2.0"]
+        assert json.loads((out_dir / "selected.json").read_text())["selected_lambda"] == 0.5
+        assert (out_dir / "model_lambda0.5.json").exists()
 
     def test_manifest_records_the_config_that_ran(self, tmp_path, dataset_path,
                                                    monkeypatch):
@@ -591,6 +612,44 @@ class TestProbe:
                          "--target", "gender", "--out-dir", str(out_dir)]) == 3
         assert f"--model {model_path}: model has not been trained" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+# id -> (target, the split the refusal names, each sample's new z); the
+# corpus is binary, so z starts in {0, 1} in every split
+LABEL_FAULTS = {
+    "z-0-and-5": ("gender", "train", lambda s: 5 * s.z),
+    "z-1-everywhere": ("gender", "train", lambda s: 1),
+    "val-all-0": ("gender", "val", lambda s: 0 if s.split == "val" else s.z),
+    "z-0-and-2**64-1": ("gender", "train", lambda s: (2 ** 64 - 1) * s.z),
+    "binary-for-ethnicity": ("ethnicity", "train", lambda s: s.z),
+}
+
+
+@pytest.mark.parametrize("fault", LABEL_FAULTS)
+def test_protected_label_fault_exits_3_in_train_sweep_and_probe(tmp_path, dataset_path,
+                                                                capsys, fault):
+    target, split, relabel = LABEL_FAULTS[fault]
+    data = load_jsonl(dataset_path)
+    for s in data:
+        s.z = relabel(s)
+    bad = tmp_path / "bad.jsonl"
+    save_jsonl(data, bad)
+    model = HireabilityModel("language", "unprotected", tiny_dims(), seed=0)
+    model.trained = True
+    save_model(model, tmp_path / "model.json")
+    tcfg = write_train_config(tmp_path / "t.json")
+    training = ["--data", str(bad), "--variant", f"supervised-{target}",
+                "--modality", "language", "--config", str(tcfg)]
+    runs = {tmp_path / "m.json": ["train", *training, "--out"],
+            tmp_path / "sweep": ["sweep", *training, "--grid", "0.5,2", "--out-dir"],
+            tmp_path / "probe": ["probe", "--model", str(tmp_path / "model.json"),
+                                 "--data", str(bad), "--target", target, "--out-dir"]}
+    capsys.readouterr()
+    for out, argv in runs.items():
+        assert cli.main([*argv, str(out)]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert f"protected target {target!r}: z in the {split!r} split" in err, argv[0]
+        assert not out.exists(), argv[0]
 
 
 class TestBuildReport:

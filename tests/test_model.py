@@ -375,6 +375,25 @@ class TestPersistence:
         assert digest.hexdigest() == \
             "3fddf09aa5b14eb5243f3be747db0db599c4ff81de8261ffa19b01af82c84e48"
 
+    @pytest.mark.parametrize("modality, variant", [("multimodal", "negative-sampling"),
+                                                   ("audio", "supervised-ethnicity")])
+    def test_load_draws_nothing_and_keeps_params_order(self, tmp_path, monkeypatch,
+                                                       modality, variant):
+        # the file stores names sorted; Adam and the theta_* partitions need
+        # param_shapes order, and a load needs no random draw to overwrite
+        m = HireabilityModel(modality, variant, TINY, q=2, seed=8)
+        path = tmp_path / "m.json"
+        save_model(m, path)
+
+        def no_draw(*args):
+            raise AssertionError("load_model drew parameters")
+
+        monkeypatch.setattr(ly, "draw", no_draw)
+        loaded = load_model(path)
+        assert list(loaded.params) == list(param_shapes(modality, variant, TINY, 2))
+        assert all(np.array_equal(loaded.params[n].value, m.params[n].value) for n in m.params)
+        assert all(node.requires_grad for node in loaded.params.values())
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
