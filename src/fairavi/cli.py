@@ -184,6 +184,8 @@ def cmd_sweep(args) -> int:
     # every grid value's config is checked before any training starts
     cfg = _build_train_config(args)
     configs = {lam: dataclasses.replace(cfg, lam=lam).validate() for lam in grid}
+    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
+        raise FileExistsError(f"--out-dir {args.out_dir} exists and is not a directory")
     dataset = load_jsonl(args.data)
     # lambda is first read in the joint epochs, so one pretrain serves the grid
     state = pretrain(cfg, _new_model(cfg, dataset), dataset)

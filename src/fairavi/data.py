@@ -20,7 +20,7 @@ import orjson
 
 from .autodiff import logistic
 from .errors import (MODALITIES, AtLeastTwoInt, ConfigError, ContractError, NonNegativeInt,
-                     PositiveInt, Probability, Scale, check_fields)
+                     PositiveInt, PositiveInt64, Probability, Scale, SplitRatios, check_fields)
 from .fileio import atomic_write, read_json
 
 SEQ_FIELDS = ("seq_language", "seq_audio", "seq_video")
@@ -76,7 +76,7 @@ def blind(sample) -> BlindSample:
 @dataclass
 class GeneratorConfig:
     n: PositiveInt = 2000
-    max_clips: int = 5                   # clips per video drawn uniformly in 1..max_clips
+    max_clips: PositiveInt64 = 5         # clips per video drawn uniformly in 1..max_clips
     seq_len: dict = field(default_factory=lambda: {"language": 12, "audio": 25, "video": 20})
     feat_dim: dict = field(default_factory=lambda: {"language": 16, "audio": 20, "video": 12})
     n_classes: AtLeastTwoInt = 2
@@ -90,14 +90,10 @@ class GeneratorConfig:
     face_separation: Scale = 12.0        # class structure must dominate face noise,
     face_noise: Scale = 0.5              # or the face-matching adversary learns nothing
     seed: NonNegativeInt = 7
-    split_ratios: tuple = (0.7, 0.15, 0.15)   # train, val, test
+    split_ratios: SplitRatios = (0.7, 0.15, 0.15)   # train, val, test
 
     def validate(self) -> "GeneratorConfig":
         check_fields(GeneratorConfig, vars(self))
-        if not 1 <= self.max_clips < 2 ** 63:     # rng.integers draws an int64
-            raise ConfigError(f"max_clips must be in [1, 2**63), got {self.max_clips}")
-        if len(r := self.split_ratios) != 3 or min(r) < 0 or abs(sum(r) - 1.0) > 1e-9:
-            raise ConfigError(f"split_ratios must be 3 nonnegative numbers summing to 1, got {r}")
         floats = (self.n * (FACE_DIM + sum(self.seq_len[m] * self.feat_dim[m] for m in MODALITIES))
                   + self.n_classes * (FACE_DIM + sum(self.feat_dim.values())))
         if floats > MAX_FLOATS:
@@ -250,11 +246,8 @@ def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
 
 
 def apply_compressor(proj: FaceProjection, faces: np.ndarray) -> np.ndarray:
-    """Project faces onto the fitted directions (training statistics only)."""
-    faces = np.asarray(faces, dtype=np.float64)
-    single = faces.ndim == 1
-    out = (np.atleast_2d(faces) - proj.mean) @ proj.components.T
-    return out[0] if single else out
+    """Project (n, face_raw) faces onto the fitted directions (training statistics only)."""
+    return (np.asarray(faces, dtype=np.float64) - proj.mean) @ proj.components.T
 
 
 def load_face_targets(path, q: int) -> dict[str, np.ndarray]:

@@ -3,7 +3,10 @@
 A model's parameters are one name -> shape table, param_shapes: its key
 order is the draw order of layers.draw, the order of `params` and the
 model file's names.  The layers read their parameters through views
-over those same Nodes.
+over those same Nodes.  A model's kind (modality, variant, face code
+width q, candidate count k) is held in the field types of _ModelFile, the
+model file's header, and errors.check_fields tests it there whether the
+model is built or loaded.
 
 The base network encodes each requested modality with a bidirectional
 GRU plus additive attention, fuses the pooled vectors through a gated
@@ -31,13 +34,10 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import FACE_DIM
-from .errors import (MODALITIES, AtLeastTwoInt, ContractError, PositiveEvenInt, PositiveInt,
-                     check_fields)
+from .errors import (FACE_DIMS, MODALITIES, VARIANTS, AtLeastTwoInt, ContractError, FaceDim,
+                     Modality, PositiveEvenInt, PositiveInt, Variant, check_fields)
 from .fileio import atomic_write, read_json
 
-VARIANTS = ("unprotected", "supervised-gender", "supervised-ethnicity",
-            "static-faces", "negative-sampling")
-FACE_DIMS = (2, 16)
 PROTECTED_CLASSES = {"gender": 2, "ethnicity": 3}
 CHUNK = 512                    # clips per inference forward pass
 
@@ -74,27 +74,6 @@ class ForwardResult:
     y_hat: Node
     o_mm: Node
     contributions: dict | None
-
-
-@dataclass
-class NegativeSamplingBatch:
-    """k face vectors per anchor with the index of the true candidate."""
-    faces: np.ndarray          # (B, k, face_raw)
-    positive_index: np.ndarray  # (B,) ints
-
-    def __post_init__(self):
-        if self.faces.shape[1] < 2:
-            raise ContractError(f"negative sampling needs k >= 2, got k={self.faces.shape[1]}")
-
-
-def check_kind(modality: str, variant: str, q: int, error=ContractError) -> None:
-    """A model kind's choices; `error` is ConfigError for a config."""
-    if modality not in MODALITIES + ("multimodal",):
-        raise error(f"unknown modality {modality!r}")
-    if variant not in VARIANTS:
-        raise error(f"unknown variant {variant!r}")
-    if q not in FACE_DIMS:
-        raise error(f"face dimension q must be one of {FACE_DIMS}, got {q}")
 
 
 def _active_modalities(modality: str) -> tuple[str, ...]:
@@ -154,7 +133,8 @@ class HireabilityModel:
     def __init__(self, modality: str = "multimodal", variant: str = "unprotected",
                  dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0,
                  values: dict | None = None):
-        check_kind(modality, variant, q)
+        check_fields(_ModelFile, {"modality": modality, "variant": variant, "q": q, "k": k},
+                     ContractError)
         self.modality = modality
         self.variant = variant
         self.dims = dims or ModelDims()
@@ -254,14 +234,14 @@ class HireabilityModel:
         inner = ad.linear(H, self.params["W_5"], self.params["b_5"])
         return ad.linear(inner, self.params["W_6"], self.params["b_6"])
 
-    def head_negative_sampling(self, H, batch: NegativeSamplingBatch) -> tuple[Node, Node]:
-        """Score H against k faces; returns (scores, p) of shape (B, k).
+    def head_negative_sampling(self, H, faces: np.ndarray) -> tuple[Node, Node]:
+        """Score H against (B, k, face_raw) faces; returns (scores, p) of shape (B, k).
 
         Faces are encoded by tanh(W_7 w + b_7), the interview by
         tanh(W_9 (W_8 H + b_8) + b_9); their Hadamard product plus a scalar
         bias feeds the scoring row W_10.
         """
-        faces = np.asarray(batch.faces, dtype=np.float64)
+        faces = np.asarray(faces, dtype=np.float64)
         B, k, fd = faces.shape
         flat = ad.constant(faces.reshape(B * k, fd))
         w_hat = ad.tanh(ad.linear(flat, self.params["W_7"], self.params["b_7"]))
@@ -343,9 +323,9 @@ def modality_contributions(model: HireabilityModel, samples):
 @dataclass
 class _ModelFile:
     """The fields of a save_model document, as load_model checks them."""
-    modality: str
-    variant: str
-    q: int
+    modality: Modality
+    variant: Variant
+    q: FaceDim
     k: AtLeastTwoInt
     trained: bool
     dims: object
@@ -396,16 +376,15 @@ def load_model(path) -> HireabilityModel:
     or one that repeats a key, a document that is not an object with
     exactly save_model's keys, a header or dims field that check_fields
     refuses (a width must be a positive int, gru_width an even one, k at
-    least 2), a parameter set or shape other than the model's, a data
-    length that does not fit the shape, or a value that is not a finite
-    hex float string.
+    least 2, modality, variant and q one of their choices), a parameter
+    set or shape other than the model's, a data length that does not fit
+    the shape, or a value that is not a finite hex float string.
     """
     doc = read_json(path, ContractError)
     if not isinstance(doc, dict) or doc.get("format") != "fairavi-model-v1":
         raise ContractError(f"{path}: not a recognized model file")
     try:
         f = _ModelFile(**check_fields(_ModelFile, doc, ContractError, complete=True))
-        check_kind(f.modality, f.variant, f.q)
         dims = ModelDims(**check_fields(ModelDims, f.dims, ContractError, "dims.", complete=True))
     except ContractError as e:
         raise ContractError(f"{path}: {e}") from None

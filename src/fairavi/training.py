@@ -32,11 +32,11 @@ from . import autodiff as ad
 from . import layers as ly
 from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
-from .errors import (AtLeastTwoInt, ConfigError, ContractError, Fraction, NonNegative,
-                     NonNegativeInt, Positive, PositiveInt, check_fields)
+from .errors import (AtLeastTwoInt, ConfigError, ContractError, FaceDim, Fraction, Modality,
+                     NonNegative, NonNegativeInt, Positive, PositiveInt, Variant, check_fields)
 from .fileio import atomic_write
-from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, NegativeSamplingBatch,
-                    batch_sequences, check_kind, predict, protected_labels)
+from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, batch_sequences, predict,
+                    protected_labels)
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -44,11 +44,11 @@ SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
 
 @dataclass
 class TrainConfig:
-    variant: str = "unprotected"
-    modality: str = "multimodal"
+    variant: Variant = "unprotected"
+    modality: Modality = "multimodal"
     lam: NonNegative = 1.0
     k: AtLeastTwoInt = 5
-    q: int = 2
+    q: FaceDim = 2
     batch_size: PositiveInt = 32
     lr_joint: Positive = 1e-4
     lr_adv: Positive = 3e-3
@@ -68,7 +68,6 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         check_fields(TrainConfig, vars(self))
-        check_kind(self.modality, self.variant, self.q, ConfigError)
         if self.face_targets is not None and self.variant != "static-faces":
             raise ConfigError(f"face_targets is read only by static-faces, not {self.variant}")
         return self
@@ -196,7 +195,6 @@ CSV_HEADER = "epoch,phase,l_t_train,l_t_val,l_a_train,l_a_val,objective_val,seco
 @dataclass
 class TrainLog:
     rows: list = field(default_factory=list)
-    adv_reinit_seeds: list = field(default_factory=list)
     compressor_fingerprint: str | None = None
     final_l_t_val: float | None = None    # validation losses of the state kept so far
     final_l_a_val: float | None = None
@@ -264,7 +262,7 @@ class _AdversaryTask:
     def loss(self, model: HireabilityModel, h: Node, idx: np.ndarray, split: str) -> Node:
         if self._ns is not None:
             faces, pos = self._ns.batch(split, idx)
-            _, p = model.head_negative_sampling(h, NegativeSamplingBatch(faces, pos))
+            _, p = model.head_negative_sampling(h, faces)
             return ns_loss(p, pos)
         if self.variant == "static-faces":
             return mse_face_loss(model.head_static_faces(h), self.targets[split][idx])
@@ -539,7 +537,6 @@ def _outer_epoch(state: Pretrained, cfg: TrainConfig, observer):
 
     reinit_seed = int(rng.integers(2 ** 31))
     model.reinit_adversary(reinit_seed)
-    log.adv_reinit_seeds.append(reinit_seed)
     _notify(observer, "adv_reinit", seed=reinit_seed)
 
     l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log, "adv-refit",

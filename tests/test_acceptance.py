@@ -17,8 +17,7 @@ from fairavi import data as dt
 from fairavi import evaluation as ev
 from fairavi import layers as ly
 from fairavi import training as tr
-from fairavi.model import (HireabilityModel, ModelDims, NegativeSamplingBatch,
-                           adversary_shapes, predict)
+from fairavi.model import HireabilityModel, ModelDims, adversary_shapes, predict
 from tests.conftest import layer_params, tiny_dims, tiny_generator_config
 from tests.test_evaluation import brute_force_auc
 
@@ -60,8 +59,7 @@ def _head_case(variant, q=2):
             # softmax is shift-invariant, which makes b_10's gradient under the
             # sampling loss structurally zero; probing the raw scores as well
             # keeps every parameter identifiable for the finite-difference check
-            scores, p = m.head_negative_sampling(ad.constant(h),
-                                                 NegativeSamplingBatch(faces, pos))
+            scores, p = m.head_negative_sampling(ad.constant(h), faces)
             return ad.add(tr.ns_loss(p, pos), ad.mean(ad.mul(scores, ad.constant(probe))))
 
         return ns, m.theta_a()

@@ -196,8 +196,10 @@ class TestTrain:
         assert "dataset is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, message", [
-        ("variant", "foo", "unknown variant 'foo'"),
-        ("modality", "smell", "unknown modality 'smell'"),
+        ("variant", "foo", "variant must be one of unprotected, supervised-gender, "
+                           "supervised-ethnicity, static-faces, negative-sampling, got 'foo'"),
+        ("modality", "smell", "modality must be one of language, audio, video, multimodal, "
+                              "got 'smell'"),
         ("l2", -1.0, "l2 must be a finite number of at least 0, got -1.0"),
         ("max_epochs_adv", 0, "max_epochs_adv must be a positive int, got 0"),
         ("max_epochs_pretrain", 0, "max_epochs_pretrain must be a positive int, got 0"),
@@ -375,6 +377,21 @@ class TestSweep:
         assert code == 3
         assert "protected" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_out_dir_naming_a_file_fails_before_pretrain(self, tmp_path, dataset_path,
+                                                          monkeypatch, capsys):
+        pretrained = []
+        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: pretrained.append(a))
+        tcfg = write_train_config(tmp_path / "t.json")
+        out_dir = tmp_path / "sweep"
+        out_dir.write_text("a file, not a directory")
+        code = cli.main(["sweep", "--data", str(dataset_path), "--variant",
+                         "supervised-gender", "--modality", "language", "--grid", "0.5,2",
+                         "--config", str(tcfg), "--out-dir", str(out_dir)])
+        assert code == 1
+        assert f"--out-dir {out_dir} exists and is not a directory" in capsys.readouterr().err
+        assert pretrained == []
+        assert out_dir.read_text() == "a file, not a directory"
 
     def test_failed_lambda_keeps_the_others(self, tmp_path, dataset_path, monkeypatch,
                                             capsys):

@@ -9,9 +9,8 @@ from fairavi import layers as ly
 from fairavi import training as tr
 from fairavi.errors import ContractError
 from fairavi.model import (CHUNK, MODALITIES, VARIANTS, HireabilityModel, ModelDims,
-                           NegativeSamplingBatch, adversary_shapes, batch_sequences, infer,
-                           load_model, modality_contributions, param_shapes, predict,
-                           save_model)
+                           adversary_shapes, batch_sequences, infer, load_model,
+                           modality_contributions, param_shapes, predict, save_model)
 
 TINY = ModelDims(input_dims={"language": 3, "audio": 4, "video": 2},
                  gru_width=4, att_proj=3, trunk_width=3,
@@ -158,17 +157,14 @@ class TestNegativeSamplingHead:
     def test_zero_params_uniform(self):
         m, h, faces = self.make(0)
         zero_params(m)
-        _, p = m.head_negative_sampling(ad.constant(h),
-                                        NegativeSamplingBatch(faces, np.zeros(3, dtype=int)))
+        _, p = m.head_negative_sampling(ad.constant(h), faces)
         assert np.allclose(p.value, 0.2, atol=1e-15)
 
     def test_permutation_equivariance(self):
         m, h, faces = self.make(1)
         perm = np.array([3, 0, 4, 1, 2])
-        batch = NegativeSamplingBatch(faces, np.zeros(3, dtype=int))
-        _, p = m.head_negative_sampling(ad.constant(h), batch)
-        batch_p = NegativeSamplingBatch(faces[:, perm, :], np.zeros(3, dtype=int))
-        _, pp = m.head_negative_sampling(ad.constant(h), batch_p)
+        _, p = m.head_negative_sampling(ad.constant(h), faces)
+        _, pp = m.head_negative_sampling(ad.constant(h), faces[:, perm, :])
         assert np.allclose(pp.value, p.value[:, perm], atol=1e-12)
 
     def test_loss_invariant_under_tracked_permutation(self):
@@ -176,17 +172,15 @@ class TestNegativeSamplingHead:
         pos = np.array([1, 4, 0])
         perm = np.array([2, 0, 3, 4, 1])
         inv = np.argsort(perm)
-        _, p = m.head_negative_sampling(ad.constant(h), NegativeSamplingBatch(faces, pos))
+        _, p = m.head_negative_sampling(ad.constant(h), faces)
         base = float(tr.ns_loss(p, pos).value)
-        _, pp = m.head_negative_sampling(ad.constant(h),
-                                         NegativeSamplingBatch(faces[:, perm, :], inv[pos]))
+        _, pp = m.head_negative_sampling(ad.constant(h), faces[:, perm, :])
         permuted = float(tr.ns_loss(pp, inv[pos]).value)
         assert abs(base - permuted) < 1e-12
 
     def test_matches_g_chain_oracle(self):
         m, h, faces = self.make(3)
-        _, p = m.head_negative_sampling(ad.constant(h),
-                                        NegativeSamplingBatch(faces, np.zeros(3, dtype=int)))
+        _, p = m.head_negative_sampling(ad.constant(h), faces)
         assert np.abs(p.value.sum(axis=-1) - 1.0).max() < 1e-12
         w7, b7 = m.params["W_7"].value, m.params["b_7"].value
         w8, b8 = m.params["W_8"].value, m.params["b_8"].value
@@ -202,18 +196,12 @@ class TestNegativeSamplingHead:
             expect /= expect.sum()
             assert np.allclose(p.value[i], expect, atol=1e-12)
 
-    def test_k_below_two_rejected(self):
-        _, _, faces = self.make(4)
-        with pytest.raises(ContractError, match="k"):
-            NegativeSamplingBatch(faces[:, :1, :], np.zeros(3, dtype=int))
-
     def test_gradient(self):
         m, h, faces = self.make(5, b=2, k=3)
         pos = np.array([0, 2])
-        batch = NegativeSamplingBatch(faces, pos)
 
         def loss():
-            _, p = m.head_negative_sampling(ad.constant(h), batch)
+            _, p = m.head_negative_sampling(ad.constant(h), faces)
             return tr.ns_loss(p, pos)
 
         assert ad.grad_check_params(loss, m.theta_a()) < 1e-4
@@ -393,6 +381,14 @@ class TestPersistence:
         assert list(loaded.params) == list(param_shapes(modality, variant, TINY, 2))
         assert all(np.array_equal(loaded.params[n].value, m.params[n].value) for n in m.params)
         assert all(node.requires_grad for node in loaded.params.values())
+
+    def test_constructor_refuses_a_kind_the_model_file_refuses(self):
+        for field, kind in (("k", dict(variant="negative-sampling", k=1)),
+                            ("variant", dict(variant="adversarial")),
+                            ("modality", dict(modality="smell")),
+                            ("q", dict(variant="static-faces", q=3))):
+            with pytest.raises(ContractError, match=rf"^{field} must be "):
+                HireabilityModel(dims=TINY, **kind)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -295,9 +295,8 @@ class TestTrainAlternating:
                 collapsed.append(tag)
         assert collapsed == ["pretrain-main", "pretrain-adv", "joint", "adv-refit",
                              "joint", "adv-refit"]
-        assert len(log.adv_reinit_seeds) == 2
         reinits = [p["seed"] for e, p in events if e == "adv_reinit"]
-        assert reinits == log.adv_reinit_seeds
+        assert len(reinits) == 2
 
     def test_adversary_reinitialized_between_joint_and_refit(self, tiny_dataset):
         cfg = short_cfg(variant="supervised-gender", max_outer=1)
