@@ -271,7 +271,7 @@ def cmd_probe(args) -> int:
         fh.write(report.to_markdown())
     _write_manifest(csv_path, "probe",
                     {"model": args.model, "target": args.target},
-                    ev.ProbeConfig().seed, [args.model, args.data],
+                    ev.PROBE_SEED, [args.model, args.data],
                     [csv_path, md_path], started)
     print(report.to_markdown(), end="")
     return 0

@@ -11,7 +11,7 @@ two-group case.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from .fileio import atomic_write
 from .model import HireabilityModel, predict
 
 THRESHOLD = 0.5                # a score at or above it predicts the positive class
+STRENGTHS = tuple(10.0 ** e for e in range(-4, 5))   # the probes' penalty strength grid
+MAX_ITER = 300                 # descent steps per probe fit at most
+TOL = 1e-7                     # a probe row stops once its step falls below this
+PROBE_SEED = 0                 # seed of the probes' initial weights
 
 
 class UndefinedMetricError(ContractError):
@@ -117,15 +121,6 @@ def audit_overlap(train_samples, test_samples) -> float:
 # ----------------------------------------------------------------- probing
 
 @dataclass
-class ProbeConfig:
-    penalty: str = "l2"                      # l1 | l2
-    strengths: tuple = tuple(10.0 ** e for e in range(-4, 5))
-    max_iter: int = 300
-    tol: float = 1e-7
-    seed: int = 0
-
-
-@dataclass
 class LogisticProbe:
     w: np.ndarray
     b: float
@@ -140,30 +135,30 @@ class OvrProbe:
     strength: float
 
 
-def _fit_logistic(h, targets, strengths, cfg: ProbeConfig) -> list[LogisticProbe]:
+def _fit_logistic(h, targets, strengths, penalty: str) -> list[LogisticProbe]:
     """One regularized logistic regression per row of `targets` (R, n),
     row r at strength strengths[r], all rows fitted in one loop.
 
     Full-batch gradient descent (l2) / proximal gradient (l1); the
     intercept is never penalized.  A row stops once its own step falls
-    below cfg.tol.  Stacked matmuls make the BLAS calls of `h @ w`,
+    below TOL.  Stacked matmuls make the BLAS calls of `h @ w`,
     `h.T @ r` and `norm` on one row (a 2-D `h @ W.T` or an einsum norm
     would not), so each row's bytes equal a fit of that row alone."""
     n, d = h.shape
     aug = np.hstack([h, np.ones((n, 1))])
     lipschitz = np.linalg.norm(aug, 2) ** 2 / (4.0 * n)
     lam = np.asarray(strengths, dtype=np.float64)[:, None]
-    step = 1.0 / (lipschitz + (lam if cfg.penalty == "l2" else np.zeros_like(lam)))
-    w = np.tile(1e-3 * np.random.default_rng(cfg.seed).standard_normal(d), (len(lam), 1))
+    step = 1.0 / (lipschitz + (lam if penalty == "l2" else np.zeros_like(lam)))
+    w = np.tile(1e-3 * np.random.default_rng(PROBE_SEED).standard_normal(d), (len(lam), 1))
     b = np.zeros(len(lam))
     y = np.asarray(targets, dtype=np.float64)
     w_out, b_out = np.empty_like(w), np.empty_like(b)
     live = np.arange(len(lam))           # output index of every row still fitting
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         r = logistic(np.matmul(h, w[:, :, None])[:, :, 0] + b[:, None]) - y
         gw = np.matmul(h.T, r[:, :, None])[:, :, 0] / n
         gb = r.mean(axis=1)
-        if cfg.penalty == "l2":
+        if penalty == "l2":
             new_w = w - step * (gw + lam * w)
         else:
             shrunk = w - step * gw     # soft threshold at step * lam
@@ -172,14 +167,14 @@ def _fit_logistic(h, targets, strengths, cfg: ProbeConfig) -> list[LogisticProbe
         dw = new_w - w
         delta = np.sqrt(np.matmul(dw[:, None, :], dw[:, :, None]))[:, 0, 0] + np.abs(new_b - b)
         w, b = new_w, new_b
-        done = delta < cfg.tol
+        done = delta < TOL
         if done.any():
             w_out[live[done]], b_out[live[done]] = w[done], b[done]
             live, w, b, y, step, lam = (a[~done] for a in (live, w, b, y, step, lam))
             if not live.size:
                 break
     w_out[live], b_out[live] = w, b
-    return [LogisticProbe(w=w_out[i], b=b_out[i], penalty=cfg.penalty, strength=s)
+    return [LogisticProbe(w=w_out[i], b=b_out[i], penalty=penalty, strength=s)
             for i, s in enumerate(strengths)]
 
 
@@ -190,22 +185,16 @@ def _scores_auc(scores, z, positive) -> float:
     return auc(scores, (z == positive).astype(int))
 
 
-def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
-    """Fit probes over the strength grid; return (probe, val_auc) for the
+def fit_probe(h_train, z_train, h_val, z_val, penalty: str = "l2"):
+    """Fit probes over the STRENGTHS grid; return (probe, val_auc) for the
     one with the best validation AUC.
 
     Binary targets give a LogisticProbe, multiclass targets a one-vs-rest
     OvrProbe scored by macro OvR AUC.  Every (strength, class) row is
     fitted in one stacked loop.
     """
-    cfg = cfg or ProbeConfig()
-    if cfg.penalty not in ("l1", "l2"):
-        raise ContractError(f"unknown probe penalty {cfg.penalty!r}")
-    if len(cfg.strengths) == 0 or not all(np.isfinite(s) and s >= 0 for s in cfg.strengths):
-        raise ContractError("probe strengths must be a non-empty grid of finite values >= 0, "
-                            f"got {cfg.strengths}")
-    if cfg.max_iter < 1 or not cfg.tol >= 0:
-        raise ContractError(f"probe needs max_iter >= 1, tol >= 0; got {cfg.max_iter}, {cfg.tol}")
+    if penalty not in ("l1", "l2"):
+        raise ContractError(f"unknown probe penalty {penalty!r}")
     h_train = np.asarray(h_train, dtype=np.float64)
     z_train = np.asarray(z_train).astype(int)
     z_val = np.asarray(z_val).astype(int)
@@ -216,12 +205,12 @@ def fit_probe(h_train, z_train, h_val, z_val, cfg: ProbeConfig | None = None):
     labels = [positive] if classes.size == 2 else range(positive + 1)
     targets = np.array([z_train == c for c in labels])
     k = len(targets)
-    fitted = _fit_logistic(h_train, np.tile(targets, (len(cfg.strengths), 1)),
-                           [s for s in cfg.strengths for _ in range(k)], cfg)
+    fitted = _fit_logistic(h_train, np.tile(targets, (len(STRENGTHS), 1)),
+                           [s for s in STRENGTHS for _ in range(k)], penalty)
     best, best_auc = None, -np.inf
-    for i, strength in enumerate(cfg.strengths):
+    for i, strength in enumerate(STRENGTHS):
         rows = fitted[i * k:(i + 1) * k]
-        probe = rows[0] if k == 1 else OvrProbe(rows, cfg.penalty, strength)
+        probe = rows[0] if k == 1 else OvrProbe(rows, penalty, strength)
         val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
         if val_auc > best_auc:
             best, best_auc = probe, val_auc
@@ -235,17 +224,14 @@ def probe_scores(probe, h) -> np.ndarray:
     return logistic(h @ probe.w + probe.b)
 
 
-def diagnose(h_train, z_train, h_val, z_val, h_test, z_test,
-             cfg: ProbeConfig | None = None) -> dict:
+def diagnose(h_train, z_train, h_val, z_val, h_test, z_test) -> dict:
     """Best validation-selected probe over both penalty norms; reports its
     test AUC and accuracy."""
-    base = cfg or ProbeConfig()
     z_test = np.asarray(z_test).astype(int)
     positive = np.asarray(z_train).astype(int).max()
     best = None
     for penalty in ("l2", "l1"):
-        probe, val_auc = fit_probe(h_train, z_train, h_val, z_val,
-                                   replace(base, penalty=penalty))
+        probe, val_auc = fit_probe(h_train, z_train, h_val, z_val, penalty)
         if best is None or val_auc > best["val_auc"]:
             scores_test = probe_scores(probe, h_test)
             best = {"val_auc": val_auc, "auc": _scores_auc(scores_test, z_test, positive),

@@ -5,8 +5,8 @@ order is the draw order of layers.draw, the order of `params` and the
 model file's names.  The layers read their parameters through views
 over those same Nodes.  A model's kind (modality, variant, face code
 width q, candidate count k) is held in the field types of _ModelFile, the
-model file's header, and errors.check_fields tests it there whether the
-model is built or loaded.
+model file's header, and errors.check_fields tests it there, and its
+ModelDims fields, whether the model is built or loaded.
 
 The base network encodes each requested modality with a bidirectional
 GRU plus additive attention, fuses the pooled vectors through a gated
@@ -133,11 +133,12 @@ class HireabilityModel:
     def __init__(self, modality: str = "multimodal", variant: str = "unprotected",
                  dims: ModelDims | None = None, q: int = 2, k: int = 5, seed: int = 0,
                  values: dict | None = None):
+        self.dims = dims or ModelDims()
         check_fields(_ModelFile, {"modality": modality, "variant": variant, "q": q, "k": k},
                      ContractError)
+        check_fields(ModelDims, asdict(self.dims), ContractError, "dims.")
         self.modality = modality
         self.variant = variant
-        self.dims = dims or ModelDims()
         self.q = q
         self.k = k
         self.trained = False
@@ -174,13 +175,10 @@ class HireabilityModel:
 
     # ---------------------------------------------------------- partitions
 
-    def theta_h(self) -> dict[str, Node]:
+    def theta_main(self) -> dict[str, Node]:
+        """Every parameter outside the adversary, in params order."""
         adv = self._adversary_shapes()
-        return {n: p for n, p in self.params.items()
-                if n not in ("W_v", "b_v") and n not in adv}
-
-    def theta_d(self) -> dict[str, Node]:
-        return {"W_v": self.params["W_v"], "b_v": self.params["b_v"]}
+        return {n: p for n, p in self.params.items() if n not in adv}
 
     def theta_a(self) -> dict[str, Node]:
         return {n: self.params[n] for n in self._adversary_shapes()}
@@ -281,6 +279,11 @@ def infer(model: HireabilityModel, samples):
 
     Returns (H, y_hat, norms): norms maps modality -> (n,) L2 norms of the
     gated modality vectors for a multimodal model, and is None otherwise.
+
+    H and y_hat of a clip repeat byte for byte for the same sample list,
+    but not across batch compositions: BLAS may order a matmul's sums by
+    batch shape, so the same clip in another chunk can differ in the last
+    bits (up to 2.8e-16 in H on a seed-11 corpus).  Compare like batches.
     """
     hs, ys, norms = [], [], {m: [] for m in MODALITIES}
     with ad.no_tape():

@@ -270,15 +270,16 @@ class _AdversaryTask:
         return loss(model.head_supervised(h), self.targets[split][idx])
 
     def evaluate(self, model: HireabilityModel, h_val: np.ndarray) -> float:
-        """Mean validation loss over cached representations; the negative-
-        sampling loss is averaged over the sampler's fixed draws."""
+        """Mean validation loss over cached representations, with no tape;
+        the negative-sampling loss is averaged over the sampler's fixed draws."""
         def one_pass() -> float:
             n = h_val.shape[0]
             total = 0.0
-            for lo in range(0, n, CHUNK):
-                idx = np.arange(lo, min(lo + CHUNK, n))
-                loss = self.loss(model, ad.constant(h_val[idx]), idx, "val")
-                total += float(loss.value) * idx.size
+            with ad.no_tape():
+                for lo in range(0, n, CHUNK):
+                    idx = np.arange(lo, min(lo + CHUNK, n))
+                    loss = self.loss(model, ad.constant(h_val[idx]), idx, "val")
+                    total += float(loss.value) * idx.size
             return total / n
 
         if self._ns is None:
@@ -480,7 +481,7 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
     task = None if cfg.variant == "unprotected" else _AdversaryTask(cfg, train, val, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     log = TrainLog()
-    opt_main = Adam({**model.theta_h(), **model.theta_d()}, cfg.lr_joint)
+    opt_main = Adam(model.theta_main(), cfg.lr_joint)
 
     def pretrain_epoch():
         t0 = time.perf_counter()

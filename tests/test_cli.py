@@ -572,7 +572,7 @@ class TestProbe:
         assert "AUC Gender" in md and "DI Ethnicity" in md
         # the probes' own seed, whatever FAIRAVI_SEED says
         manifest = json.loads((out_dir / "metrics.csv.manifest.json").read_text())
-        assert manifest["seed"] == ev.ProbeConfig().seed
+        assert manifest["seed"] == ev.PROBE_SEED
 
     def test_ethnicity_report_on_three_class_data(self, tmp_path):
         gcfg = write_gen_config(tmp_path / "g3.json", n_classes=3,

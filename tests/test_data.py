@@ -17,13 +17,12 @@ def pooled_features(samples):
                      for s in samples])
 
 
-def raw_probe_auc(samples, seed=0):
+def raw_probe_auc(samples):
     """Validation-free LR probe on raw pooled features, train/test halves."""
     x = pooled_features(samples)
     z = np.array([s.z for s in samples])
     half = len(samples) // 2
-    probe, = ev._fit_logistic(x[:half], (z[:half] == 1)[None], [1e-2],
-                              ev.ProbeConfig(penalty="l2", seed=seed))
+    probe, = ev._fit_logistic(x[:half], (z[:half] == 1)[None], [1e-2], "l2")
     return ev.auc(ev.probe_scores(probe, x[half:]), (z[half:] == 1).astype(int))
 
 

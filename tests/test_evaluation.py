@@ -247,8 +247,7 @@ class TestProbes:
         z = np.array([0] * 150 + [1] * 150)
         order = rng.permutation(300)
         x, z = x[order], z[order]
-        probe, _ = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250],
-                                ev.ProbeConfig(penalty="l2"))
+        probe, _ = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250], "l2")
         assert ev.auc(ev.probe_scores(probe, x[250:]), z[250:]) >= 0.999
 
     def test_permuted_labels_score_at_chance(self):
@@ -273,13 +272,13 @@ class TestProbes:
         with pytest.raises(ContractError, match="single class"):
             ev.fit_probe(x, np.zeros(10), x, np.zeros(10))
 
-    def test_huge_strength_zeroes_weights(self):
+    def test_huge_strength_zeroes_weights(self, monkeypatch):
+        monkeypatch.setattr(ev, "MAX_ITER", 2000)
         rng = np.random.default_rng(13)
         x = rng.standard_normal((200, 5))
         z = (x[:, 0] > 0).astype(float)
         for penalty in ("l1", "l2"):
-            probe, = ev._fit_logistic(x, z[None], [1e12],
-                                      ev.ProbeConfig(penalty=penalty, max_iter=2000))
+            probe, = ev._fit_logistic(x, z[None], [1e12], penalty)
             assert np.abs(probe.w).max() < 1e-6, penalty
 
     def test_diagnose_reports_selected_penalty(self):
@@ -293,17 +292,18 @@ class TestProbes:
         assert out["penalty"] in ("l1", "l2")
 
 
-def reference_fit(h, y, penalty, strength, cfg):
-    """One logistic fit at one strength, as a plain per-row loop; returns
-    (w, b, iterations run, the step size of every iteration)."""
+def reference_fit(h, y, penalty, strength):
+    """One logistic fit at one strength, as a plain per-row loop reading the
+    probe constants of `ev`; returns (w, b, iterations run, the step size of
+    every iteration)."""
     n, d = h.shape
     aug = np.hstack([h, np.ones((n, 1))])
     lipschitz = np.linalg.norm(aug, 2) ** 2 / (4.0 * n)
     step = 1.0 / (lipschitz + (strength if penalty == "l2" else 0.0))
-    w = 1e-3 * np.random.default_rng(cfg.seed).standard_normal(d)
+    w = 1e-3 * np.random.default_rng(ev.PROBE_SEED).standard_normal(d)
     b = 0.0
     deltas = []
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, ev.MAX_ITER + 1):
         p = ad.logistic(h @ w + b)
         gw = h.T @ (p - y) / n
         gb = float((p - y).mean())
@@ -316,7 +316,7 @@ def reference_fit(h, y, penalty, strength, cfg):
         delta = np.linalg.norm(new_w - w) + abs(new_b - b)
         deltas.append(delta)
         w, b = new_w, new_b
-        if delta < cfg.tol:
+        if delta < ev.TOL:
             break
     return w, b, it, deltas
 
@@ -327,87 +327,77 @@ class TestStackedProbeFit:
 
     @pytest.mark.parametrize("penalty", ["l1", "l2"])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_rows_match_per_strength_loop_bitwise(self, penalty, n_classes):
+    def test_rows_match_per_strength_loop_bitwise(self, penalty, n_classes, monkeypatch):
+        monkeypatch.setattr(ev, "MAX_ITER", 150)
         rng = np.random.default_rng(40 + n_classes)
         h = np.tanh(rng.standard_normal((180, 6)))
         z = (h[:, 0] + h[:, 1] + 0.5 * rng.standard_normal(180) > 0).astype(int)
         if n_classes == 3:
             z = z + (h[:, 2] > 0.6)
         targets = (z == 1)[None] if n_classes == 2 else np.stack([z == c for c in range(3)])
-        cfg = ev.ProbeConfig(penalty=penalty, max_iter=150, tol=1e-7)
+        monkeypatch.setattr(ev, "TOL", 1e-7)
         k = len(targets)
-        rows = [(s, c) for s in cfg.strengths for c in range(k)]
-        fitted = ev._fit_logistic(h, np.tile(targets, (len(cfg.strengths), 1)),
-                                  [s for s, _ in rows], cfg)
+        rows = [(s, c) for s in ev.STRENGTHS for c in range(k)]
+        fitted = ev._fit_logistic(h, np.tile(targets, (len(ev.STRENGTHS), 1)),
+                                  [s for s, _ in rows], penalty)
         stops = set()
         for probe, (s, c) in zip(fitted, rows):
-            w, b, iters, _ = reference_fit(h, targets[c].astype(float), penalty, s, cfg)
+            w, b, iters, _ = reference_fit(h, targets[c].astype(float), penalty, s)
             assert probe.w.tobytes() == w.tobytes(), (s, c)
             assert np.float64(probe.b).tobytes() == np.float64(b).tobytes(), (s, c)
             assert probe.strength == s and probe.penalty == penalty
-            stops.add(iters < cfg.max_iter)
+            stops.add(iters < ev.MAX_ITER)
         assert stops == {True, False}   # some rows froze early, others ran out
 
     @pytest.mark.parametrize("penalty", ["l1", "l2"])
-    def test_stops_on_the_same_iteration_at_the_tolerance_edge(self, penalty):
+    def test_stops_on_the_same_iteration_at_the_tolerance_edge(self, penalty, monkeypatch):
         # tol set to a step size the loop produces, and to the next float
         # above it: a step norm one ulp off the reference stops a row one
         # iteration early or late.
         rng = np.random.default_rng(45)
         h = np.tanh(rng.standard_normal((120, 7)))
         y = (h[:, 0] - h[:, 3] + 0.3 * rng.standard_normal(120) > 0).astype(float)
-        base = ev.ProbeConfig(penalty=penalty, max_iter=40, tol=0.0)
-        *_, deltas = reference_fit(h, y, penalty, 1e-2, base)
+        monkeypatch.setattr(ev, "MAX_ITER", 40)
+        monkeypatch.setattr(ev, "TOL", 0.0)
+        *_, deltas = reference_fit(h, y, penalty, 1e-2)
         for k in range(4, 40, 3):
             for tol in (deltas[k], np.nextafter(deltas[k], np.inf)):
-                cfg = ev.ProbeConfig(penalty=penalty, max_iter=40, tol=tol)
-                w, b, iters, _ = reference_fit(h, y, penalty, 1e-2, cfg)
-                for probe in ev._fit_logistic(h, np.tile(y, (3, 1)), [1e-2] * 3, cfg):
+                monkeypatch.setattr(ev, "TOL", tol)
+                w, b, iters, _ = reference_fit(h, y, penalty, 1e-2)
+                for probe in ev._fit_logistic(h, np.tile(y, (3, 1)), [1e-2] * 3, penalty):
                     assert probe.w.tobytes() == w.tobytes(), (k, tol, iters)
                     assert np.float64(probe.b).tobytes() == np.float64(b).tobytes()
 
-    def test_fit_probe_selects_the_per_strength_loop_choice(self):
+    def test_fit_probe_selects_the_per_strength_loop_choice(self, monkeypatch):
+        monkeypatch.setattr(ev, "MAX_ITER", 100)
         rng = np.random.default_rng(44)
         h = rng.standard_normal((300, 6))
         z = rng.integers(0, 3, 300)
         h[:, 0] += z
-        cfg = ev.ProbeConfig(penalty="l1", max_iter=100)
-        best, val_auc = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], cfg)
+        best, val_auc = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], "l1")
         aucs = []
-        for s in cfg.strengths:
-            fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s, cfg)
+        for s in ev.STRENGTHS:
+            fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s)
                     for c in range(3)]
             scores = np.stack([ad.logistic(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
             aucs.append(ev.macro_ovr_auc(scores, z[200:]))
-        assert best.strength == cfg.strengths[int(np.argmax(aucs))]
+        assert best.strength == ev.STRENGTHS[int(np.argmax(aucs))]
         assert val_auc == max(aucs)
         chosen = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1",
-                                best.strength, cfg)[0] for c in range(3)]
+                                best.strength)[0] for c in range(3)]
         assert [p.w.tobytes() for p in best.probes] == [w.tobytes() for w in chosen]
 
 
-class TestProbeConfigChecks:
-    @pytest.mark.parametrize("overrides, message", [
-        ({"strengths": ()}, "empty"),
-        ({"strengths": (1.0, -1.0)}, "strengths"),
-        ({"strengths": (1.0, float("nan"))}, "strengths"),
-        ({"strengths": (float("inf"),)}, "strengths"),
-        ({"max_iter": 0}, "max_iter"),
-        ({"tol": -1e-9}, "tol"),
-    ], ids=["empty-grid", "negative", "nan", "inf", "max-iter-0", "negative-tol"])
-    def test_bad_config_rejected_before_fitting(self, overrides, message, monkeypatch):
+class TestProbePenalty:
+    @pytest.mark.parametrize("penalty", ["l3", "L2", "", None])
+    def test_unknown_penalty_rejected_before_fitting(self, penalty, monkeypatch):
         def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before the config was checked")
+            raise AssertionError("fitted before the penalty was checked")
         monkeypatch.setattr(ev, "_fit_logistic", no_fit)
         rng = np.random.default_rng(15)
         x, z = rng.standard_normal((40, 3)), np.arange(40) % 2
-        with pytest.raises(ContractError, match=message):
-            ev.fit_probe(x, z, x, z, ev.ProbeConfig(**overrides))
-
-    def test_diagnose_empty_grid_is_a_contract_error(self):
-        x, z = np.random.default_rng(16).standard_normal((40, 3)), np.arange(40) % 2
-        with pytest.raises(ContractError, match="empty"):
-            ev.diagnose(x, z, x, z, x, z, ev.ProbeConfig(strengths=()))
+        with pytest.raises(ContractError, match="unknown probe penalty"):
+            ev.fit_probe(x, z, x, z, penalty)
 
 
 class TestRepresentations:

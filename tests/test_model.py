@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ class TestPersistence:
                 assert np.array_equal(loaded.params[n].value, m.params[n].value), n
 
     @pytest.mark.parametrize("modality", MODALITIES + ("multimodal",))
-    @pytest.mark.parametrize("dims", [TINY, ModelDims(gru_width=5)], ids=["tiny", "odd-width"])
+    @pytest.mark.parametrize("dims", [TINY, ModelDims(gru_width=6)], ids=["tiny", "width-6"])
     def test_param_shapes_are_the_built_model_shapes(self, modality, dims):
         for variant in VARIANTS:
             for q in (2, 16):
@@ -390,6 +391,16 @@ class TestPersistence:
             with pytest.raises(ContractError, match=rf"^{field} must be "):
                 HireabilityModel(dims=TINY, **kind)
 
+    @pytest.mark.parametrize("field, value", [
+        ("gru_width", 5), ("gru_width", 0), ("att_proj", 0), ("trunk_width", -2),
+        ("input_dims", {"language": 3, "audio": 4}),
+    ], ids=["odd-gru-width", "zero-gru-width", "zero-att-proj", "negative-trunk-width",
+            "input-dims-missing-video"])
+    def test_constructor_refuses_dims_the_model_file_refuses(self, field, value):
+        # a model that builds must load again from its own file
+        with pytest.raises(ContractError, match=rf"^dims\.{field} must be "):
+            HireabilityModel("multimodal", "unprotected", replace(TINY, **{field: value}))
+
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
@@ -419,8 +430,8 @@ class TestPersistence:
         for variant, names in expected.items():
             m = HireabilityModel("multimodal", variant, TINY, q=2, seed=0)
             assert list(m.theta_a()) == names, variant
-            assert not set(names) & set(m.theta_h()), variant
-            assert set(m.params) == set(m.theta_h()) | {"W_v", "b_v"} | set(names), variant
+            assert not set(names) & set(m.theta_main()), variant
+            assert list(m.params) == list(m.theta_main()) + names, variant
         # W_* are Glorot draws in table order, b_* start at zero
         m = HireabilityModel("language", "static-faces", TINY, q=2, seed=0)
         rng = np.random.default_rng(7)

@@ -324,7 +324,7 @@ class TestTrainAlternating:
         def one_epoch(joint: bool):
             cfg = short_cfg(variant="supervised-gender", lam=0.0, dropout=0.2)
             model = HireabilityModel("multimodal", "supervised-gender", tiny_dims(), seed=9)
-            main = {**model.theta_h(), **model.theta_d()}
+            main = model.theta_main()
             opt_main = tr.Adam(main, cfg.lr_joint)
             rng = np.random.default_rng(17)
             if joint:
@@ -547,6 +547,54 @@ class TestAdversaryTargets:
         val = [s for s in tiny_dataset if s.split == "val"][:2]
         with pytest.raises(ContractError, match="at least k"):
             tr._NegativeSampler(train, val, k=50, seed=0)
+
+
+class TestAdversaryEvaluate:
+    @staticmethod
+    def taped_evaluate(task, model, h_val):
+        """evaluate's chunk loop with the tape recording."""
+        def one_pass():
+            total = 0.0
+            for lo in range(0, len(h_val), tr.CHUNK):
+                idx = np.arange(lo, min(lo + tr.CHUNK, len(h_val)))
+                total += float(task.loss(model, ad.constant(h_val[idx]), idx, "val").value) \
+                    * idx.size
+            return total / len(h_val)
+        if task._ns is None:
+            return one_pass()
+        values = []
+        for draw in task._ns.val_assignments:
+            task._ns.assignment["val"] = draw
+            values.append(one_pass())
+        return float(np.mean(values))
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "unprotected"])
+    def test_validation_records_no_tape(self, variant, monkeypatch):
+        from tests.conftest import tiny_generator_config
+        from fairavi.data import generate_synthetic, split_group_disjoint
+        n_classes = 3 if variant == "supervised-ethnicity" else 2
+        samples = generate_synthetic(tiny_generator_config(n_classes=n_classes))
+        split_group_disjoint(samples, seed=2)
+        train = [s for s in samples if s.split == "train"]
+        val = [s for s in samples if s.split == "val"]
+        cfg = short_cfg(variant=variant, q=2, k=3)
+        model = HireabilityModel("multimodal", variant, tiny_dims(), q=2, k=3, seed=6)
+        task = tr._AdversaryTask(cfg, train, val, seed=1)
+        h_val = np.tanh(np.random.default_rng(8).standard_normal((len(val), 4)))
+        monkeypatch.setattr(tr, "CHUNK", 7)      # several chunks per pass
+        built, init = [], ad.Node.__init__
+
+        def recording_init(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            built.append(node)
+
+        monkeypatch.setattr(ad.Node, "__init__", recording_init)
+        value = task.evaluate(model, h_val)
+        assert built and all(not node.parents for node in built), variant
+        monkeypatch.undo()
+        monkeypatch.setattr(tr, "CHUNK", 7)
+        expected = self.taped_evaluate(task, model, h_val)
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes(), variant
 
 
 class TestTrainLogCsv:
