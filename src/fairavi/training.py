@@ -35,8 +35,7 @@ from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import (AtLeastTwoInt, ConfigError, ContractError, FaceDim, Fraction, Modality,
                      NonNegative, NonNegativeInt, Positive, PositiveInt, Variant, check_fields)
 from .fileio import atomic_write
-from .model import (CHUNK, PROTECTED_CLASSES, HireabilityModel, batch_sequences, predict,
-                    protected_labels)
+from .model import CHUNK, HireabilityModel, batch_sequences, predict, protected_labels
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 SUPERVISED_VARIANTS = ("supervised-gender", "supervised-ethnicity")
@@ -86,15 +85,6 @@ def bce_loss(y_hat, y) -> Node:
     return ad.neg(ad.mean(ll))
 
 
-def cce_loss(z_hat, z_onehot) -> Node:
-    """Mean negative log-likelihood of the true class."""
-    z_onehot = np.asarray(z_onehot, dtype=np.float64)
-    if z_onehot.size == 0:
-        raise ContractError("cce_loss: empty batch")
-    p = ad.clip(ad.constant(z_hat), 1e-12, 1.0)
-    return ad.neg(ad.mean(ad.sum_(ad.mul(ad.constant(z_onehot), ad.log(p)), axis=-1)))
-
-
 def mse_face_loss(w_pred, w_prime) -> Node:
     """Mean over samples of the squared Euclidean residual norm."""
     w_pred = ad.constant(w_pred)
@@ -107,21 +97,16 @@ def mse_face_loss(w_pred, w_prime) -> Node:
 
 
 def ns_loss(p, positive_index) -> Node:
-    """Mean -log p at the true-candidate position."""
+    """Mean -log p at each row's true class or true candidate, p clamped to 1e-12."""
     p = ad.constant(p)
     pos = np.asarray(positive_index)
     n, k = p.value.shape
+    if pos.size == 0:
+        raise ContractError("ns_loss: empty batch")
     if pos.min() < 0 or pos.max() >= k:
         raise ContractError(f"ns_loss: positive index out of range [0, {k})")
     p_pos = ad.slice_(p, (np.arange(n), pos))
     return ad.neg(ad.mean(ad.log(ad.clip(p_pos, 1e-12, 1.0))))
-
-
-def onehot(z, n_classes: int) -> np.ndarray:
-    z = np.asarray(z, dtype=int)
-    out = np.zeros((z.size, n_classes))
-    out[np.arange(z.size), z] = 1.0
-    return out
 
 
 # -------------------------------------------------------------------- Adam
@@ -233,9 +218,7 @@ class _AdversaryTask:
         self._ns = None
         splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
-            target = self.variant.removeprefix("supervised-")
-            zs, n = protected_labels(splits, target), PROTECTED_CLASSES[target]
-            self.targets = zs if n == 2 else {k: onehot(z, n) for k, z in zs.items()}
+            self.targets = protected_labels(splits, self.variant.removeprefix("supervised-"))
         elif self.variant == "static-faces":
             if cfg.face_targets:
                 lookup = load_face_targets(cfg.face_targets, cfg.q)
@@ -266,7 +249,7 @@ class _AdversaryTask:
             return ns_loss(p, pos)
         if self.variant == "static-faces":
             return mse_face_loss(model.head_static_faces(h), self.targets[split][idx])
-        loss = bce_loss if self.variant == "supervised-gender" else cce_loss
+        loss = bce_loss if self.variant == "supervised-gender" else ns_loss
         return loss(model.head_supervised(h), self.targets[split][idx])
 
     def evaluate(self, model: HireabilityModel, h_val: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from fairavi import training as tr
 from fairavi.model import HireabilityModel, ModelDims, adversary_shapes, predict
 from tests.conftest import layer_params, tiny_dims, tiny_generator_config
 from tests.test_evaluation import brute_force_auc
+from tests.test_training import onehot, onehot_cce
 
 
 def report(criterion: int, text: str):
@@ -45,8 +46,8 @@ def _head_case(variant, q=2):
             z = r.integers(0, 2, 2).astype(float)
             return lambda: tr.bce_loss(m.head_supervised(ad.constant(h)), z), m.theta_a()
         if variant == "supervised-ethnicity":
-            z = tr.onehot(r.integers(0, 3, 2), 3)
-            return lambda: tr.cce_loss(m.head_supervised(ad.constant(h)), z), m.theta_a()
+            z = r.integers(0, 3, 2)
+            return lambda: tr.ns_loss(m.head_supervised(ad.constant(h)), z), m.theta_a()
         if variant == "static-faces":
             w = r.standard_normal((2, q))
             return (lambda: tr.mse_face_loss(m.head_static_faces(ad.constant(h)), w),
@@ -90,9 +91,9 @@ def _loss_case(kind, seed):
         x = ad.parameter(0.5 * r.standard_normal(4))
         return lambda: tr.bce_loss(ad.sigmoid(x), y), {"x": x}
     if kind == "cce":
-        z = tr.onehot(r.integers(0, 3, 4), 3)
+        z = r.integers(0, 3, 4)
         x = ad.parameter(0.5 * r.standard_normal((4, 3)))
-        return lambda: tr.cce_loss(ad.softmax(x), z), {"x": x}
+        return lambda: tr.ns_loss(ad.softmax(x), z), {"x": x}
     if kind == "mse":
         w = r.standard_normal((4, 2))
         x = ad.parameter(0.5 * r.standard_normal((4, 2)))
@@ -186,7 +187,7 @@ def test_criterion_3_disparate_impact_reproduction():
 
 def test_criterion_4_loss_identities():
     bce = float(tr.bce_loss(ad.constant([0.5]), [1.0]).value)
-    cce = float(tr.cce_loss(ad.constant(np.full((1, 3), 1 / 3)), tr.onehot([1], 3)).value)
+    cce = float(onehot_cce(ad.constant(np.full((1, 3), 1 / 3)), onehot([1], 3)).value)
     ns = float(tr.ns_loss(ad.constant(np.full((1, 5), 0.2)), [2]).value)
     assert abs(bce - math.log(2)) < 1e-9
     assert abs(cce - math.log(3)) < 1e-9
@@ -195,7 +196,7 @@ def test_criterion_4_loss_identities():
     p = rng.dirichlet(np.ones(5), size=32)
     pos = rng.integers(0, 5, 32)
     delta = abs(float(tr.ns_loss(ad.constant(p), pos).value)
-                - float(tr.cce_loss(ad.constant(p), tr.onehot(pos, 5)).value))
+                - float(onehot_cce(ad.constant(p), onehot(pos, 5)).value))
     assert delta < 1e-12
     report(4, "BCE(1,0.5)=ln2, CCE(uniform3)=ln3, NS(uniform5)=ln5; "
               f"ns==cce to {delta:.1e}")

@@ -31,24 +31,6 @@ class TestBce:
             tr.bce_loss(ad.constant(np.zeros(0)), np.zeros(0))
 
 
-class TestCce:
-    def test_confident_correct_is_zero(self):
-        p = np.array([[1.0, 0.0, 0.0]])
-        assert float(tr.cce_loss(ad.constant(p), tr.onehot([0], 3)).value) < 1e-11
-
-    def test_uniform_three_is_ln3(self):
-        p = np.full((4, 3), 1.0 / 3)
-        loss = float(tr.cce_loss(ad.constant(p), tr.onehot([0, 1, 2, 1], 3)).value)
-        assert abs(loss - math.log(3)) < 1e-12
-
-    def test_two_class_equivalence_with_bce(self, rng):
-        y = (rng.random(30) < 0.5).astype(int)
-        p1 = rng.uniform(0.05, 0.95, 30)
-        two_col = np.stack([1 - p1, p1], axis=1)
-        assert abs(float(tr.cce_loss(ad.constant(two_col), tr.onehot(y, 2)).value)
-                   - float(tr.bce_loss(ad.constant(p1), y.astype(float)).value)) < 1e-12
-
-
 class TestMseFace:
     def test_zero_residual(self, rng):
         w = rng.standard_normal((5, 2))
@@ -71,6 +53,20 @@ class TestMseFace:
                              rng.standard_normal((4, 16)))
 
 
+def onehot(z, n_classes: int) -> np.ndarray:
+    z = np.asarray(z, dtype=int)
+    out = np.zeros((z.size, n_classes))
+    out[np.arange(z.size), z] = 1.0
+    return out
+
+
+def onehot_cce(z_hat, z_onehot):
+    """The categorical loss on one-hot rows that ns_loss on class indices
+    replaced, kept as the reference that ns_loss must match bit for bit."""
+    p = ad.clip(ad.constant(z_hat), 1e-12, 1.0)
+    return ad.neg(ad.mean(ad.sum_(ad.mul(ad.constant(z_onehot), ad.log(p)), axis=-1)))
+
+
 class TestNsLoss:
     def test_uniform_five_is_ln5(self):
         p = np.full((3, 5), 0.2)
@@ -81,16 +77,65 @@ class TestNsLoss:
         p = np.array([[0.0, 1.0, 0.0]])
         assert float(tr.ns_loss(ad.constant(p), [1]).value) < 1e-11
 
+    def test_confident_correct_class_is_zero(self):
+        p = np.array([[1.0, 0.0, 0.0]])
+        assert float(tr.ns_loss(ad.constant(p), [0]).value) < 1e-11
+
+    def test_uniform_three_is_ln3(self):
+        p = np.full((4, 3), 1.0 / 3)
+        loss = float(tr.ns_loss(ad.constant(p), [0, 1, 2, 1]).value)
+        assert abs(loss - math.log(3)) < 1e-12
+
+    def test_two_class_equivalence_with_bce(self, rng):
+        y = (rng.random(30) < 0.5).astype(int)
+        p1 = rng.uniform(0.05, 0.95, 30)
+        two_col = np.stack([1 - p1, p1], axis=1)
+        assert abs(float(tr.ns_loss(ad.constant(two_col), y).value)
+                   - float(tr.bce_loss(ad.constant(p1), y.astype(float)).value)) < 1e-12
+
     def test_equals_cce_on_converted_inputs(self, rng):
         p = rng.dirichlet(np.ones(5), size=12)
         pos = rng.integers(0, 5, size=12)
         a = float(tr.ns_loss(ad.constant(p), pos).value)
-        b = float(tr.cce_loss(ad.constant(p), tr.onehot(pos, 5)).value)
+        b = float(onehot_cce(ad.constant(p), onehot(pos, 5)).value)
         assert abs(a - b) < 1e-12
 
     def test_positive_index_out_of_range(self):
         with pytest.raises(ContractError, match="out of range"):
             tr.ns_loss(ad.constant(np.full((2, 4), 0.25)), [0, 4])
+
+    def test_empty_batch(self):
+        with pytest.raises(ContractError, match="ns_loss: empty batch"):
+            tr.ns_loss(ad.constant(np.zeros((0, 3))), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("clipped", [False, True], ids=["open", "clipped"])
+    @pytest.mark.parametrize("true_class", [0, 1, 2])
+    @pytest.mark.parametrize("B", [1, 2, 32])
+    def test_class_indices_match_onehot_reference_bitwise(self, B, true_class, clipped):
+        # supervised-ethnicity's adversary loss: ns_loss on int labels gives the
+        # bytes of the one-hot composition, value and gradients alike.  Row 0
+        # holds true_class; with `clipped` that class's logit sits 800 below
+        # another's, so its p is exactly 0.0 and the 1e-12 clamp applies.
+        m = HireabilityModel("language", "supervised-ethnicity", tiny_dims(), seed=B)
+        if clipped:
+            m.params["b_4"].value[(true_class + 1) % 3] += 800.0
+        rng = np.random.default_rng(100 * B + true_class)
+        z = rng.integers(0, 3, B)
+        z[0] = true_class
+        h = ad.parameter(rng.standard_normal((B, m.dims.trunk_width)))
+
+        def run(loss_fn):
+            params = [*m.theta_a().values(), h]
+            ad.zero_grad(params)
+            loss = loss_fn(m.head_supervised(h))
+            ad.backward(loss)
+            return loss.value.tobytes(), [p.grad.tobytes() for p in params]
+
+        ns = run(lambda p: tr.ns_loss(p, z))
+        reference = run(lambda p: onehot_cce(p, onehot(z, 3)))
+        if clipped:
+            assert float(m.head_supervised(h).value[0, true_class]) == 0.0
+        assert ns == reference
 
 
 class TestAdam:
