@@ -14,13 +14,12 @@ BENCHMARK.json is summarized as both sides' medians and quartiles
 (numpy.percentile, linear interpolation) and the number of pairs in which
 the change was strictly better, with a ``verdict`` against the metric's
 BENCHMARK.json ``bound`` (see ``verdict``), printed one line per workload
-and metric.  With --claim-metric, ``claim_met`` says whether the change
-won at least 9 of every 10 pairs on that metric and its median beat the
-parent's by more than the parent's interquartile range.  Each --check
-runs another workload's pairs the same way and files them under
-``no_regression``.  The record goes to BENCH_<W>.json in the change
-checkout unless --out names a file.  Nothing but perfbench/run.py is
-invoked, and no machine setting is changed.
+and metric.  With --claim-metric, ``claim_met`` says whether that
+metric's verdict is ``better``.  Each --check runs another workload's
+pairs the same way and files them under ``no_regression``.  The record
+goes to BENCH_<W>.json in the change checkout unless --out names a file.
+Nothing but perfbench/run.py is invoked, and no machine setting is
+changed.
 """
 
 from __future__ import annotations
@@ -74,59 +73,46 @@ def run_pairs(parent: str, change: str, workload: str, seeds, seconds: float) ->
     return runs
 
 
-def claim_rule(parent: np.ndarray, change: np.ndarray, sign: int) -> bool:
-    """At least 9 of every 10 pairs won, and the change's median better than the
-    parent's by more than the parent's interquartile range."""
-    q1, q3 = np.percentile(parent, [25, 75])
-    return bool(parent.size and np.sum(sign * (parent - change) > 0) >= 0.9 * parent.size
-                and sign * (np.median(parent) - np.median(change)) > q3 - q1)
-
-
 def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -> str:
     """One metric's pairs judged against its relative bound.
 
     ``unresolved`` when the parent's interquartile range exceeds bound times
     its median, unless every change run beats every parent run; else
     ``worse`` when the change's median is worse than the parent's by more
-    than that; else ``better`` when the claim rule holds; else ``not worse``.
+    than that; else ``better`` when the change won at least 9 of every 10
+    pairs and its median beat the parent's by more than the parent's
+    interquartile range; else ``not worse``.
     """
     if not parent.size:
         return "unresolved"
     sign = 1 if better == "lower" else -1
     q1, median, q3 = np.percentile(parent, [25, 50, 75])
-    tol = bound * abs(median)
+    tol, gain = bound * abs(median), sign * (median - np.median(change))
     if q3 - q1 > tol and np.max(sign * change) >= np.min(sign * parent):
         return "unresolved"
-    if sign * (np.median(change) - median) > tol:
+    if -gain > tol:
         return "worse"
-    return "better" if claim_rule(parent, change, sign) else "not worse"
-
-
-def ok_pairs(runs: list) -> list:
-    return [r for r in runs if r["parent"]["result"] and r["change"]["result"]]
-
-
-def paired_values(runs: list, name: str) -> dict:
-    """Each side's values of one metric over the pairs where both runs succeeded."""
-    return {side: np.array([r[side]["result"]["metrics"][name]["value"] for r in ok_pairs(runs)])
-            for side in ("parent", "change")}
+    won = np.sum(sign * (parent - change) > 0) >= 0.9 * parent.size
+    return "better" if won and gain > q3 - q1 else "not worse"
 
 
 def summarize(runs: list, metrics: list) -> dict:
+    ok = [r for r in runs if r["parent"]["result"] and r["change"]["result"]]
     out = {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
-        vals = paired_values(runs, name)
+        vals = {side: np.array([r[side]["result"]["metrics"][name]["value"] for r in ok])
+                for side in ("parent", "change")}
         summary = {}
         for side, v in vals.items():
             q1, med, q3 = np.percentile(v, [25, 50, 75]) if v.size else (np.nan,) * 3
             summary.update({f"{side}_median": float(med), f"{side}_q1": float(q1),
                             f"{side}_q3": float(q3)})
         summary["change_better_pairs"] = int(np.sum(sign * (vals["parent"] - vals["change"]) > 0))
-        summary["pairs"] = vals["parent"].size
+        summary["pairs"] = len(ok)
         summary["verdict"] = verdict(vals["parent"], vals["change"], m["better"], m["bound"])
         out[name] = summary
-    out["failed_runs"] = len(runs) - len(ok_pairs(runs))
+    out["failed_runs"] = len(runs) - len(ok)
     return out
 
 
@@ -165,10 +151,7 @@ def main(argv=None) -> int:
     runs = run_pairs(parent, change, args.workload, args.seeds, seconds)
     result = summarize(runs, spec["end_to_end"])
     if args.claim_metric:
-        better = next(m for m in spec["end_to_end"] if m["name"] == args.claim_metric)["better"]
-        vals = paired_values(runs, args.claim_metric)
-        result["claim_met"] = claim_rule(vals["parent"], vals["change"],
-                                         1 if better == "lower" else -1)
+        result["claim_met"] = result[args.claim_metric]["verdict"] == "better"
     no_regression = {}
     for check in args.check:
         workload, _, seeds = check.partition(":")
