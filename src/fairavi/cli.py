@@ -110,6 +110,16 @@ def _check_inputs(args) -> None:
             raise ContractError(f"{flag} {path}: cannot read ({e.strerror})")
 
 
+def _check_outputs(args) -> None:
+    """Exit 1 if --out-dir names a file, or --out or --log a path in no directory."""
+    out_dir = getattr(args, "out_dir", None)
+    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise FileExistsError(f"--out-dir {out_dir} exists and is not a directory")
+    for flag in ("out", "log"):
+        if (path := getattr(args, flag, None)) and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
+
+
 # ------------------------------------------------------------------ gen
 
 def cmd_gen(args) -> int:
@@ -184,8 +194,6 @@ def cmd_sweep(args) -> int:
     # every grid value's config is checked before any training starts
     cfg = _build_train_config(args)
     configs = {lam: dataclasses.replace(cfg, lam=lam).validate() for lam in grid}
-    if os.path.exists(args.out_dir) and not os.path.isdir(args.out_dir):
-        raise FileExistsError(f"--out-dir {args.out_dir} exists and is not a directory")
     dataset = load_jsonl(args.data)
     # lambda is first read in the joint epochs, so one pretrain serves the grid
     state = pretrain(cfg, _new_model(cfg, dataset), dataset)
@@ -280,6 +288,7 @@ def cmd_probe(args) -> int:
 # ---------------------------------------------------------------- audit
 
 def cmd_audit(args) -> int:
+    started = _now()
     dataset = load_jsonl(args.data)
     if not dataset:
         raise ContractError("dataset is empty")
@@ -316,7 +325,7 @@ def cmd_audit(args) -> int:
             fh.write(f"overlap,{overlap!r}\n")
             for line in lines:
                 fh.write(line + "\n")
-        _write_manifest(args.out, "audit", {}, None, [args.data], [args.out], _now())
+        _write_manifest(args.out, "audit", {}, None, [args.data], [args.out], started)
     return 0
 
 
@@ -403,6 +412,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_inputs(args)
+        _check_outputs(args)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Diagnostic probing and fairness/performance metrics.
 
 Leakage of the protected variable is measured by logistic-regression
-probes trained post hoc on the frozen 16-d representation, searching
-both penalty norms over a log-spaced strength grid and selecting on
-validation AUC.  Disparate impact uses the min-rate / max-rate
+probes trained post hoc on the frozen 16-d representation: one fit over
+the grid of both penalty norms by a log-spaced strength range, selected
+on validation AUC.  Disparate impact uses the min-rate / max-rate
 convention, which reduces to the unprivileged/privileged ratio in the
 two-group case.
 """
@@ -21,6 +21,7 @@ from .fileio import atomic_write
 from .model import HireabilityModel, predict
 
 THRESHOLD = 0.5                # a score at or above it predicts the positive class
+PENALTIES = ("l2", "l1")       # the probes' penalty norms, in selection order
 STRENGTHS = tuple(10.0 ** e for e in range(-4, 5))   # the probes' penalty strength grid
 MAX_ITER = 300                 # descent steps per probe fit at most
 TOL = 1e-7                     # a probe row stops once its step falls below this
@@ -122,22 +123,17 @@ def audit_overlap(train_samples, test_samples) -> float:
 
 @dataclass
 class LogisticProbe:
-    w: np.ndarray
-    b: float
+    w: np.ndarray          # (k, d): one row for a binary target, one per class for OvR
+    b: np.ndarray          # (k,)
     penalty: str
     strength: float
 
 
-@dataclass
-class OvrProbe:
-    probes: list
-    penalty: str
-    strength: float
-
-
-def _fit_logistic(h, targets, strengths, penalty: str) -> list[LogisticProbe]:
+def _fit_logistic(h, targets, strengths, l1) -> tuple[np.ndarray, np.ndarray]:
     """One regularized logistic regression per row of `targets` (R, n),
-    row r at strength strengths[r], all rows fitted in one loop.
+    row r at strength strengths[r] under the l1 norm where l1[r], else l2,
+    all rows fitted in one loop; returns their (R, d) weights and (R,)
+    intercepts.
 
     Full-batch gradient descent (l2) / proximal gradient (l1); the
     intercept is never penalized.  A row stops once its own step falls
@@ -148,7 +144,8 @@ def _fit_logistic(h, targets, strengths, penalty: str) -> list[LogisticProbe]:
     aug = np.hstack([h, np.ones((n, 1))])
     lipschitz = np.linalg.norm(aug, 2) ** 2 / (4.0 * n)
     lam = np.asarray(strengths, dtype=np.float64)[:, None]
-    step = 1.0 / (lipschitz + (lam if penalty == "l2" else np.zeros_like(lam)))
+    l1 = np.asarray(l1, dtype=bool)[:, None]
+    step = 1.0 / (lipschitz + np.where(l1, 0.0, lam))
     w = np.tile(1e-3 * np.random.default_rng(PROBE_SEED).standard_normal(d), (len(lam), 1))
     b = np.zeros(len(lam))
     y = np.asarray(targets, dtype=np.float64)
@@ -158,11 +155,9 @@ def _fit_logistic(h, targets, strengths, penalty: str) -> list[LogisticProbe]:
         r = logistic(np.matmul(h, w[:, :, None])[:, :, 0] + b[:, None]) - y
         gw = np.matmul(h.T, r[:, :, None])[:, :, 0] / n
         gb = r.mean(axis=1)
-        if penalty == "l2":
-            new_w = w - step * (gw + lam * w)
-        else:
-            shrunk = w - step * gw     # soft threshold at step * lam
-            new_w = np.sign(shrunk) * np.maximum(np.abs(shrunk) - step * lam, 0.0)
+        shrunk = w - step * gw           # l1: soft threshold at step * lam
+        new_w = np.where(l1, np.sign(shrunk) * np.maximum(np.abs(shrunk) - step * lam, 0.0),
+                         w - step * (gw + lam * w))
         new_b = b - step[:, 0] * gb
         dw = new_w - w
         delta = np.sqrt(np.matmul(dw[:, None, :], dw[:, :, None]))[:, 0, 0] + np.abs(new_b - b)
@@ -170,12 +165,11 @@ def _fit_logistic(h, targets, strengths, penalty: str) -> list[LogisticProbe]:
         done = delta < TOL
         if done.any():
             w_out[live[done]], b_out[live[done]] = w[done], b[done]
-            live, w, b, y, step, lam = (a[~done] for a in (live, w, b, y, step, lam))
+            live, w, b, y, step, lam, l1 = (a[~done] for a in (live, w, b, y, step, lam, l1))
             if not live.size:
                 break
     w_out[live], b_out[live] = w, b
-    return [LogisticProbe(w=w_out[i], b=b_out[i], penalty=penalty, strength=s)
-            for i, s in enumerate(strengths)]
+    return w_out, b_out
 
 
 def _scores_auc(scores, z, positive) -> float:
@@ -185,16 +179,12 @@ def _scores_auc(scores, z, positive) -> float:
     return auc(scores, (z == positive).astype(int))
 
 
-def fit_probe(h_train, z_train, h_val, z_val, penalty: str = "l2"):
-    """Fit probes over the STRENGTHS grid; return (probe, val_auc) for the
-    one with the best validation AUC.
-
-    Binary targets give a LogisticProbe, multiclass targets a one-vs-rest
-    OvrProbe scored by macro OvR AUC.  Every (strength, class) row is
-    fitted in one stacked loop.
-    """
-    if penalty not in ("l1", "l2"):
-        raise ContractError(f"unknown probe penalty {penalty!r}")
+def fit_probe(h_train, z_train, h_val, z_val):
+    """Fit a probe at every (penalty, strength) of PENALTIES x STRENGTHS,
+    every (penalty, strength, class) row in one stacked loop, and return
+    (probe, val_auc) for the first with the best validation AUC.  A binary
+    target gives a one-row probe for its larger class, a multiclass target
+    one row per class, scored by macro OvR AUC."""
     h_train = np.asarray(h_train, dtype=np.float64)
     z_train = np.asarray(z_train).astype(int)
     z_val = np.asarray(z_val).astype(int)
@@ -205,12 +195,13 @@ def fit_probe(h_train, z_train, h_val, z_val, penalty: str = "l2"):
     labels = [positive] if classes.size == 2 else range(positive + 1)
     targets = np.array([z_train == c for c in labels])
     k = len(targets)
-    fitted = _fit_logistic(h_train, np.tile(targets, (len(STRENGTHS), 1)),
-                           [s for s in STRENGTHS for _ in range(k)], penalty)
+    grid = [(penalty, s) for penalty in PENALTIES for s in STRENGTHS]
+    w, b = _fit_logistic(h_train, np.tile(targets, (len(grid), 1)),
+                         np.repeat([s for _, s in grid], k),
+                         np.repeat([penalty == "l1" for penalty, _ in grid], k))
     best, best_auc = None, -np.inf
-    for i, strength in enumerate(STRENGTHS):
-        rows = fitted[i * k:(i + 1) * k]
-        probe = rows[0] if k == 1 else OvrProbe(rows, penalty, strength)
+    for i, (penalty, strength) in enumerate(grid):
+        probe = LogisticProbe(w[i * k:(i + 1) * k], b[i * k:(i + 1) * k], penalty, strength)
         val_auc = _scores_auc(probe_scores(probe, h_val), z_val, positive)
         if val_auc > best_auc:
             best, best_auc = probe, val_auc
@@ -218,26 +209,21 @@ def fit_probe(h_train, z_train, h_val, z_val, penalty: str = "l2"):
 
 
 def probe_scores(probe, h) -> np.ndarray:
+    """(n,) scores of a one-row probe, (n, k) one-vs-rest scores otherwise."""
     h = np.asarray(h, dtype=np.float64)
-    if isinstance(probe, OvrProbe):
-        return np.stack([logistic(h @ p.w + p.b) for p in probe.probes], axis=1)
-    return logistic(h @ probe.w + probe.b)
+    scores = np.stack([logistic(h @ w + b) for w, b in zip(probe.w, probe.b)], axis=1)
+    return scores[:, 0] if len(probe.w) == 1 else scores
 
 
 def diagnose(h_train, z_train, h_val, z_val, h_test, z_test) -> dict:
-    """Best validation-selected probe over both penalty norms; reports its
-    test AUC and accuracy."""
+    """The validation-selected probe's penalty, strength and validation
+    AUC, with its test AUC and accuracy."""
+    probe, val_auc = fit_probe(h_train, z_train, h_val, z_val)
     z_test = np.asarray(z_test).astype(int)
-    positive = np.asarray(z_train).astype(int).max()
-    best = None
-    for penalty in ("l2", "l1"):
-        probe, val_auc = fit_probe(h_train, z_train, h_val, z_val, penalty)
-        if best is None or val_auc > best["val_auc"]:
-            scores_test = probe_scores(probe, h_test)
-            best = {"val_auc": val_auc, "auc": _scores_auc(scores_test, z_test, positive),
-                    "acc": accuracy(scores_test, z_test),
-                    "penalty": penalty, "strength": probe.strength}
-    return best
+    scores = probe_scores(probe, h_test)
+    return {"val_auc": val_auc,
+            "auc": _scores_auc(scores, z_test, np.asarray(z_train).astype(int).max()),
+            "acc": accuracy(scores, z_test), "penalty": probe.penalty, "strength": probe.strength}
 
 
 # ----------------------------------------------------- representation dump

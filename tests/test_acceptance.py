@@ -98,8 +98,8 @@ def _loss_case(kind, seed):
         w = r.standard_normal((4, 2))
         x = ad.parameter(0.5 * r.standard_normal((4, 2)))
         return lambda: tr.mse_face_loss(ad.tanh(x), w), {"x": x}
-    pos = r.integers(0, 3, 4)
-    x = ad.parameter(0.5 * r.standard_normal((4, 3)))
+    pos = r.integers(0, 5, 4)       # negative sampling: the positive among 5 candidates
+    x = ad.parameter(0.5 * r.standard_normal((4, 5)))
     return lambda: tr.ns_loss(ad.softmax(x), pos), {"x": x}
 
 

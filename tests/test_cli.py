@@ -515,6 +515,42 @@ class TestInputFiles:
         assert code == 2 and f"--config {missing}" in err
 
 
+class TestOutputPaths:
+    """An --out-dir that names a file, or an --out or --log whose directory
+    does not exist, exits 1 naming the flag and the path, before any data
+    is read or generated, and nothing is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--out", "{nodir}"],
+        ["train", "--data", "{data}", "--out", "{nodir}"],
+        ["train", "--data", "{data}", "--out", "{tmp}/m.json", "--log", "{nodir}"],
+        ["sweep", "--data", "{data}", "--out-dir", "{file}"],
+        ["probe", "--model", "{model}", "--data", "{data}", "--target", "gender",
+         "--out-dir", "{file}"],
+        ["audit", "--data", "{data}", "--out", "{nodir}"],
+        ["contributions", "--model", "{model}", "--data", "{data}", "--out", "{nodir}"],
+    ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions"])
+    def test_refused_before_reading_with_nothing_written(self, tmp_path, dataset_path,
+                                                          monkeypatch, capsys, argv):
+        model = tmp_path / "model.json"
+        trained = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0)
+        trained.trained = True
+        save_model(trained, model)
+        (tmp_path / "afile").write_text("a file, not a directory")
+        paths = {"tmp": tmp_path, "data": dataset_path, "model": model,
+                 "file": tmp_path / "afile", "nodir": tmp_path / "nodir" / "out.csv"}
+        argv = [a.format(**paths) for a in argv]
+        worked = []
+        monkeypatch.setattr(cli, "load_jsonl", lambda *a: worked.append(a))
+        monkeypatch.setattr(cli, "generate_synthetic", lambda *a: worked.append(a))
+        tree = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = tree()
+        assert cli.main(argv) == 1
+        flag, bad = argv[-2:]
+        assert f"{flag} {bad}" in capsys.readouterr().err
+        assert worked == [] and tree() == before
+
+
 class TestRepeatedKeys:
     """json.load keeps the last of two equal keys; a JSON input file that
     repeats one exits 2 (--config) or 3 (model, face targets), naming the
@@ -737,6 +773,19 @@ class TestAudit:
         # audit draws no random numbers and takes no setting
         manifest = json.loads((tmp_path / "audit.csv.manifest.json").read_text())
         assert manifest["seed"] is None and manifest["config"] == {}
+
+    def test_manifest_start_time_is_taken_before_the_data_is_read(
+            self, tmp_path, dataset_path, monkeypatch):
+        clock = iter(range(100))
+        monkeypatch.setattr(cli, "_now", lambda: f"t{next(clock):02d}")
+        read_at = []
+        load = cli.load_jsonl
+        monkeypatch.setattr(cli, "load_jsonl",
+                            lambda path: read_at.append(cli._now()) or load(path))
+        out = tmp_path / "audit.csv"
+        assert cli.main(["audit", "--data", str(dataset_path), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "audit.csv.manifest.json").read_text())
+        assert manifest["started_utc"] < read_at[0] < manifest["ended_utc"]
 
 
 class TestContributions:

@@ -22,7 +22,8 @@ def raw_probe_auc(samples):
     x = pooled_features(samples)
     z = np.array([s.z for s in samples])
     half = len(samples) // 2
-    probe, = ev._fit_logistic(x[:half], (z[:half] == 1)[None], [1e-2], "l2")
+    w, b = ev._fit_logistic(x[:half], (z[:half] == 1)[None], [1e-2], [False])
+    probe = ev.LogisticProbe(w, b, "l2", 1e-2)
     return ev.auc(ev.probe_scores(probe, x[half:]), (z[half:] == 1).astype(int))
 
 

@@ -247,7 +247,7 @@ class TestProbes:
         z = np.array([0] * 150 + [1] * 150)
         order = rng.permutation(300)
         x, z = x[order], z[order]
-        probe, _ = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250], "l2")
+        probe, _ = ev.fit_probe(x[:200], z[:200], x[200:250], z[200:250])
         assert ev.auc(ev.probe_scores(probe, x[250:]), z[250:]) >= 0.999
 
     def test_permuted_labels_score_at_chance(self):
@@ -277,9 +277,8 @@ class TestProbes:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((200, 5))
         z = (x[:, 0] > 0).astype(float)
-        for penalty in ("l1", "l2"):
-            probe, = ev._fit_logistic(x, z[None], [1e12], penalty)
-            assert np.abs(probe.w).max() < 1e-6, penalty
+        w, _ = ev._fit_logistic(x, np.tile(z, (2, 1)), [1e12] * 2, [True, False])
+        assert np.abs(w).max() < 1e-6
 
     def test_diagnose_reports_selected_penalty(self):
         rng = np.random.default_rng(14)
@@ -290,6 +289,17 @@ class TestProbes:
         assert set(out) == {"val_auc", "auc", "acc", "penalty", "strength"}
         assert out["auc"] > 0.9
         assert out["penalty"] in ("l1", "l2")
+
+    def test_tied_penalties_keep_l2_at_the_smallest_strength(self):
+        # separable blobs: every weak enough probe ranks val perfectly
+        rng = np.random.default_rng(16)
+        z = np.arange(300) % 2
+        x = rng.standard_normal((300, 3)) + 4.0 * np.outer(2 * z - 1, [1, 0, 0])
+        out = ev.diagnose(x[:200], z[:200], x[200:250], z[200:250], x[250:], z[250:])
+        assert (out["penalty"], out["strength"], out["val_auc"]) == ("l2", ev.STRENGTHS[0], 1.0)
+        for s in ev.STRENGTHS[:2]:      # l1 ties at the two smallest strengths
+            w, b, _, _ = reference_fit(x[:200], z[:200].astype(float), "l1", s)
+            assert ev.auc(ad.logistic(x[200:250] @ w + b), z[200:250]) == 1.0
 
 
 def reference_fit(h, y, penalty, strength):
@@ -322,12 +332,13 @@ def reference_fit(h, y, penalty, strength):
 
 
 class TestStackedProbeFit:
-    """The stacked fit gives every (strength, class) row the bytes of a fit
-    of that row alone."""
+    """The stacked fit gives every (penalty, strength, class) row the bytes
+    of a fit of that row alone."""
 
-    @pytest.mark.parametrize("penalty", ["l1", "l2"])
+    @pytest.mark.parametrize("first", ["l1", "l2"])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_rows_match_per_strength_loop_bitwise(self, penalty, n_classes, monkeypatch):
+    def test_rows_match_per_strength_loop_bitwise(self, first, n_classes, monkeypatch):
+        # both penalties' rows in one call, either penalty first
         monkeypatch.setattr(ev, "MAX_ITER", 150)
         rng = np.random.default_rng(40 + n_classes)
         h = np.tanh(rng.standard_normal((180, 6)))
@@ -336,16 +347,16 @@ class TestStackedProbeFit:
             z = z + (h[:, 2] > 0.6)
         targets = (z == 1)[None] if n_classes == 2 else np.stack([z == c for c in range(3)])
         monkeypatch.setattr(ev, "TOL", 1e-7)
-        k = len(targets)
-        rows = [(s, c) for s in ev.STRENGTHS for c in range(k)]
-        fitted = ev._fit_logistic(h, np.tile(targets, (len(ev.STRENGTHS), 1)),
-                                  [s for s, _ in rows], penalty)
+        penalties = sorted(ev.PENALTIES, key=lambda p: p != first)
+        rows = [(p, s, c) for p in penalties for s in ev.STRENGTHS for c in range(len(targets))]
+        w_fit, b_fit = ev._fit_logistic(h, np.array([targets[c] for _, _, c in rows]),
+                                        [s for _, s, _ in rows],
+                                        [p == "l1" for p, _, _ in rows])
         stops = set()
-        for probe, (s, c) in zip(fitted, rows):
-            w, b, iters, _ = reference_fit(h, targets[c].astype(float), penalty, s)
-            assert probe.w.tobytes() == w.tobytes(), (s, c)
-            assert np.float64(probe.b).tobytes() == np.float64(b).tobytes(), (s, c)
-            assert probe.strength == s and probe.penalty == penalty
+        for w_row, b_row, (p, s, c) in zip(w_fit, b_fit, rows):
+            w, b, iters, _ = reference_fit(h, targets[c].astype(float), p, s)
+            assert w_row.tobytes() == w.tobytes(), (p, s, c)
+            assert np.float64(b_row).tobytes() == np.float64(b).tobytes(), (p, s, c)
             stops.add(iters < ev.MAX_ITER)
         assert stops == {True, False}   # some rows froze early, others ran out
 
@@ -364,9 +375,11 @@ class TestStackedProbeFit:
             for tol in (deltas[k], np.nextafter(deltas[k], np.inf)):
                 monkeypatch.setattr(ev, "TOL", tol)
                 w, b, iters, _ = reference_fit(h, y, penalty, 1e-2)
-                for probe in ev._fit_logistic(h, np.tile(y, (3, 1)), [1e-2] * 3, penalty):
-                    assert probe.w.tobytes() == w.tobytes(), (k, tol, iters)
-                    assert np.float64(probe.b).tobytes() == np.float64(b).tobytes()
+                w_fit, b_fit = ev._fit_logistic(h, np.tile(y, (3, 1)), [1e-2] * 3,
+                                                [penalty == "l1"] * 3)
+                for w_row, b_row in zip(w_fit, b_fit):
+                    assert w_row.tobytes() == w.tobytes(), (k, tol, iters)
+                    assert np.float64(b_row).tobytes() == np.float64(b).tobytes()
 
     def test_fit_probe_selects_the_per_strength_loop_choice(self, monkeypatch):
         monkeypatch.setattr(ev, "MAX_ITER", 100)
@@ -374,30 +387,19 @@ class TestStackedProbeFit:
         h = rng.standard_normal((300, 6))
         z = rng.integers(0, 3, 300)
         h[:, 0] += z
-        best, val_auc = ev.fit_probe(h[:200], z[:200], h[200:], z[200:], "l1")
+        best, val_auc = ev.fit_probe(h[:200], z[:200], h[200:], z[200:])
+        grid = [(p, s) for p in ("l2", "l1") for s in ev.STRENGTHS]
         aucs = []
-        for s in ev.STRENGTHS:
-            fits = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1", s)
+        for p, s in grid:
+            fits = [reference_fit(h[:200], (z[:200] == c).astype(float), p, s)
                     for c in range(3)]
             scores = np.stack([ad.logistic(h[200:] @ w + b) for w, b, _, _ in fits], axis=1)
             aucs.append(ev.macro_ovr_auc(scores, z[200:]))
-        assert best.strength == ev.STRENGTHS[int(np.argmax(aucs))]
+        assert (best.penalty, best.strength) == grid[int(np.argmax(aucs))]
         assert val_auc == max(aucs)
-        chosen = [reference_fit(h[:200], (z[:200] == c).astype(float), "l1",
+        chosen = [reference_fit(h[:200], (z[:200] == c).astype(float), best.penalty,
                                 best.strength)[0] for c in range(3)]
-        assert [p.w.tobytes() for p in best.probes] == [w.tobytes() for w in chosen]
-
-
-class TestProbePenalty:
-    @pytest.mark.parametrize("penalty", ["l3", "L2", "", None])
-    def test_unknown_penalty_rejected_before_fitting(self, penalty, monkeypatch):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before the penalty was checked")
-        monkeypatch.setattr(ev, "_fit_logistic", no_fit)
-        rng = np.random.default_rng(15)
-        x, z = rng.standard_normal((40, 3)), np.arange(40) % 2
-        with pytest.raises(ContractError, match="unknown probe penalty"):
-            ev.fit_probe(x, z, x, z, penalty)
+        assert [w.tobytes() for w in best.w] == [w.tobytes() for w in chosen]
 
 
 class TestRepresentations:

@@ -20,6 +20,12 @@
 # compute the same bytes print the same rows: run it on a parent and on a
 # change to check that the change kept the outputs byte-identical.
 #
+# The row `probe-selection` holds the same of the whole dict that
+# `evaluation.diagnose` returns (the selected penalty and strength, its
+# validation AUC and its test AUC and accuracy) for the `unprotected` and
+# the `supervised-ethnicity` model: metrics.csv alone does not show a
+# changed choice that gives equal test figures.
+#
 # The corpus is acceptance criterion 11's generator config (n=160,
 # seed 11), the training schedule criterion 11's with max_outer 2.  Each
 # config runs `train --lambda 2` on its modality, then `probe` and, for a
@@ -98,6 +104,25 @@ language-supervised    binary  gender    language   --variant supervised-gender
 audio-static-faces     binary  gender    audio      --variant static-faces --face-dim 2
 video-negative-k3      binary  gender    video      --variant negative-sampling --k 3
 CONFIGS
+
+# model, corpus, target: print diagnose's dict for the probe report of model
+selection() {
+    PYTHONPATH="$repo/src" python3 - "$@" <<'PY'
+import sys
+from fairavi import cli, evaluation as ev
+from fairavi.data import load_jsonl
+from fairavi.model import load_model
+model, corpus, target = sys.argv[1:]
+picked = []
+diagnose = ev.diagnose
+ev.diagnose = lambda *args: picked.append(diagnose(*args)) or picked[-1]
+cli.build_report(load_model(model), load_jsonl(corpus), target)
+print(sorted((key, repr(value)) for key, value in picked[0].items()))
+PY
+}
+printf '%-22s %s %s\n' probe-selection \
+    "$(selection unprotected/model.json binary.jsonl gender | h8)" \
+    "$(selection supervised-ethnicity/model.json ternary.jsonl ethnicity | h8)"
 
 rm -rf sweep
 fairavi sweep --data binary.jsonl --variant static-faces --face-dim 2 --grid 1,4 \
