@@ -22,7 +22,6 @@ import argparse
 import dataclasses
 import datetime
 import hashlib
-import json
 import os
 import sys
 
@@ -32,7 +31,7 @@ from . import evaluation as ev
 from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
 from .errors import ConfigError, ContractError, check_fields
-from .fileio import atomic_write, read_json
+from .fileio import atomic_write, read_json, write_json
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
                     ModelDims, load_model, modality_contributions, predict, protected_labels,
                     save_model)
@@ -60,9 +59,7 @@ def _write_manifest(primary_out, command: str, config: dict, seed: int | None,
         "ended_utc": _now(),
         "outputs": [str(p) for p in outputs],
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
     return path
 
 
@@ -111,12 +108,21 @@ def _check_inputs(args) -> None:
 
 
 def _check_outputs(args) -> None:
-    """Exit 1 if --out-dir names a file, or --out or --log a path in no directory."""
-    out_dir = getattr(args, "out_dir", None)
-    if out_dir is not None and os.path.exists(out_dir) and not os.path.isdir(out_dir):
-        raise FileExistsError(f"--out-dir {out_dir} exists and is not a directory")
+    """Exit 1 if --out-dir or its nearest existing ancestor is not a directory,
+    or --out or --log names a directory or a path in no directory."""
+    if (out_dir := getattr(args, "out_dir", None)) is not None:
+        near = os.path.normpath(out_dir)
+        while not os.path.exists(near):
+            near = os.path.dirname(near) or "."
+        if not os.path.isdir(near):
+            under = "" if near == os.path.normpath(out_dir) else f" lies under {near}, which"
+            raise NotADirectoryError(f"--out-dir {out_dir}{under} exists and is not a directory")
     for flag in ("out", "log"):
-        if (path := getattr(args, flag, None)) and not os.path.isdir(os.path.dirname(path) or "."):
+        if not (path := getattr(args, flag, None)):
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"--{flag} {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
 
 
@@ -216,12 +222,9 @@ def cmd_sweep(args) -> int:
                   for lam, (_, log) in results.items()}
         selected = select_lambda(losses)
         marker = os.path.join(args.out_dir, "selected.json")
-        with atomic_write(marker) as fh:
-            json.dump({"selected_lambda": selected, "model": results[selected][0],
-                       "objective_by_lambda": {str(lam): l_t - l_a
-                                               for lam, (l_t, l_a) in losses.items()}},
-                      fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(marker, {"selected_lambda": selected, "model": results[selected][0],
+                            "objective_by_lambda": {str(lam): l_t - l_a
+                                                    for lam, (l_t, l_a) in losses.items()}})
         outputs.append(marker)
     ran = {**dataclasses.asdict(cfg), "grid": list(grid), "failures": failures}
     del ran["lam"]      # each run's lambda is its grid value

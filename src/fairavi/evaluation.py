@@ -272,7 +272,7 @@ class MetricsReport:
                get(self.di_predictions, "gender"), get(self.di_predictions, "ethnicity"),
                get(self.di_labels, "gender"), get(self.di_labels, "ethnicity"),
                repr(THRESHOLD), "min-rate/max-rate",
-               "max over the logistic-regression grid (l1 and l2)"]
+               "test AUC of the validation-selected probe over the l2/l1 x strength grid"]
         with atomic_write(path) as fh:
             fh.write(",".join(cols) + "\n")
             fh.write(",".join(row) + "\n")

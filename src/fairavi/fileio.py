@@ -1,5 +1,5 @@
-"""JSON input that refuses a repeated key, and atomic file output:
-readers see the old file or the whole new one."""
+"""JSON input that refuses a repeated key, and atomic file output (JSON
+documents included): readers see the old file or the whole new one."""
 
 from __future__ import annotations
 
@@ -48,3 +48,10 @@ def atomic_write(path):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` atomically to `path` as JSON, indent 1, keys sorted, then a newline."""
+    with atomic_write(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")

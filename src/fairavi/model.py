@@ -24,7 +24,6 @@ training):
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -36,7 +35,7 @@ from .autodiff import Node
 from .data import FACE_DIM
 from .errors import (FACE_DIMS, MODALITIES, VARIANTS, AtLeastTwoInt, ContractError, FaceDim,
                      Modality, PositiveEvenInt, PositiveInt, Variant, check_fields)
-from .fileio import atomic_write, read_json
+from .fileio import read_json, write_json
 
 PROTECTED_CLASSES = {"gender": 2, "ethnicity": 3}
 CHUNK = 512                    # clips per inference forward pass
@@ -343,9 +342,7 @@ def save_model(model: HireabilityModel, path) -> None:
               for name, node in sorted(model.params.items())}
     doc = _ModelFile(model.modality, model.variant, model.q, model.k, model.trained,
                      asdict(model.dims), params)
-    with atomic_write(path) as fh:
-        json.dump(vars(doc), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, vars(doc))
 
 
 def _file_param(entry, shape: tuple, where: str) -> np.ndarray:

@@ -206,19 +206,31 @@ class TrainLog:
 # ------------------------------------------------------- adversarial targets
 
 class _AdversaryTask:
-    """Per-variant targets and loss for the adversarial branch.
+    """Targets and loss for the adversarial branch, one protocol for every
+    variant: `train` is the train split's target, `val_draws` a list of val
+    targets, and `loss` scores a batch of rows `idx` against a target.
+
+    Supervised and static-faces targets are arrays, with one val draw.  A
+    negative-sampling target is a `draw`: the split's face table, and per
+    anchor k candidate rows of it, k-1 impostors from other candidates and
+    its own at a random slot.  `resample` replaces the train draw each
+    epoch; VAL_DRAWS fixed val draws keep the validation loss a comparable,
+    low-variance stopping signal across epochs.
 
     Built from blinded records for the indirect variants; only the
     supervised variants ever look at the protected label.
     """
 
+    VAL_DRAWS = 4
+
     def __init__(self, cfg: TrainConfig, train, val, seed: int):
         self.variant = cfg.variant
+        self.k = cfg.k
         self.fingerprint = None
-        self._ns = None
         splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
-            self.targets = protected_labels(splits, self.variant.removeprefix("supervised-"))
+            targets = protected_labels(splits, self.variant.removeprefix("supervised-"))
+            self.train, self.val_draws = targets["train"], [targets["val"]]
         elif self.variant == "static-faces":
             if cfg.face_targets:
                 lookup = load_face_targets(cfg.face_targets, cfg.q)
@@ -234,43 +246,62 @@ class _AdversaryTask:
                                       seed=seed)
                 self.fingerprint = proj.fingerprint
                 code = lambda part: apply_compressor(proj, np.stack([s.face for s in part]))
-            self.targets = {k: code(part) for k, part in splits.items()}
+            self.train, self.val_draws = code(train), [code(val)]
         elif self.variant == "negative-sampling":
-            self._ns = _NegativeSampler(train, val, cfg.k, seed)
+            self.tables = {}   # split -> (one face per candidate, each sample's row in it)
+            for split, samples in splits.items():
+                faces = _candidate_faces(samples)
+                vids = sorted(faces)
+                if len(vids) < self.k:
+                    raise ContractError(
+                        f"negative sampling needs at least k={self.k} candidates in the "
+                        f"{split} split, found {len(vids)}")
+                row = {v: i for i, v in enumerate(vids)}
+                self.tables[split] = (np.stack([faces[v] for v in vids]),
+                                      np.array([row[s.video_id] for s in samples]))
+            self.train = self.draw("train", seed)
+            self.val_draws = [self.draw("val", seed + 1 + i) for i in range(self.VAL_DRAWS)]
+
+    def draw(self, split: str, seed: int):
+        """(faces, choice, pos): sample i's candidates are faces[choice[i]],
+        its own face at slot pos[i]."""
+        rng = np.random.default_rng(seed)
+        faces, owner = self.tables[split]
+        pos = rng.integers(0, self.k, size=owner.size)
+        others = np.array([rng.permutation(faces.shape[0] - 1)[: self.k - 1] for _ in owner])
+        others += others >= owner[:, None]  # skip the anchor's own slot
+        impostor = np.arange(self.k) != pos[:, None]   # row i's own face sits at pos[i]
+        choice = np.empty(impostor.shape, dtype=int)
+        choice[impostor], choice[~impostor] = others.ravel(), owner
+        return faces, choice, pos
 
     def resample(self, seed: int) -> None:
-        if self._ns is not None:
-            self._ns.assignment["train"] = self._ns.draw("train", seed)
+        if self.variant == "negative-sampling":
+            self.train = self.draw("train", seed)
 
-    def loss(self, model: HireabilityModel, h: Node, idx: np.ndarray, split: str) -> Node:
-        if self._ns is not None:
-            faces, pos = self._ns.batch(split, idx)
-            _, p = model.head_negative_sampling(h, faces)
-            return ns_loss(p, pos)
+    def loss(self, model: HireabilityModel, h: Node, idx: np.ndarray, target) -> Node:
+        if self.variant == "negative-sampling":
+            faces, choice, pos = target
+            _, p = model.head_negative_sampling(h, faces[choice[idx]])
+            return ns_loss(p, pos[idx])
         if self.variant == "static-faces":
-            return mse_face_loss(model.head_static_faces(h), self.targets[split][idx])
+            return mse_face_loss(model.head_static_faces(h), target[idx])
         loss = bce_loss if self.variant == "supervised-gender" else ns_loss
-        return loss(model.head_supervised(h), self.targets[split][idx])
+        return loss(model.head_supervised(h), target[idx])
 
     def evaluate(self, model: HireabilityModel, h_val: np.ndarray) -> float:
-        """Mean validation loss over cached representations, with no tape;
-        the negative-sampling loss is averaged over the sampler's fixed draws."""
-        def one_pass() -> float:
-            n = h_val.shape[0]
-            total = 0.0
-            with ad.no_tape():
+        """Mean validation loss over cached representations, with no tape,
+        averaged over the val draws."""
+        n = h_val.shape[0]
+        values = []
+        with ad.no_tape():
+            for target in self.val_draws:
+                total = 0.0
                 for lo in range(0, n, CHUNK):
                     idx = np.arange(lo, min(lo + CHUNK, n))
-                    loss = self.loss(model, ad.constant(h_val[idx]), idx, "val")
-                    total += float(loss.value) * idx.size
-            return total / n
-
-        if self._ns is None:
-            return one_pass()
-        values = []
-        for draw in self._ns.val_assignments:
-            self._ns.assignment["val"] = draw
-            values.append(one_pass())
+                    total += float(self.loss(model, ad.constant(h_val[idx]), idx,
+                                             target).value) * idx.size
+                values.append(total / n)
         return float(np.mean(values))
 
 
@@ -281,52 +312,6 @@ def _candidate_faces(samples) -> dict:
         if s.video_id not in faces:
             faces[s.video_id] = np.asarray(s.face, dtype=np.float64)
     return faces
-
-
-class _NegativeSampler:
-    """Draws k-1 impostor faces per anchor from other candidates in the
-    same split.  Training draws are refreshed every epoch; validation uses
-    a small set of fixed draws so the validation loss is a comparable,
-    low-variance stopping signal across epochs."""
-
-    VAL_DRAWS = 4
-
-    def __init__(self, train, val, k: int, seed: int):
-        self.k = k
-        self.split_data = {}
-        for split, samples in (("train", train), ("val", val)):
-            faces = _candidate_faces(samples)
-            vids = sorted(faces)
-            if len(vids) < k:
-                raise ContractError(
-                    f"negative sampling needs at least k={k} candidates in the "
-                    f"{split} split, found {len(vids)}")
-            vid_index = {v: i for i, v in enumerate(vids)}
-            self.split_data[split] = {
-                "faces": np.stack([faces[v] for v in vids]),
-                "owner": np.array([vid_index[s.video_id] for s in samples]),
-            }
-        self.assignment = {"train": self.draw("train", seed)}
-        self.val_assignments = [self.draw("val", seed + 1 + i)
-                                for i in range(self.VAL_DRAWS)]
-        self.assignment["val"] = self.val_assignments[0]
-
-    def draw(self, split: str, seed: int):
-        rng = np.random.default_rng(seed)
-        data = self.split_data[split]
-        owner, n_cand = data["owner"], data["faces"].shape[0]
-        pos = rng.integers(0, self.k, size=owner.size)
-        others = np.array([rng.permutation(n_cand - 1)[: self.k - 1] for _ in owner])
-        others += others >= owner[:, None]  # skip the anchor's own slot
-        impostor = np.arange(self.k) != pos[:, None]   # row i's own face sits at pos[i]
-        choice = np.empty(impostor.shape, dtype=int)
-        choice[impostor], choice[~impostor] = others.ravel(), owner
-        return choice, pos
-
-    def batch(self, split: str, idx: np.ndarray):
-        choice, pos = self.assignment[split]
-        faces = self.split_data[split]["faces"][choice[idx]]
-        return faces, pos[idx]
 
 
 # ------------------------------------------------------------ epoch helpers
@@ -381,7 +366,7 @@ def _train_epoch(model, cfg, samples, rng, opt_main,
         loss_t = bce_loss(res.y_hat, [s.y for s in part])
         if not joint:
             return [loss_t]
-        return [loss_t, adv_task.loss(model, ad.grl(res.H, cfg.lam), idx, "train")]
+        return [loss_t, adv_task.loss(model, ad.grl(res.H, cfg.lam), idx, adv_task.train)]
 
     means = _descend(cfg, len(samples), rng, [opt_main, opt_adv][:1 + joint], batch_losses)
     return means[0], (means[1] if joint else None)
@@ -539,7 +524,7 @@ def _adv_phase(model, cfg, task, h_train, h_val, rng, log, tag, observer,
         t0 = time.perf_counter()
         task.resample(int(rng.integers(2 ** 31)))
         [l_a_train] = _descend(cfg, h_train.shape[0], rng, [opt], lambda idx: [
-            task.loss(model, ad.constant(h_train[idx]), idx, "train")])
+            task.loss(model, ad.constant(h_train[idx]), idx, task.train)])
         l_a_val = task.evaluate(model, h_val)
         log.add(tag, t0, l_t_val=l_t_val, l_a_train=l_a_train, l_a_val=l_a_val,
                 objective_val=None if l_t_val is None else l_t_val - cfg.lam * l_a_val)

@@ -516,9 +516,10 @@ class TestInputFiles:
 
 
 class TestOutputPaths:
-    """An --out-dir that names a file, or an --out or --log whose directory
-    does not exist, exits 1 naming the flag and the path, before any data
-    is read or generated, and nothing is written."""
+    """An --out-dir that names a file or lies under one, or an --out or --log
+    that names a directory or whose directory does not exist, exits 1 naming
+    the flag and the path, before any data is read or generated, and nothing
+    is written."""
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--out", "{nodir}"],
@@ -529,7 +530,17 @@ class TestOutputPaths:
          "--out-dir", "{file}"],
         ["audit", "--data", "{data}", "--out", "{nodir}"],
         ["contributions", "--model", "{model}", "--data", "{data}", "--out", "{nodir}"],
-    ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions"])
+        ["gen", "--out", "{dir}"],
+        ["train", "--data", "{data}", "--out", "{dir}"],
+        ["train", "--data", "{data}", "--out", "{tmp}/m.json", "--log", "{dir}"],
+        ["sweep", "--data", "{data}", "--out-dir", "{underfile}"],
+        ["probe", "--model", "{model}", "--data", "{data}", "--target", "gender",
+         "--out-dir", "{underfile}"],
+        ["audit", "--data", "{data}", "--out", "{dir}"],
+        ["contributions", "--model", "{model}", "--data", "{data}", "--out", "{dir}"],
+    ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions",
+            "gen-dir", "train-out-dir", "train-log-dir", "sweep-under-file",
+            "probe-under-file", "audit-dir", "contributions-dir"])
     def test_refused_before_reading_with_nothing_written(self, tmp_path, dataset_path,
                                                           monkeypatch, capsys, argv):
         model = tmp_path / "model.json"
@@ -537,8 +548,10 @@ class TestOutputPaths:
         trained.trained = True
         save_model(trained, model)
         (tmp_path / "afile").write_text("a file, not a directory")
+        (tmp_path / "adir").mkdir()
         paths = {"tmp": tmp_path, "data": dataset_path, "model": model,
-                 "file": tmp_path / "afile", "nodir": tmp_path / "nodir" / "out.csv"}
+                 "file": tmp_path / "afile", "nodir": tmp_path / "nodir" / "out.csv",
+                 "dir": tmp_path / "adir", "underfile": tmp_path / "afile" / "sub"}
         argv = [a.format(**paths) for a in argv]
         worked = []
         monkeypatch.setattr(cli, "load_jsonl", lambda *a: worked.append(a))

@@ -549,10 +549,10 @@ class TestAdversaryTargets:
     def test_negative_sampler_one_positive_per_group(self, tiny_dataset):
         train = [s for s in tiny_dataset if s.split == "train"]
         val = [s for s in tiny_dataset if s.split == "val"]
-        sampler = tr._NegativeSampler(train, val, k=4, seed=9)
-        for split, samples in (("train", train), ("val", val)):
-            choice, pos = sampler.assignment[split]
-            owner = sampler.split_data[split]["owner"]
+        task = tr._AdversaryTask(short_cfg(variant="negative-sampling", k=4), train, val, seed=9)
+        for split, samples, (_, choice, pos) in (("train", train, task.train),
+                                                 ("val", val, task.val_draws[0])):
+            _, owner = task.tables[split]
             for i in range(len(samples)):
                 row = choice[i]
                 assert row[pos[i]] == owner[i]          # the true candidate
@@ -565,24 +565,24 @@ class TestAdversaryTargets:
         # The per-anchor np.insert loop draw used to run, kept as the
         # reference: the vectorized assembly must give the same arrays
         # from the same random stream.
-        def loop_draw(data, seed):
+        def loop_draw(faces, owner, seed):
             rng = np.random.default_rng(seed)
-            n, n_cand = data["owner"].size, data["faces"].shape[0]
+            n, n_cand = owner.size, faces.shape[0]
             choice = np.empty((n, k), dtype=int)
             pos = rng.integers(0, k, size=n)
-            for i, own in enumerate(data["owner"]):
+            for i, own in enumerate(owner):
                 others = rng.permutation(n_cand - 1)[: k - 1]
                 others = others + (others >= own)
                 choice[i] = np.insert(others, pos[i], own)
-            return choice, pos
+            return faces, choice, pos
 
         train = [s for s in tiny_dataset if s.split == "train"]
         val = [s for s in tiny_dataset if s.split == "val"]
-        sampler = tr._NegativeSampler(train, val, k=k, seed=9)
+        task = tr._AdversaryTask(short_cfg(variant="negative-sampling", k=k), train, val, seed=9)
         for split in ("train", "val"):
             for seed in (0, 1, 9, 12345):
-                got = sampler.draw(split, seed)
-                want = loop_draw(sampler.split_data[split], seed)
+                got = task.draw(split, seed)
+                want = loop_draw(*task.tables[split], seed)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert np.array_equal(a, b)
@@ -591,26 +591,21 @@ class TestAdversaryTargets:
         train = [s for s in tiny_dataset if s.split == "train"]
         val = [s for s in tiny_dataset if s.split == "val"][:2]
         with pytest.raises(ContractError, match="at least k"):
-            tr._NegativeSampler(train, val, k=50, seed=0)
+            tr._AdversaryTask(short_cfg(variant="negative-sampling", k=50), train, val, seed=0)
 
 
 class TestAdversaryEvaluate:
     @staticmethod
     def taped_evaluate(task, model, h_val):
         """evaluate's chunk loop with the tape recording."""
-        def one_pass():
+        values = []
+        for target in task.val_draws:
             total = 0.0
             for lo in range(0, len(h_val), tr.CHUNK):
                 idx = np.arange(lo, min(lo + tr.CHUNK, len(h_val)))
-                total += float(task.loss(model, ad.constant(h_val[idx]), idx, "val").value) \
+                total += float(task.loss(model, ad.constant(h_val[idx]), idx, target).value) \
                     * idx.size
-            return total / len(h_val)
-        if task._ns is None:
-            return one_pass()
-        values = []
-        for draw in task._ns.val_assignments:
-            task._ns.assignment["val"] = draw
-            values.append(one_pass())
+            values.append(total / len(h_val))
         return float(np.mean(values))
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "unprotected"])
