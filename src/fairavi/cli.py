@@ -111,11 +111,11 @@ def _check_outputs(args) -> None:
     """Exit 1 if --out-dir or its nearest existing ancestor is not a directory,
     or --out or --log names a directory or a path in no directory."""
     if (out_dir := getattr(args, "out_dir", None)) is not None:
-        near = os.path.normpath(out_dir)
+        near = wanted = os.path.normpath(out_dir)
         while not os.path.exists(near):
             near = os.path.dirname(near) or "."
         if not os.path.isdir(near):
-            under = "" if near == os.path.normpath(out_dir) else f" lies under {near}, which"
+            under = "" if near == wanted else f" lies under {near}, which"
             raise NotADirectoryError(f"--out-dir {out_dir}{under} exists and is not a directory")
     for flag in ("out", "log"):
         if not (path := getattr(args, flag, None)):
