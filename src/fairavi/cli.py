@@ -12,8 +12,9 @@
 Exit codes: 0 success, 2 configuration error, 3 data/variant contract
 violation, 1 runtime failure.  A --data, --model or --face-targets file
 that cannot be opened for reading exits 3, a --config file 2.  Every
-command writes a manifest JSON next to its primary output.  FAIRAVI_SEED
-serves as the seed fallback when neither flag nor config provides one.
+command writes a manifest JSON next to its primary output: the sha256 of
+every input file it read and every file it wrote.  FAIRAVI_SEED serves
+as the seed fallback when neither flag nor config provides one.
 """
 
 from __future__ import annotations
@@ -47,19 +48,20 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out, command: str, config: dict, seed: int | None,
-                    inputs: list, outputs: list, started: str) -> str:
+def _write_manifest(args, primary_out, config: dict, seed: int | None, outputs: list) -> str:
+    """Write `<primary_out>.manifest.json`: the command, config and seed, the sha256 of
+    every input file read (--config, --data, --model, face targets) and the outputs."""
+    inputs = [getattr(args, flag, None) for flag in ("config", "data", "model")]
     path = f"{primary_out}.manifest.json"
-    doc = {
-        "command": command,
+    write_json(path, {
+        "command": args.command,
         "config": config,
         "seed": seed,
-        "input_hashes": {str(p): _sha256(p) for p in inputs},
-        "started_utc": started,
+        "input_hashes": {str(p): _sha256(p) for p in inputs + [config.get("face_targets")] if p},
+        "started_utc": args.started,
         "ended_utc": _now(),
         "outputs": [str(p) for p in outputs],
-    }
-    write_json(path, doc)
+    })
     return path
 
 
@@ -109,7 +111,8 @@ def _check_inputs(args) -> None:
 
 def _check_outputs(args) -> None:
     """Exit 1 if --out-dir or its nearest existing ancestor is not a directory,
-    or --out or --log names a directory or a path in no directory."""
+    --out or --log names a directory or a path in no directory, or a path
+    derived from --out (its manifest, train's log without --log) is a directory."""
     if (out_dir := getattr(args, "out_dir", None)) is not None:
         near = wanted = os.path.normpath(out_dir)
         while not os.path.exists(near):
@@ -124,18 +127,21 @@ def _check_outputs(args) -> None:
             raise IsADirectoryError(f"--{flag} {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
+    if out := getattr(args, "out", None):
+        implied = [".manifest.json"] + [".log.csv"] * (args.command == "train" and not args.log)
+        for derived in (out + suffix for suffix in implied):
+            if os.path.isdir(derived):
+                raise IsADirectoryError(f"--out {out}: {derived} is a directory")
 
 
 # ------------------------------------------------------------------ gen
 
 def cmd_gen(args) -> int:
-    started = _now()
     cfg = _load_config(GeneratorConfig, args.config, args.seed)
     samples = generate_synthetic(cfg)
     split_group_disjoint(samples, ratios=cfg.split_ratios, seed=cfg.seed)
     save_jsonl(samples, args.out)
-    manifest = _write_manifest(args.out, "gen", dataclasses.asdict(cfg), cfg.seed,
-                               [args.config] if args.config else [], [args.out], started)
+    manifest = _write_manifest(args, args.out, dataclasses.asdict(cfg), cfg.seed, [args.out])
     print(f"wrote {len(samples)} samples to {args.out}")
     print(f"manifest: {manifest}")
     return 0
@@ -171,15 +177,14 @@ def run_training(cfg: TrainConfig, dataset, observer=None,
 
 
 def cmd_train(args) -> int:
-    started = _now()
     cfg = _build_train_config(args)
     dataset = load_jsonl(args.data)
     model, log = run_training(cfg, dataset)
     save_model(model, args.out)
     log_path = args.log or f"{args.out}.log.csv"
     log.to_csv(log_path)
-    manifest = _write_manifest(args.out, "train", dataclasses.asdict(cfg), cfg.seed,
-                               [args.data], [args.out, log_path], started)
+    manifest = _write_manifest(args, args.out, dataclasses.asdict(cfg), cfg.seed,
+                               [args.out, log_path])
     print(f"trained {cfg.variant}/{cfg.modality} (lambda={cfg.lam}, q={cfg.q}, k={cfg.k})")
     print(f"final validation L_T={log.final_l_t_val}"
           + ("" if log.final_l_a_val is None else f", L_A={log.final_l_a_val}"))
@@ -190,7 +195,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 def cmd_sweep(args) -> int:
-    started = _now()
     try:
         grid = tuple(float(v) for v in args.grid.split(","))
     except ValueError:
@@ -215,7 +219,7 @@ def cmd_sweep(args) -> int:
             results[lam] = out, log
         except Exception as e:  # keep partial results
             failures[lam] = repr(e)
-    outputs = [path for path, _ in results.values()]
+    outputs = [p for path, _ in results.values() for p in (path, path + ".log.csv")]
     selected = None
     if results:
         losses = {lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
@@ -228,8 +232,7 @@ def cmd_sweep(args) -> int:
         outputs.append(marker)
     ran = {**dataclasses.asdict(cfg), "grid": list(grid), "failures": failures}
     del ran["lam"]      # each run's lambda is its grid value
-    _write_manifest(os.path.join(args.out_dir, "sweep"), "sweep", ran, cfg.seed,
-                    [args.data], outputs, started)
+    _write_manifest(args, os.path.join(args.out_dir, "sweep"), ran, cfg.seed, outputs)
     for lam, err in failures.items():
         print(f"lambda={lam:g} failed: {err}", file=sys.stderr)
     if selected is not None:
@@ -270,7 +273,6 @@ def _trained_model(path) -> HireabilityModel:
 
 
 def cmd_probe(args) -> int:
-    started = _now()
     model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     report = build_report(model, dataset, args.target)
@@ -280,10 +282,8 @@ def cmd_probe(args) -> int:
     report.to_csv(csv_path)
     with atomic_write(md_path) as fh:
         fh.write(report.to_markdown())
-    _write_manifest(csv_path, "probe",
-                    {"model": args.model, "target": args.target},
-                    ev.PROBE_SEED, [args.model, args.data],
-                    [csv_path, md_path], started)
+    _write_manifest(args, csv_path, {"model": args.model, "target": args.target},
+                    ev.PROBE_SEED, [csv_path, md_path])
     print(report.to_markdown(), end="")
     return 0
 
@@ -291,7 +291,6 @@ def cmd_probe(args) -> int:
 # ---------------------------------------------------------------- audit
 
 def cmd_audit(args) -> int:
-    started = _now()
     dataset = load_jsonl(args.data)
     if not dataset:
         raise ContractError("dataset is empty")
@@ -328,14 +327,13 @@ def cmd_audit(args) -> int:
             fh.write(f"overlap,{overlap!r}\n")
             for line in lines:
                 fh.write(line + "\n")
-        _write_manifest(args.out, "audit", {}, None, [args.data], [args.out], started)
+        _write_manifest(args, args.out, {}, None, [args.out])
     return 0
 
 
 # -------------------------------------------------------- contributions
 
 def cmd_contributions(args) -> int:
-    started = _now()
     model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     part = [s for s in dataset if s.split == args.split]
@@ -347,9 +345,8 @@ def cmd_contributions(args) -> int:
         for m, stats in summary.items():
             fh.write(f"{m},{stats['mean']!r},{stats['q25']!r},"
                      f"{stats['median']!r},{stats['q75']!r}\n")
-    _write_manifest(args.out, "contributions",
-                    {"model": args.model, "split": args.split},
-                    None, [args.model, args.data], [args.out], started)
+    _write_manifest(args, args.out, {"model": args.model, "split": args.split}, None,
+                    [args.out])
     print(f"wrote {args.out}")
     return 0
 
@@ -413,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = _now()
     try:
         _check_inputs(args)
         _check_outputs(args)

@@ -10,7 +10,6 @@ nothing else: at beta = 0 the protected class is statistically invisible.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -200,11 +199,6 @@ class FaceProjection:
     """Top-q principal directions of the training faces."""
     mean: np.ndarray         # (d,)
     components: np.ndarray   # (q, d), orthonormal rows
-    fingerprint: str         # sha256 of the fit data
-
-
-def fingerprint_faces(faces: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(faces, dtype=np.float64).tobytes()).hexdigest()
 
 
 def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
@@ -241,8 +235,7 @@ def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
                 f"negligible variance)")
         components.append(v)
         work = work - lam * np.outer(v, v)
-    return FaceProjection(mean=mean, components=np.stack(components),
-                          fingerprint=fingerprint_faces(faces))
+    return FaceProjection(mean=mean, components=np.stack(components))
 
 
 def apply_compressor(proj: FaceProjection, faces: np.ndarray) -> np.ndarray:

@@ -180,7 +180,6 @@ CSV_HEADER = "epoch,phase,l_t_train,l_t_val,l_a_train,l_a_val,objective_val,seco
 @dataclass
 class TrainLog:
     rows: list = field(default_factory=list)
-    compressor_fingerprint: str | None = None
     final_l_t_val: float | None = None    # validation losses of the state kept so far
     final_l_a_val: float | None = None
 
@@ -226,7 +225,6 @@ class _AdversaryTask:
     def __init__(self, cfg: TrainConfig, train, val, seed: int):
         self.variant = cfg.variant
         self.k = cfg.k
-        self.fingerprint = None
         splits = {"train": train, "val": val}
         if self.variant in SUPERVISED_VARIANTS:
             targets = protected_labels(splits, self.variant.removeprefix("supervised-"))
@@ -239,12 +237,10 @@ class _AdversaryTask:
                     raise ContractError(
                         f"{cfg.face_targets}: face targets file lacks {len(missing)} "
                         f"video id(s), e.g. {sorted(missing)[:3]}")
-                self.fingerprint = "external"
                 code = lambda part: np.stack([lookup[s.video_id] for s in part])
             else:
                 proj = fit_compressor(np.stack(list(_candidate_faces(train).values())), cfg.q,
                                       seed=seed)
-                self.fingerprint = proj.fingerprint
                 code = lambda part: apply_compressor(proj, np.stack([s.face for s in part]))
             self.train, self.val_draws = code(train), [code(val)]
         elif self.variant == "negative-sampling":
@@ -435,6 +431,9 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
     at all.
     """
     cfg.validate()
+    kind = lambda o: f"{o.modality}/{o.variant} (q={o.q}, k={o.k})"
+    if kind(cfg) != kind(model):
+        raise ContractError(f"the config trains a {kind(cfg)} model, given a {kind(model)} one")
     train = [s for s in dataset if s.split == "train"]
     val = [s for s in dataset if s.split == "val"]
     if not train or not val:
@@ -465,7 +464,6 @@ def pretrain(cfg: TrainConfig, model: HireabilityModel, dataset,
     _notify(observer, "phase_end", phase="pretrain-main")
 
     if task is not None:
-        log.compressor_fingerprint = task.fingerprint
         h_train, _ = predict(model, train)
         log.final_l_a_val = _adv_phase(model, cfg, task, h_train, h_val, rng, log,
                                        "pretrain-adv", observer)

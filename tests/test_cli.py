@@ -473,6 +473,47 @@ def test_seedless_commands_take_no_seed_flag(argv):
         cli.build_parser().parse_args(argv + ["--seed", "3"])
 
 
+@pytest.mark.parametrize("command", ["gen", "train", "sweep", "probe", "audit",
+                                     "contributions"])
+def test_manifest_hashes_every_input_and_lists_every_output(tmp_path, dataset_path, command):
+    """input_hashes holds the sha256 of each input file the run read, by flag
+    or through its config, and nothing else; outputs lists every file it wrote."""
+    rng = np.random.default_rng(3)
+    faces = tmp_path / "faces.json"
+    faces.write_text(json.dumps({s.video_id: rng.standard_normal(2).tolist()
+                                 for s in load_jsonl(dataset_path)}))
+    schedule = dict(max_epochs_pretrain=1, max_epochs_adv=1)
+    tcfg = write_train_config(tmp_path / "t.json", **schedule)
+    wcfg = write_train_config(tmp_path / "w.json", face_targets=str(faces), **schedule)
+    model = tmp_path / "model.json"
+    trained = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0)
+    trained.trained = True
+    save_model(trained, model)
+    gcfg, data, out = tmp_path / "gen.json", dataset_path, tmp_path / "run"
+    out.mkdir()
+    static = ["--variant", "static-faces", "--modality", "language", "--face-dim", "2"]
+    argv, inputs, primary = {
+        "gen": (["--config", gcfg, "--out", out / "d.jsonl"], [gcfg], "d.jsonl"),
+        "train": (["--data", data, *static, "--config", tcfg, "--face-targets", faces,
+                   "--out", out / "m.json"], [tcfg, data, faces], "m.json"),
+        "sweep": (["--data", data, *static, "--grid", "1,4", "--config", wcfg,
+                   "--out-dir", out], [wcfg, data, faces], "sweep"),
+        "probe": (["--model", model, "--data", data, "--target", "gender", "--out-dir", out],
+                  [model, data], "metrics.csv"),
+        "audit": (["--data", data, "--out", out / "a.csv"], [data], "a.csv"),
+        "contributions": (["--model", model, "--data", data, "--out", out / "c.csv"],
+                          [model, data], "c.csv"),
+    }[command]
+    assert cli.main([command, *map(str, argv)]) == 0
+    manifest_path = out / f"{primary}.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["command"] == command
+    assert manifest["input_hashes"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                                        for p in inputs}
+    written = {str(p) for p in out.iterdir() if p != manifest_path}
+    assert len(manifest["outputs"]) == len(written) and set(manifest["outputs"]) == written
+
+
 class TestInputFiles:
     """An input file that cannot be opened exits 3 (--data, --model,
     --face-targets) or 2 (--config), naming the flag and the path."""
@@ -516,10 +557,11 @@ class TestInputFiles:
 
 
 class TestOutputPaths:
-    """An --out-dir that names a file or lies under one, or an --out or --log
-    that names a directory or whose directory does not exist, exits 1 naming
-    the flag and the path, before any data is read or generated, and nothing
-    is written."""
+    """An --out-dir that names a file or lies under one, an --out or --log
+    that names a directory or whose directory does not exist, or an --out
+    whose manifest (or, for train without --log, whose log) path is a
+    directory, exits 1 naming the flag and the path, before any data is read
+    or generated, and nothing is written."""
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--out", "{nodir}"],
@@ -538,9 +580,17 @@ class TestOutputPaths:
          "--out-dir", "{underfile}"],
         ["audit", "--data", "{data}", "--out", "{dir}"],
         ["contributions", "--model", "{model}", "--data", "{data}", "--out", "{dir}"],
+        ["gen", "--out", "{dirmanifest}"],
+        ["train", "--data", "{data}", "--out", "{dirmanifest}"],
+        ["train", "--data", "{data}", "--out", "{dirlog}"],
+        ["audit", "--data", "{data}", "--out", "{dirmanifest}"],
+        ["contributions", "--model", "{model}", "--data", "{data}", "--out",
+         "{dirmanifest}"],
     ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions",
             "gen-dir", "train-out-dir", "train-log-dir", "sweep-under-file",
-            "probe-under-file", "audit-dir", "contributions-dir"])
+            "probe-under-file", "audit-dir", "contributions-dir", "gen-manifest-dir",
+            "train-manifest-dir", "train-implied-log-dir", "audit-manifest-dir",
+            "contributions-manifest-dir"])
     def test_refused_before_reading_with_nothing_written(self, tmp_path, dataset_path,
                                                           monkeypatch, capsys, argv):
         model = tmp_path / "model.json"
@@ -549,9 +599,12 @@ class TestOutputPaths:
         save_model(trained, model)
         (tmp_path / "afile").write_text("a file, not a directory")
         (tmp_path / "adir").mkdir()
+        (tmp_path / "m1.json.manifest.json").mkdir()
+        (tmp_path / "m2.json.log.csv").mkdir()
         paths = {"tmp": tmp_path, "data": dataset_path, "model": model,
                  "file": tmp_path / "afile", "nodir": tmp_path / "nodir" / "out.csv",
-                 "dir": tmp_path / "adir", "underfile": tmp_path / "afile" / "sub"}
+                 "dir": tmp_path / "adir", "underfile": tmp_path / "afile" / "sub",
+                 "dirmanifest": tmp_path / "m1.json", "dirlog": tmp_path / "m2.json"}
         argv = [a.format(**paths) for a in argv]
         worked = []
         monkeypatch.setattr(cli, "load_jsonl", lambda *a: worked.append(a))
@@ -560,7 +613,10 @@ class TestOutputPaths:
         before = tree()
         assert cli.main(argv) == 1
         flag, bad = argv[-2:]
-        assert f"{flag} {bad}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{flag} {bad}" in err
+        implied = {str(paths["dirmanifest"]): ".manifest.json", str(paths["dirlog"]): ".log.csv"}
+        assert bad not in implied or f"{bad}{implied[bad]} is a directory" in err
         assert worked == [] and tree() == before
 
 

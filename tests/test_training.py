@@ -462,12 +462,33 @@ class TestTrainAlternating:
             path = tmp_path / "faces.json"
             path.write_text(f'{{"{tiny_dataset[0].video_id}": [0.0, 0.0]}}')
             kw["face_targets"] = str(path)
-        model = HireabilityModel("multimodal", variant, tiny_dims(), seed=0)
+        model = HireabilityModel("multimodal", variant, tiny_dims(), k=kw.get("k", 5), seed=0)
         events = []
         with pytest.raises(ContractError, match=match):
             tr.train_alternating(short_cfg(variant=variant, **kw), model, tiny_dataset,
                                  observer=lambda e, p: events.append(e))
         assert events == []
+
+    @pytest.mark.parametrize("cfg_kind, model_kind", [
+        (dict(variant="supervised-gender"), dict(variant="unprotected")),
+        (dict(variant="static-faces", q=16), dict(variant="static-faces", q=2)),
+        (dict(variant="unprotected"), dict(variant="negative-sampling")),
+        (dict(modality="language"), dict(modality="multimodal")),
+        (dict(variant="negative-sampling", k=3), dict(variant="negative-sampling")),
+    ], ids=["variant", "q", "unprotected-config", "modality", "k"])
+    def test_model_of_another_kind_refused_before_any_epoch(self, tiny_dataset, monkeypatch,
+                                                            cfg_kind, model_kind):
+        epochs, events = [], []
+        monkeypatch.setattr(tr, "_train_epoch", lambda *a, **kw: epochs.append(a))
+        cfg = short_cfg(**cfg_kind)
+        model = HireabilityModel(**{"modality": "multimodal", **model_kind},
+                                 dims=tiny_dims(), seed=0)
+        with pytest.raises(ContractError) as refused:
+            tr.train_alternating(cfg, model, tiny_dataset,
+                                 observer=lambda e, p: events.append(e))
+        kind = lambda o: f"{o.modality}/{o.variant} (q={o.q}, k={o.k})"
+        assert kind(cfg) in str(refused.value) and kind(model) in str(refused.value)
+        assert epochs == [] and events == []
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "static-faces"])
     def test_face_targets_refused_unless_static_faces(self, tiny_dataset, variant):
@@ -496,25 +517,31 @@ class TestTrainAlternating:
 
 
 class TestAdversaryTargets:
-    def test_compressor_fit_on_train_split_only(self, tiny_dataset):
+    @staticmethod
+    def spy_compressor(monkeypatch):
+        """The face arrays each fit_compressor call receives, in call order."""
+        fitted, fit = [], tr.fit_compressor
+        monkeypatch.setattr(tr, "fit_compressor",
+                            lambda faces, *a, **kw: fitted.append(faces) or fit(faces, *a, **kw))
+        return fitted
+
+    def test_compressor_fit_on_train_split_only(self, tiny_dataset, monkeypatch):
+        fitted = self.spy_compressor(monkeypatch)
         cfg = short_cfg(variant="static-faces", q=2, max_outer=1)
         model = HireabilityModel("multimodal", "static-faces", tiny_dims(), seed=7)
-        _, log = tr.train_alternating(cfg, model, tiny_dataset)
-        from fairavi.data import fingerprint_faces
+        tr.train_alternating(cfg, model, tiny_dataset)
         seen = {}
         for s in tiny_dataset:
             if s.split == "train" and s.video_id not in seen:
                 seen[s.video_id] = np.asarray(s.face, dtype=np.float64)
-        expected = fingerprint_faces(np.stack(list(seen.values())))
-        assert log.compressor_fingerprint == expected
-        # in particular, not the fingerprint of train + test faces
-        for s in tiny_dataset:
-            if s.video_id not in seen:
-                seen[s.video_id] = np.asarray(s.face, dtype=np.float64)
-        assert log.compressor_fingerprint != fingerprint_faces(np.stack(list(seen.values())))
+        # one fit, on one face per train candidate: no val or test face
+        assert len(fitted) == 1
+        np.testing.assert_array_equal(fitted[0], np.stack(list(seen.values())))
 
-    def test_external_face_targets_replace_compressor(self, tiny_dataset, tmp_path):
+    def test_external_face_targets_replace_compressor(self, tiny_dataset, tmp_path,
+                                                      monkeypatch):
         import json
+        fitted = self.spy_compressor(monkeypatch)
         rng = np.random.default_rng(0)
         lookup = {s.video_id: rng.standard_normal(2).tolist() for s in tiny_dataset}
         path = tmp_path / "faces.json"
@@ -523,7 +550,7 @@ class TestAdversaryTargets:
                         face_targets=str(path))
         model = HireabilityModel("multimodal", "static-faces", tiny_dims(), seed=7)
         _, log = tr.train_alternating(cfg, model, tiny_dataset)
-        assert log.compressor_fingerprint == "external"
+        assert fitted == [] and "adv-refit" in log.phases()
 
     def test_external_face_targets_missing_video(self, tiny_dataset, tmp_path):
         import json

@@ -12,13 +12,17 @@
 # sha256 of the saved model, its epoch log without the seconds column,
 # the probe's metrics.csv and report.md, the train command's stdout and
 # the model's `contributions` CSV over the test split (`-` for a
-# single-modality model, which has none).  The last row, `sweep`, holds
-# the same of the two models of a static-faces (q 2) sweep over the grid
-# 1,4 on the binary corpus, of their epoch logs without the seconds column
-# and of selected.json.  Every path a command sees is relative, and
-# selected.json names the fixed out-dir `sweep`, so two checkouts that
-# compute the same bytes print the same rows: run it on a parent and on a
-# change to check that the change kept the outputs byte-identical.
+# single-modality model, which has none).  The row `sweep` holds the same
+# of the two models of a static-faces (q 2) sweep over the grid 1,4 on the
+# binary corpus, of their epoch logs without the seconds column and of
+# selected.json.  The last row, `manifests`, holds the same of three
+# manifests with their `started_utc` and `ended_utc` lines removed:
+# `static-faces-file`'s train manifest, `unprotected`'s probe manifest and
+# the sweep's, so a changed list of hashed inputs or written outputs shows.
+# Every path a command sees is relative, and selected.json names the fixed
+# out-dir `sweep`, so two checkouts that compute the same bytes print the
+# same rows: run it on a parent and on a change to check that the change
+# kept the outputs byte-identical.
 #
 # The row `probe-selection` holds the same of the whole dict that
 # `evaluation.diagnose` returns (the selected penalty and strength, its
@@ -132,3 +136,10 @@ printf '%-22s %s %s %s %s %s\n' sweep \
     "$(sed 's/,[^,]*$//' sweep/model_lambda1.json.log.csv | h8)" \
     "$(sed 's/,[^,]*$//' sweep/model_lambda4.json.log.csv | h8)" \
     "$(h8 < sweep/selected.json)"
+
+# a manifest without its two wall-clock lines
+unstamped() { grep -v -e '"started_utc"' -e '"ended_utc"' "$1" | h8; }
+printf '%-22s %s %s %s\n' manifests \
+    "$(unstamped static-faces-file/model.json.manifest.json)" \
+    "$(unstamped unprotected/probe/metrics.csv.manifest.json)" \
+    "$(unstamped sweep/sweep.manifest.json)"
