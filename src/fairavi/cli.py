@@ -2,7 +2,8 @@
 
     fairavi gen            synthesize a split, labeled dataset (JSONL)
     fairavi train          train one variant/modality, persist the model
-    fairavi sweep          run the lambda grid and mark the selected value
+    fairavi sweep          train the lambda grid on one shared pretrain, then
+                           write every model and mark the selected one
     fairavi probe          diagnostic probes + fairness report for a model
     fairavi audit          test clips whose video_id is in train, and the
                            per-group label-rate table
@@ -36,8 +37,7 @@ from .fileio import atomic_write, read_json, write_json
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
                     ModelDims, load_model, modality_contributions, predict, protected_labels,
                     save_model)
-from .training import (LAMBDA_GRID, Pretrained, TrainConfig, alternate, pretrain,
-                       select_lambda, train_alternating)
+from .training import LAMBDA_GRID, TrainConfig, alternate, pretrain, select_lambda
 
 
 def _sha256(path) -> str:
@@ -112,7 +112,8 @@ def _check_inputs(args) -> None:
 def _check_outputs(args) -> None:
     """Exit 1 if --out-dir or its nearest existing ancestor is not a directory,
     --out or --log names a directory or a path in no directory, or a path
-    derived from --out (its manifest, train's log without --log) is a directory."""
+    derived from --out (its manifest, train's log without --log) or a file
+    written under --out-dir is a directory."""
     if (out_dir := getattr(args, "out_dir", None)) is not None:
         near = wanted = os.path.normpath(out_dir)
         while not os.path.exists(near):
@@ -127,11 +128,19 @@ def _check_outputs(args) -> None:
             raise IsADirectoryError(f"--{flag} {path} is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
+    flag, implied = "out", []
     if out := getattr(args, "out", None):
-        implied = [".manifest.json"] + [".log.csv"] * (args.command == "train" and not args.log)
-        for derived in (out + suffix for suffix in implied):
-            if os.path.isdir(derived):
-                raise IsADirectoryError(f"--out {out}: {derived} is a directory")
+        implied = [out + ".manifest.json"] + [out + ".log.csv"] * (
+            args.command == "train" and not args.log)
+    elif out := out_dir:
+        flag, names = "out-dir", ["metrics.csv", "report.md", "metrics.csv.manifest.json"]
+        if args.command == "sweep":
+            names = [f"model_lambda{lam:g}.json{ext}" for lam in _parse_grid(args.grid)
+                     for ext in ("", ".log.csv")] + ["selected.json", "sweep.manifest.json"]
+        implied = [os.path.join(out, name) for name in names]
+    for derived in implied:
+        if os.path.isdir(derived):
+            raise IsADirectoryError(f"--{flag} {out}: {derived} is a directory")
 
 
 # ------------------------------------------------------------------ gen
@@ -166,20 +175,19 @@ def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:
                             q=cfg.q, k=cfg.k, seed=cfg.seed)
 
 
-def run_training(cfg: TrainConfig, dataset, observer=None,
-                 pretrained: Pretrained | None = None):
-    """Library entry point behind `fairavi train`.  Given a `pretrained`
-    state, it runs only the joint/refit loop under cfg.lam, on a fork of
-    that state."""
-    if pretrained is not None:
-        return alternate(pretrained.fork(), cfg.lam, observer)
-    return train_alternating(cfg, _new_model(cfg, dataset), dataset, observer=observer)
+def run_training(cfg: TrainConfig, dataset, observer=None, grid=None) -> dict:
+    """Library entry point behind `fairavi train` and `sweep`: one pretrain,
+    which never reads lambda, then for each lambda of `grid` (default
+    `(cfg.lam,)`) the joint/refit loop on a fork of that state.  Returns
+    {lambda: (model, log)} in grid order."""
+    state = pretrain(cfg, _new_model(cfg, dataset), dataset, observer)
+    return {lam: alternate(state.fork(), lam, observer) for lam in grid or (cfg.lam,)}
 
 
 def cmd_train(args) -> int:
     cfg = _build_train_config(args)
     dataset = load_jsonl(args.data)
-    model, log = run_training(cfg, dataset)
+    model, log = run_training(cfg, dataset)[cfg.lam]
     save_model(model, args.out)
     log_path = args.log or f"{args.out}.log.csv"
     log.to_csv(log_path)
@@ -194,51 +202,40 @@ def cmd_train(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def cmd_sweep(args) -> int:
+def _parse_grid(text: str) -> tuple:
     try:
-        grid = tuple(float(v) for v in args.grid.split(","))
+        grid = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"invalid lambda grid {args.grid!r}")
+        raise ConfigError(f"invalid lambda grid {text!r}")
     if len(set(grid)) != len(grid):
-        raise ConfigError(f"duplicate values in lambda grid {args.grid!r}")
-    # every grid value's config is checked before any training starts
-    cfg = _build_train_config(args)
-    configs = {lam: dataclasses.replace(cfg, lam=lam).validate() for lam in grid}
-    dataset = load_jsonl(args.data)
-    # lambda is first read in the joint epochs, so one pretrain serves the grid
-    state = pretrain(cfg, _new_model(cfg, dataset), dataset)
-    os.makedirs(args.out_dir, exist_ok=True)
+        raise ConfigError(f"duplicate values in lambda grid {text!r}")
+    return grid
 
-    results, failures = {}, {}
-    for lam, lam_cfg in configs.items():
-        try:
-            model, log = run_training(lam_cfg, dataset, pretrained=state)
-            out = os.path.join(args.out_dir, f"model_lambda{lam:g}.json")
-            save_model(model, out)
-            log.to_csv(out + ".log.csv")
-            results[lam] = out, log
-        except Exception as e:  # keep partial results
-            failures[lam] = repr(e)
-    outputs = [p for path, _ in results.values() for p in (path, path + ".log.csv")]
-    selected = None
-    if results:
-        losses = {lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
-                  for lam, (_, log) in results.items()}
-        selected = select_lambda(losses)
-        marker = os.path.join(args.out_dir, "selected.json")
-        write_json(marker, {"selected_lambda": selected, "model": results[selected][0],
-                            "objective_by_lambda": {str(lam): l_t - l_a
-                                                    for lam, (l_t, l_a) in losses.items()}})
-        outputs.append(marker)
-    ran = {**dataclasses.asdict(cfg), "grid": list(grid), "failures": failures}
+
+def cmd_sweep(args) -> int:
+    grid = _parse_grid(args.grid)
+    cfg = _build_train_config(args)
+    for lam in grid:   # every grid value's config is checked before any training starts
+        dataclasses.replace(cfg, lam=lam).validate()
+    dataset = load_jsonl(args.data)
+    results = run_training(cfg, dataset, grid=grid)   # all or nothing: then write
+    os.makedirs(args.out_dir, exist_ok=True)
+    paths = {lam: os.path.join(args.out_dir, f"model_lambda{lam:g}.json") for lam in grid}
+    for lam, (model, log) in results.items():
+        save_model(model, paths[lam])
+        log.to_csv(paths[lam] + ".log.csv")
+    losses = {lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
+              for lam, (_, log) in results.items()}
+    selected = select_lambda(losses)
+    marker = os.path.join(args.out_dir, "selected.json")
+    write_json(marker, {"selected_lambda": selected, "model": paths[selected],
+                        "objective_by_lambda": {str(lam): l_t - l_a
+                                                for lam, (l_t, l_a) in losses.items()}})
+    ran = {**dataclasses.asdict(cfg), "grid": list(grid)}
     del ran["lam"]      # each run's lambda is its grid value
+    outputs = [p for path in paths.values() for p in (path, path + ".log.csv")] + [marker]
     _write_manifest(args, os.path.join(args.out_dir, "sweep"), ran, cfg.seed, outputs)
-    for lam, err in failures.items():
-        print(f"lambda={lam:g} failed: {err}", file=sys.stderr)
-    if selected is not None:
-        print(f"selected lambda: {selected:g}")
-    if failures:
-        return 1
+    print(f"selected lambda: {selected:g}")
     return 0
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -34,6 +35,15 @@ def log_without_seconds(model_path):
     """The epoch log next to a model file, minus the wall-time column."""
     log = model_path.parent / (model_path.name + ".log.csv")
     return [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]
+
+
+def stub_result(cfg, l_t_val):
+    """A (model, log) pair as run_training gives one lambda, without training."""
+    model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=cfg.seed)
+    model.trained = True
+    log = tr.TrainLog()
+    log.final_l_t_val, log.final_l_a_val = l_t_val, 0.0
+    return model, log
 
 
 @pytest.fixture
@@ -313,21 +323,10 @@ class TestSweep:
     def test_stubbed_losses_pick_argmin(self, tmp_path, dataset_path, monkeypatch):
         calls = []
 
-        shared = object()
+        def fake_run_training(cfg, dataset, observer=None, grid=None):
+            calls.append(grid)
+            return {lam: stub_result(cfg, l_t) for lam, l_t in zip(grid, (1.0, 0.2, 0.9))}
 
-        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
-            assert pretrained is shared
-            calls.append(cfg.lam)
-            log = tr.TrainLog()
-            log.final_l_t_val = {0.5: 1.0, 1.0: 0.2, 2.0: 0.9}[cfg.lam]
-            log.final_l_a_val = 0.0
-            from fairavi.model import HireabilityModel
-            from tests.conftest import tiny_dims
-            model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=0)
-            model.trained = True
-            return model, log
-
-        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: shared)
         monkeypatch.setattr(cli, "run_training", fake_run_training)
         tcfg = write_train_config(tmp_path / "t.json")
         out_dir = tmp_path / "sweep"
@@ -336,7 +335,7 @@ class TestSweep:
                          "--grid", "0.5,1,2", "--config", str(tcfg),
                          "--out-dir", str(out_dir)])
         assert code == 0
-        assert calls == [0.5, 1.0, 2.0]
+        assert calls == [(0.5, 1.0, 2.0)]
         selected = json.loads((out_dir / "selected.json").read_text())
         assert selected["selected_lambda"] == 1.0
 
@@ -361,6 +360,27 @@ class TestSweep:
             swept = out_dir / f"model_lambda{lam}.json"
             assert swept.read_bytes() == alone.read_bytes(), lam
             assert log_without_seconds(swept) == log_without_seconds(alone), lam
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fork_matches_the_unforked_path(self, tmp_path, variant):
+        # train and sweep both run a fork of the pretrain state; train_alternating does not
+        classes = dict(n_classes=3, class_priors=[0.2, 0.5, 0.3])
+        data = generate_synthetic(tiny_generator_config(
+            **classes if variant == "supervised-ethnicity" else {}))
+        split_group_disjoint(data, seed=3)
+        cfg = tr.TrainConfig(variant=variant, lam=2.0, batch_size=16, max_epochs_pretrain=2,
+                             patience_pretrain=2, max_epochs_adv=2, patience_adv=2,
+                             max_outer=2, patience_outer=2, seed=5)
+        runs = {"forked": cli.run_training(cfg, data)[cfg.lam],
+                "alone": tr.train_alternating(cfg, cli._new_model(cfg, data), data)}
+        for name, (model, _) in runs.items():
+            save_model(model, tmp_path / name)
+        assert (tmp_path / "forked").read_bytes() == (tmp_path / "alone").read_bytes()
+        (_, forked), (_, alone) = runs.values()
+        assert [dataclasses.replace(r, seconds=0) for r in forked.rows] == \
+            [dataclasses.replace(r, seconds=0) for r in alone.rows]
+        assert (forked.final_l_t_val, forked.final_l_a_val) == \
+            (alone.final_l_t_val, alone.final_l_a_val)
 
     def test_refused_pretrain_exits_3_leaving_no_output(self, tmp_path, dataset_path, capsys):
         # the shared pretrain refuses as train does: no manifest, no out-dir
@@ -393,45 +413,40 @@ class TestSweep:
         assert pretrained == []
         assert out_dir.read_text() == "a file, not a directory"
 
-    def test_failed_lambda_keeps_the_others(self, tmp_path, dataset_path, monkeypatch,
-                                            capsys):
-        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
+    def test_failed_lambda_writes_nothing(self, tmp_path, dataset_path, monkeypatch,
+                                          capsys):
+        # a lambda that fails in its joint loop fails the sweep as it fails train
+        outer_epoch = tr._outer_epoch
+
+        def diverging(state, cfg, observer):
             if cfg.lam == 2.0:
                 raise RuntimeError("joint epoch diverged")
-            model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=0)
-            model.trained = True
-            log = tr.TrainLog()
-            log.final_l_t_val, log.final_l_a_val = 0.5, 0.0
-            return model, log
+            return outer_epoch(state, cfg, observer)
 
-        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: None)
-        monkeypatch.setattr(cli, "run_training", fake_run_training)
+        monkeypatch.setattr(tr, "_outer_epoch", diverging)
         tcfg = write_train_config(tmp_path / "t.json")
+        common = ["--data", str(dataset_path), "--variant", "supervised-gender",
+                  "--modality", "language", "--config", str(tcfg)]
+        code = cli.main(["train", *common, "--lambda", "2",
+                         "--out", str(tmp_path / "m.json")])
+        assert code == 1 and "joint epoch diverged" in capsys.readouterr().err
         out_dir = tmp_path / "sweep"
-        code = cli.main(["sweep", "--data", str(dataset_path), "--variant",
-                         "supervised-gender", "--modality", "language", "--grid", "0.5,2",
-                         "--config", str(tcfg), "--out-dir", str(out_dir)])
-        assert code == 1
-        assert "lambda=2 failed" in capsys.readouterr().err
-        manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
-        assert list(manifest["config"]["failures"]) == ["2.0"]
-        assert json.loads((out_dir / "selected.json").read_text())["selected_lambda"] == 0.5
-        assert (out_dir / "model_lambda0.5.json").exists()
+        assert cli.main(["sweep", *common, "--grid", "0.5,2", "--out-dir", str(out_dir)]) \
+            == code
+        assert "error: joint epoch diverged" in capsys.readouterr().err
+        assert not out_dir.exists() and not (tmp_path / "m.json").exists()
+        assert [p.name for p in tmp_path.rglob("*.manifest.json")] == \
+            ["data.jsonl.manifest.json"]
 
     def test_manifest_records_the_config_that_ran(self, tmp_path, dataset_path,
                                                    monkeypatch):
         # seed, variant and modality come from the config file alone
         ran = []
 
-        def fake_run_training(cfg, dataset, observer=None, pretrained=None):
-            ran.append(cfg)
-            model = HireabilityModel(cfg.modality, cfg.variant, tiny_dims(), seed=cfg.seed)
-            model.trained = True
-            log = tr.TrainLog()
-            log.final_l_t_val, log.final_l_a_val = 0.5, 0.0
-            return model, log
+        def fake_run_training(cfg, dataset, observer=None, grid=None):
+            ran.append((cfg.seed, grid))
+            return {lam: stub_result(cfg, 0.5) for lam in grid}
 
-        monkeypatch.setattr(cli, "pretrain", lambda *a, **k: None)
         monkeypatch.setattr(cli, "run_training", fake_run_training)
         tcfg = write_train_config(tmp_path / "t.json", seed=5, variant="static-faces",
                                   modality="language")
@@ -439,11 +454,11 @@ class TestSweep:
         assert cli.main(["sweep", "--data", str(dataset_path), "--grid", "0.5,2",
                          "--config", str(tcfg), "--out-dir", str(out_dir)]) == 0
         manifest = json.loads((out_dir / "sweep.manifest.json").read_text())
-        assert [cfg.seed for cfg in ran] == [5, 5] and manifest["seed"] == 5
+        assert ran == [(5, (0.5, 2.0))] and manifest["seed"] == 5
         config = manifest["config"]
         assert (config["variant"], config["modality"], config["q"]) == \
             ("static-faces", "language", 2)
-        assert config["grid"] == [0.5, 2.0] and config["failures"] == {}
+        assert config["grid"] == [0.5, 2.0]
         assert "lam" not in config
 
     @pytest.mark.parametrize("grid", ["-1,2", "2,5,2", "nan,5", "5,inf"])
@@ -558,8 +573,9 @@ class TestInputFiles:
 
 class TestOutputPaths:
     """An --out-dir that names a file or lies under one, an --out or --log
-    that names a directory or whose directory does not exist, or an --out
+    that names a directory or whose directory does not exist, an --out
     whose manifest (or, for train without --log, whose log) path is a
+    directory, or an --out-dir under which a file the command writes is a
     directory, exits 1 naming the flag and the path, before any data is read
     or generated, and nothing is written."""
 
@@ -586,11 +602,18 @@ class TestOutputPaths:
         ["audit", "--data", "{data}", "--out", "{dirmanifest}"],
         ["contributions", "--model", "{model}", "--data", "{data}", "--out",
          "{dirmanifest}"],
+        ["sweep", "--data", "{data}", "--grid", "1,4", "--out-dir", "{sweeplog}"],
+        ["sweep", "--data", "{data}", "--grid", "1,4", "--out-dir", "{sweepmanifest}"],
+        ["probe", "--model", "{model}", "--data", "{data}", "--target", "gender",
+         "--out-dir", "{probereport}"],
+        ["probe", "--model", "{model}", "--data", "{data}", "--target", "gender",
+         "--out-dir", "{probemanifest}"],
     ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions",
             "gen-dir", "train-out-dir", "train-log-dir", "sweep-under-file",
             "probe-under-file", "audit-dir", "contributions-dir", "gen-manifest-dir",
             "train-manifest-dir", "train-implied-log-dir", "audit-manifest-dir",
-            "contributions-manifest-dir"])
+            "contributions-manifest-dir", "sweep-log-dir", "sweep-manifest-dir",
+            "probe-report-dir", "probe-manifest-dir"])
     def test_refused_before_reading_with_nothing_written(self, tmp_path, dataset_path,
                                                           monkeypatch, capsys, argv):
         model = tmp_path / "model.json"
@@ -601,21 +624,29 @@ class TestOutputPaths:
         (tmp_path / "adir").mkdir()
         (tmp_path / "m1.json.manifest.json").mkdir()
         (tmp_path / "m2.json.log.csv").mkdir()
+        # a file that sweep or probe writes under its --out-dir is a directory
+        under = {"sweeplog": "model_lambda4.json.log.csv", "sweepmanifest": "sweep.manifest.json",
+                 "probereport": "report.md", "probemanifest": "metrics.csv.manifest.json"}
+        for key, name in under.items():
+            (tmp_path / key / name).mkdir(parents=True)
         paths = {"tmp": tmp_path, "data": dataset_path, "model": model,
                  "file": tmp_path / "afile", "nodir": tmp_path / "nodir" / "out.csv",
                  "dir": tmp_path / "adir", "underfile": tmp_path / "afile" / "sub",
-                 "dirmanifest": tmp_path / "m1.json", "dirlog": tmp_path / "m2.json"}
+                 "dirmanifest": tmp_path / "m1.json", "dirlog": tmp_path / "m2.json",
+                 **{key: tmp_path / key for key in under}}
         argv = [a.format(**paths) for a in argv]
         worked = []
         monkeypatch.setattr(cli, "load_jsonl", lambda *a: worked.append(a))
         monkeypatch.setattr(cli, "generate_synthetic", lambda *a: worked.append(a))
+        monkeypatch.setattr(cli, "pretrain", lambda *a: worked.append(a))
         tree = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
         before = tree()
         assert cli.main(argv) == 1
         flag, bad = argv[-2:]
         err = capsys.readouterr().err
         assert f"{flag} {bad}" in err
-        implied = {str(paths["dirmanifest"]): ".manifest.json", str(paths["dirlog"]): ".log.csv"}
+        implied = {str(paths["dirmanifest"]): ".manifest.json", str(paths["dirlog"]): ".log.csv",
+                   **{str(paths[key]): f"/{name}" for key, name in under.items()}}
         assert bad not in implied or f"{bad}{implied[bad]} is a directory" in err
         assert worked == [] and tree() == before
 
