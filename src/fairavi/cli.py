@@ -12,10 +12,11 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data/variant contract
 violation, 1 runtime failure.  A --data, --model or --face-targets file
-that cannot be opened for reading exits 3, a --config file 2.  Every
-command writes a manifest JSON next to its primary output: the sha256 of
-every input file it read and every file it wrote.  FAIRAVI_SEED serves
-as the seed fallback when neither flag nor config provides one.
+that cannot be opened for reading exits 3, a --config file 2.  An output
+path that is a directory, is written twice or is an input exits 1 before
+any data is read.  After the command succeeds, `main` writes its manifest:
+the sha256 of every input file read, and every file written.  FAIRAVI_SEED
+serves as the seed fallback when neither flag nor config provides one.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, primary_out, config: dict, seed: int | None, outputs: list) -> str:
-    """Write `<primary_out>.manifest.json`: the command, config and seed, the sha256 of
-    every input file read (--config, --data, --model, face targets) and the outputs."""
-    inputs = [getattr(args, flag, None) for flag in ("config", "data", "model")]
-    path = f"{primary_out}.manifest.json"
+def _write_manifest(args, config: dict, seed: int | None) -> None:
+    """Write the last of `args.outputs`, the manifest: the command, config, seed, sha256 of
+    every input file read (--config, --data, --model, face targets) and other outputs."""
+    inputs = [getattr(args, attr, None) for attr in ("config", *INPUT_FLAGS)]
+    *written, (_, path) = args.outputs
     write_json(path, {
         "command": args.command,
         "config": config,
@@ -60,9 +61,8 @@ def _write_manifest(args, primary_out, config: dict, seed: int | None, outputs: 
         "input_hashes": {str(p): _sha256(p) for p in inputs + [config.get("face_targets")] if p},
         "started_utc": args.started,
         "ended_utc": _now(),
-        "outputs": [str(p) for p in outputs],
+        "outputs": [p for _, p in written],
     })
-    return path
 
 
 def _now() -> str:
@@ -99,70 +99,75 @@ INPUT_FLAGS = {"data": "--data", "model": "--model", "face_targets": "--face-tar
 def _check_inputs(args) -> None:
     """Exit 3 unless every input file the command was given opens for reading."""
     for attr, flag in INPUT_FLAGS.items():
-        path = getattr(args, attr, None)
-        if path is None:
-            continue
         try:
-            with open(path, "rb"):
-                pass
+            if (path := getattr(args, attr, None)) is not None:
+                with open(path, "rb"):
+                    pass
         except OSError as e:
             raise ContractError(f"{flag} {path}: cannot read ({e.strerror})")
 
 
+def _outputs(args) -> list:
+    """Every file the command writes, in write order with the manifest last, each as
+    (the `--flag value` it derives from, its path); none for audit without --out."""
+    if args.command == "audit" and not args.out:
+        return []
+    if args.command == "sweep":
+        models = [f"model_lambda{lam:g}.json" for lam in _parse_grid(args.grid)]
+        rest = ["selected.json", "sweep"]
+    elif args.command == "probe":
+        models, rest = [], ["metrics.csv", "report.md", "metrics.csv"]
+    elif args.command == "train":
+        models, rest = [args.out], [args.out]
+    else:
+        models, rest = [], [args.out, args.out]
+    where = getattr(args, "out_dir", "")
+    source = f"--out-dir {where}" if "out_dir" in args else f"--out {args.out}"
+    files = [(source, os.path.join(where, p))
+             for p in [n for m in models for n in (m, f"{m}.log.csv")] + rest]
+    if getattr(args, "log", None):
+        files[1] = (f"--log {args.log}", args.log)
+    *written, (source, primary) = files
+    return written + [(source, f"{primary}.manifest.json")]
+
+
 def _check_outputs(args) -> None:
-    """Exit 1 if --out-dir or its nearest existing ancestor is not a directory,
-    --out or --log names a directory or a path in no directory, or a path
-    derived from --out (its manifest, train's log without --log) or a file
-    written under --out-dir is a directory."""
-    if (out_dir := getattr(args, "out_dir", None)) is not None:
-        near = wanted = os.path.normpath(out_dir)
-        while not os.path.exists(near):
+    """Exit 1 if a file the command writes is a directory, is listed twice, is an input
+    file named on the command line, or lies in no directory (for --out-dir, which is
+    made: its nearest existing ancestor is not a directory)."""
+    taken = {os.path.realpath(p): f"also the {flag} input" for attr, flag in
+             {**INPUT_FLAGS, "config": "--config"}.items() if (p := getattr(args, attr, None))}
+    for source, path in args.outputs:
+        near = os.path.dirname(path) or "."
+        while "out_dir" in args and not os.path.exists(near):
             near = os.path.dirname(near) or "."
-        if not os.path.isdir(near):
-            under = "" if near == wanted else f" lies under {near}, which"
-            raise NotADirectoryError(f"--out-dir {out_dir}{under} exists and is not a directory")
-    for flag in ("out", "log"):
-        if not (path := getattr(args, flag, None)):
-            continue
         if os.path.isdir(path):
-            raise IsADirectoryError(f"--{flag} {path} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise FileNotFoundError(f"--{flag} {path}: no directory {os.path.dirname(path)}")
-    flag, implied = "out", []
-    if out := getattr(args, "out", None):
-        implied = [out + ".manifest.json"] + [out + ".log.csv"] * (
-            args.command == "train" and not args.log)
-    elif out := out_dir:
-        flag, names = "out-dir", ["metrics.csv", "report.md", "metrics.csv.manifest.json"]
-        if args.command == "sweep":
-            names = [f"model_lambda{lam:g}.json{ext}" for lam in _parse_grid(args.grid)
-                     for ext in ("", ".log.csv")] + ["selected.json", "sweep.manifest.json"]
-        implied = [os.path.join(out, name) for name in names]
-    for derived in implied:
-        if os.path.isdir(derived):
-            raise IsADirectoryError(f"--{flag} {out}: {derived} is a directory")
+            raise IsADirectoryError(f"{source}: {path} is a directory")
+        if not os.path.isdir(near):
+            raise NotADirectoryError(f"{source}: {near} is not a directory")
+        if (real := os.path.realpath(path)) in taken:
+            raise ValueError(f"{source}: {path} is {taken[real]}")
+        taken[real] = "written twice"
 
 
 # ------------------------------------------------------------------ gen
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple:
     cfg = _load_config(GeneratorConfig, args.config, args.seed)
     samples = generate_synthetic(cfg)
     split_group_disjoint(samples, ratios=cfg.split_ratios, seed=cfg.seed)
-    save_jsonl(samples, args.out)
-    manifest = _write_manifest(args, args.out, dataclasses.asdict(cfg), cfg.seed, [args.out])
-    print(f"wrote {len(samples)} samples to {args.out}")
+    out, manifest = (p for _, p in args.outputs)
+    save_jsonl(samples, out)
+    print(f"wrote {len(samples)} samples to {out}")
     print(f"manifest: {manifest}")
-    return 0
+    return dataclasses.asdict(cfg), cfg.seed
 
 
 # ---------------------------------------------------------------- train
 
 def _build_train_config(args) -> TrainConfig:
-    flags = {attr: v for flag, attr in (("variant", "variant"), ("modality", "modality"),
-                                        ("lam", "lam"), ("face_dim", "q"), ("k", "k"),
-                                        ("face_targets", "face_targets"))
-             if (v := getattr(args, flag, None)) is not None}
+    flags = {f: v for f in ("variant", "modality", "lam", "q", "k", "face_targets")
+             if (v := getattr(args, f, None)) is not None}
     return _load_config(TrainConfig, args.config, args.seed, flags)
 
 
@@ -184,20 +189,18 @@ def run_training(cfg: TrainConfig, dataset, observer=None, grid=None) -> dict:
     return {lam: alternate(state.fork(), lam, observer) for lam in grid or (cfg.lam,)}
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> tuple:
     cfg = _build_train_config(args)
     dataset = load_jsonl(args.data)
     model, log = run_training(cfg, dataset)[cfg.lam]
-    save_model(model, args.out)
-    log_path = args.log or f"{args.out}.log.csv"
+    model_path, log_path, manifest = (p for _, p in args.outputs)
+    save_model(model, model_path)
     log.to_csv(log_path)
-    manifest = _write_manifest(args, args.out, dataclasses.asdict(cfg), cfg.seed,
-                               [args.out, log_path])
     print(f"trained {cfg.variant}/{cfg.modality} (lambda={cfg.lam}, q={cfg.q}, k={cfg.k})")
     print(f"final validation L_T={log.final_l_t_val}"
           + ("" if log.final_l_a_val is None else f", L_A={log.final_l_a_val}"))
-    print(f"model: {args.out}\nlog: {log_path}\nmanifest: {manifest}")
-    return 0
+    print(f"model: {model_path}\nlog: {log_path}\nmanifest: {manifest}")
+    return dataclasses.asdict(cfg), cfg.seed
 
 
 # ---------------------------------------------------------------- sweep
@@ -212,31 +215,28 @@ def _parse_grid(text: str) -> tuple:
     return grid
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple:
     grid = _parse_grid(args.grid)
     cfg = _build_train_config(args)
     for lam in grid:   # every grid value's config is checked before any training starts
         dataclasses.replace(cfg, lam=lam).validate()
     dataset = load_jsonl(args.data)
     results = run_training(cfg, dataset, grid=grid)   # all or nothing: then write
+    *files, marker, _ = (p for _, p in args.outputs)
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = {lam: os.path.join(args.out_dir, f"model_lambda{lam:g}.json") for lam in grid}
-    for lam, (model, log) in results.items():
-        save_model(model, paths[lam])
-        log.to_csv(paths[lam] + ".log.csv")
+    for (model, log), model_path, log_path in zip(results.values(), files[::2], files[1::2]):
+        save_model(model, model_path)
+        log.to_csv(log_path)
     losses = {lam: (log.final_l_t_val, log.final_l_a_val or 0.0)
               for lam, (_, log) in results.items()}
     selected = select_lambda(losses)
-    marker = os.path.join(args.out_dir, "selected.json")
-    write_json(marker, {"selected_lambda": selected, "model": paths[selected],
+    write_json(marker, {"selected_lambda": selected, "model": files[2 * grid.index(selected)],
                         "objective_by_lambda": {str(lam): l_t - l_a
                                                 for lam, (l_t, l_a) in losses.items()}})
     ran = {**dataclasses.asdict(cfg), "grid": list(grid)}
     del ran["lam"]      # each run's lambda is its grid value
-    outputs = [p for path in paths.values() for p in (path, path + ".log.csv")] + [marker]
-    _write_manifest(args, os.path.join(args.out_dir, "sweep"), ran, cfg.seed, outputs)
     print(f"selected lambda: {selected:g}")
-    return 0
+    return ran, cfg.seed
 
 
 # ---------------------------------------------------------------- probe
@@ -269,25 +269,22 @@ def _trained_model(path) -> HireabilityModel:
     return model
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> tuple:
     model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     report = build_report(model, dataset, args.target)
+    csv_path, md_path, _ = (p for _, p in args.outputs)
     os.makedirs(args.out_dir, exist_ok=True)
-    csv_path = os.path.join(args.out_dir, "metrics.csv")
-    md_path = os.path.join(args.out_dir, "report.md")
     report.to_csv(csv_path)
     with atomic_write(md_path) as fh:
         fh.write(report.to_markdown())
-    _write_manifest(args, csv_path, {"model": args.model, "target": args.target},
-                    ev.PROBE_SEED, [csv_path, md_path])
     print(report.to_markdown(), end="")
-    return 0
+    return {"model": args.model, "target": args.target}, ev.PROBE_SEED
 
 
 # ---------------------------------------------------------------- audit
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple:
     dataset = load_jsonl(args.data)
     if not dataset:
         raise ContractError("dataset is empty")
@@ -319,33 +316,31 @@ def cmd_audit(args) -> int:
         shown = [f"{int(v * 1000) / 1000:.3f}" for v in dis]
         print(f"{'DI':<12}" + "".join(f"{v:>14}" for v in shown))
         lines.append("DI," + ",".join(f"{v!r}" for v in dis))
-    if args.out:
-        with atomic_write(args.out) as fh:
+    if args.outputs:   # none without --out
+        with atomic_write(args.outputs[0][1]) as fh:
             fh.write(f"overlap,{overlap!r}\n")
             for line in lines:
                 fh.write(line + "\n")
-        _write_manifest(args, args.out, {}, None, [args.out])
-    return 0
+    return {}, None
 
 
 # -------------------------------------------------------- contributions
 
-def cmd_contributions(args) -> int:
+def cmd_contributions(args) -> tuple:
     model = _trained_model(args.model)
     dataset = load_jsonl(args.data)
     part = [s for s in dataset if s.split == args.split]
     if not part:
         raise ContractError(f"dataset has no {args.split!r} split")
     _, summary = modality_contributions(model, part)
-    with atomic_write(args.out) as fh:
+    out, _ = (p for _, p in args.outputs)
+    with atomic_write(out) as fh:
         fh.write("modality,mean,q25,median,q75\n")
         for m, stats in summary.items():
             fh.write(f"{m},{stats['mean']!r},{stats['q25']!r},"
                      f"{stats['median']!r},{stats['q75']!r}\n")
-    _write_manifest(args, args.out, {"model": args.model, "split": args.split}, None,
-                    [args.out])
-    print(f"wrote {args.out}")
-    return 0
+    print(f"wrote {out}")
+    return {"model": args.model, "split": args.split}, None
 
 
 # ----------------------------------------------------------------- parser
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     training.add_argument("--data", required=True)
     training.add_argument("--variant", choices=VARIANTS)
     training.add_argument("--modality", choices=MODALITIES + ("multimodal",))
-    training.add_argument("--face-dim", dest="face_dim", type=int, choices=FACE_DIMS)
+    training.add_argument("--face-dim", dest="q", type=int, choices=FACE_DIMS)
     training.add_argument("--k", type=int)
     training.add_argument("--config", help="TrainConfig JSON")
     training.add_argument("--seed", type=int)
@@ -409,9 +404,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = _now()
     try:
+        args.outputs = _outputs(args)
         _check_inputs(args)
         _check_outputs(args)
-        return args.fn(args)
+        config, seed = args.fn(args)
+        if args.outputs:
+            _write_manifest(args, config, seed)
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

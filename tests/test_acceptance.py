@@ -17,7 +17,7 @@ from fairavi import data as dt
 from fairavi import evaluation as ev
 from fairavi import layers as ly
 from fairavi import training as tr
-from fairavi.model import HireabilityModel, ModelDims, adversary_shapes, predict
+from fairavi.model import HireabilityModel, ModelDims, adversary_shapes
 from tests.conftest import layer_params, tiny_dims, tiny_generator_config
 from tests.test_evaluation import brute_force_auc
 from tests.test_training import onehot, onehot_cce
@@ -283,25 +283,15 @@ def debiasing_runs():
     t0 = time.perf_counter()
     samples = dt.generate_synthetic(dt.GeneratorConfig())  # n=2000, beta=0.8, seed 7
     dt.split_group_disjoint(samples, seed=7)
-    splits = {t: [s for s in samples if s.split == t] for t in ("train", "val", "test")}
-    y_test = np.array([s.y for s in splits["test"]], dtype=int)
-    z_test = np.array([s.z for s in splits["test"]], dtype=int)
 
     results = {}
     for name, plan in VARIANT_PLAN.items():
         cfg = tr.TrainConfig(modality="multimodal", seed=7, **plan)
         model = HireabilityModel("multimodal", cfg.variant, q=cfg.q, k=cfg.k, seed=7)
         model, _ = tr.train_alternating(cfg, model, samples)
-        _, y_hat = predict(model, splits["test"])
-        reps = {t: ev.extract_representations(model, splits[t]) for t in splits}
-        diag = ev.diagnose(reps["train"].h, reps["train"].z,
-                           reps["val"].h, reps["val"].z,
-                           reps["test"].h, reps["test"].z)
-        results[name] = {
-            "hire_auc": ev.auc(y_hat, y_test),
-            "diag_auc": diag["auc"],
-            "di_pred": ev.disparate_impact((y_hat >= 0.5).astype(int), z_test),
-        }
+        report = cli.build_report(model, samples, "gender")
+        results[name] = {"hire_auc": report.hire_auc, "diag_auc": report.diag_auc["gender"],
+                         "di_pred": report.di_predictions["gender"]}
     results["elapsed"] = time.perf_counter() - t0
     return results
 

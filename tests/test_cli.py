@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -409,7 +410,7 @@ class TestSweep:
                          "supervised-gender", "--modality", "language", "--grid", "0.5,2",
                          "--config", str(tcfg), "--out-dir", str(out_dir)])
         assert code == 1
-        assert f"--out-dir {out_dir} exists and is not a directory" in capsys.readouterr().err
+        assert f"--out-dir {out_dir}: {out_dir} is not a directory" in capsys.readouterr().err
         assert pretrained == []
         assert out_dir.read_text() == "a file, not a directory"
 
@@ -529,6 +530,47 @@ def test_manifest_hashes_every_input_and_lists_every_output(tmp_path, dataset_pa
     assert len(manifest["outputs"]) == len(written) and set(manifest["outputs"]) == written
 
 
+# id -> (an edit of the corpus's second row, the refusal load_jsonl gives at line 2)
+ROW_FAULTS = {
+    "y-7": (lambda doc: doc.update(y=7), "y must be 0 or 1"),
+    "short-seq-audio": (lambda doc: doc.update(seq_audio=doc["seq_audio"][:-1]),
+                        "seq_audio has shape"),
+}
+
+
+@pytest.mark.parametrize("fault", ROW_FAULTS)
+@pytest.mark.parametrize("command", ["train", "sweep", "probe", "audit", "contributions"])
+def test_malformed_row_exits_3_leaving_no_listed_output(tmp_path, dataset_path, capsys,
+                                                        command, fault):
+    """A run whose data has a malformed row exits 3, and no file that
+    cli._outputs lists for it exists afterwards, its manifest included."""
+    edit, message = ROW_FAULTS[fault]
+    lines = dataset_path.read_text().splitlines()
+    doc = json.loads(lines[1])
+    edit(doc)
+    lines[1] = json.dumps(doc)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "model.json"
+    trained = HireabilityModel("multimodal", "unprotected", tiny_dims(), seed=0)
+    trained.trained = True
+    save_model(trained, model)
+    out = tmp_path / "out"
+    argv = [command, "--data", str(bad), *{
+        "train": ["--out", f"{out}.json"],
+        "sweep": ["--grid", "0.5,2", "--out-dir", str(out)],
+        "probe": ["--model", str(model), "--target", "gender", "--out-dir", str(out)],
+        "audit": ["--out", f"{out}.csv"],
+        "contributions": ["--model", str(model), "--out", f"{out}.csv"],
+    }[command]]
+    listed = [path for _, path in cli._outputs(cli.build_parser().parse_args(argv))]
+    assert listed[-1].endswith(".manifest.json")
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert f"{bad}:2: {message}" in capsys.readouterr().err
+    assert [p for p in listed if os.path.exists(p)] == []
+
+
 class TestInputFiles:
     """An input file that cannot be opened exits 3 (--data, --model,
     --face-targets) or 2 (--config), naming the flag and the path."""
@@ -575,8 +617,9 @@ class TestOutputPaths:
     """An --out-dir that names a file or lies under one, an --out or --log
     that names a directory or whose directory does not exist, an --out
     whose manifest (or, for train without --log, whose log) path is a
-    directory, or an --out-dir under which a file the command writes is a
-    directory, exits 1 naming the flag and the path, before any data is read
+    directory, an --out-dir under which a file the command writes is a
+    directory, a path written twice, or an output that is also an input
+    file, exits 1 naming the flag and the path, before any data is read
     or generated, and nothing is written."""
 
     @pytest.mark.parametrize("argv", [
@@ -608,12 +651,17 @@ class TestOutputPaths:
          "--out-dir", "{probereport}"],
         ["probe", "--model", "{model}", "--data", "{data}", "--target", "gender",
          "--out-dir", "{probemanifest}"],
+        ["train", "--data", "{data}", "--out", "{tmp}/m.json", "--log", "{tmp}/m.json"],
+        ["sweep", "--data", "{data}", "--grid", "1.0000001,1.0000002", "--out-dir",
+         "{tmp}/sweep"],
+        ["train", "--data", "{data}", "--out", "{tmp}/m.json", "--log", "{data}"],
     ], ids=["gen", "train-out", "train-log", "sweep", "probe", "audit", "contributions",
             "gen-dir", "train-out-dir", "train-log-dir", "sweep-under-file",
             "probe-under-file", "audit-dir", "contributions-dir", "gen-manifest-dir",
             "train-manifest-dir", "train-implied-log-dir", "audit-manifest-dir",
             "contributions-manifest-dir", "sweep-log-dir", "sweep-manifest-dir",
-            "probe-report-dir", "probe-manifest-dir"])
+            "probe-report-dir", "probe-manifest-dir", "train-log-is-out",
+            "sweep-grid-names-one-file", "train-log-is-data"])
     def test_refused_before_reading_with_nothing_written(self, tmp_path, dataset_path,
                                                           monkeypatch, capsys, argv):
         model = tmp_path / "model.json"
@@ -648,6 +696,10 @@ class TestOutputPaths:
         implied = {str(paths["dirmanifest"]): ".manifest.json", str(paths["dirlog"]): ".log.csv",
                    **{str(paths[key]): f"/{name}" for key, name in under.items()}}
         assert bad not in implied or f"{bad}{implied[bad]} is a directory" in err
+        reused = {f"{tmp_path}/m.json": f"{tmp_path}/m.json is written twice",
+                  f"{tmp_path}/sweep": f"{tmp_path}/sweep/model_lambda1.json is written twice",
+                  str(dataset_path): f"{dataset_path} is also the --data input"}
+        assert bad not in reused or f"{flag} {bad}: {reused[bad]}" in err
         assert worked == [] and tree() == before
 
 
