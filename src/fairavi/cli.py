@@ -404,8 +404,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.started = _now()
     try:
-        args.outputs = _outputs(args)
         _check_inputs(args)
+        args.outputs = _outputs(args)
         _check_outputs(args)
         config, seed = args.fn(args)
         if args.outputs:
