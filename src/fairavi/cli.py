@@ -34,7 +34,7 @@ from . import evaluation as ev
 from .data import (SPLITS, GeneratorConfig, generate_synthetic, load_jsonl, save_jsonl,
                    split_group_disjoint)
 from .errors import ConfigError, ContractError, check_fields
-from .fileio import atomic_write, read_json, write_json
+from .fileio import atomic_write, read_json, write_csv, write_json
 from .model import (FACE_DIMS, MODALITIES, PROTECTED_CLASSES, VARIANTS, HireabilityModel,
                     ModelDims, load_model, modality_contributions, predict, protected_labels,
                     save_model)
@@ -168,7 +168,12 @@ def cmd_gen(args) -> tuple:
 def _build_train_config(args) -> TrainConfig:
     flags = {f: v for f in ("variant", "modality", "lam", "q", "k", "face_targets")
              if (v := getattr(args, f, None)) is not None}
-    return _load_config(TrainConfig, args.config, args.seed, flags)
+    cfg = _load_config(TrainConfig, args.config, args.seed, flags)
+    for source, path in args.outputs:   # --face-targets was checked with the other inputs
+        if cfg.face_targets and os.path.realpath(path) == os.path.realpath(cfg.face_targets):
+            raise ValueError(f"{source}: {path} is also the face_targets input of "
+                             f"--config {args.config}")
+    return cfg
 
 
 def _new_model(cfg: TrainConfig, samples) -> HireabilityModel:
@@ -291,36 +296,30 @@ def cmd_audit(args) -> tuple:
     split = {t: [s for s in dataset if s.split == t] for t in SPLITS}
     overlap = ev.audit_overlap(split["train"], split["test"])
     print(f"test/train group overlap: {overlap:.4f}")
-    has_z = all(s.z is not None for s in dataset)
-    lines = []
-    if has_z:
+    rows = [("overlap", overlap)]
+    if all(s.z is not None for s in dataset):
         scopes = [("complete", dataset)] + [(t, split[t]) for t in SPLITS if split[t]]
-        header = f"{'group':<12}" + "".join(f"{name:>14}" for name, _ in scopes)
-        print(header)
-        lines.append("group," + ",".join(name for name, _ in scopes))
+        print(f"{'group':<12}" + "".join(f"{name:>14}" for name, _ in scopes))
+        rows.append(["group"] + [name for name, _ in scopes])
         classes = sorted({s.z for s in dataset})
-        rows = {c: [] for c in classes}
+        cells = {c: [] for c in classes}
         dis = []
         for _, part in scopes:
             y = np.array([s.y for s in part], dtype=float)
             z = np.array([s.z for s in part])
             rates = ev.group_rates(y, z, expected_groups=classes)
             for c in classes:
-                count = int((z == c).sum())
-                rows[c].append(f"{rates[c]:.3f} ({count})")
+                cells[c].append(f"{rates[c]:.3f} ({int((z == c).sum())})")
             dis.append(ev.di_from_rates(rates.values()))
         for c in classes:
-            print(f"{'class ' + str(c):<12}" + "".join(f"{v:>14}" for v in rows[c]))
-            lines.append(f"class {c}," + ",".join(v.replace(",", ";") for v in rows[c]))
+            print(f"{'class ' + str(c):<12}" + "".join(f"{v:>14}" for v in cells[c]))
+            rows.append([f"class {c}"] + cells[c])
         # DI shown truncated to 3 decimals, matching the reference table style
         shown = [f"{int(v * 1000) / 1000:.3f}" for v in dis]
         print(f"{'DI':<12}" + "".join(f"{v:>14}" for v in shown))
-        lines.append("DI," + ",".join(f"{v!r}" for v in dis))
+        rows.append(["DI"] + dis)
     if args.outputs:   # none without --out
-        with atomic_write(args.outputs[0][1]) as fh:
-            fh.write(f"overlap,{overlap!r}\n")
-            for line in lines:
-                fh.write(line + "\n")
+        write_csv(args.outputs[0][1], rows)
     return {}, None
 
 
@@ -334,11 +333,8 @@ def cmd_contributions(args) -> tuple:
         raise ContractError(f"dataset has no {args.split!r} split")
     _, summary = modality_contributions(model, part)
     out, _ = (p for _, p in args.outputs)
-    with atomic_write(out) as fh:
-        fh.write("modality,mean,q25,median,q75\n")
-        for m, stats in summary.items():
-            fh.write(f"{m},{stats['mean']!r},{stats['q25']!r},"
-                     f"{stats['median']!r},{stats['q75']!r}\n")
+    write_csv(out, [("modality", "mean", "q25", "median", "q75"),
+                    *([m, *stats.values()] for m, stats in summary.items())])
     print(f"wrote {out}")
     return {"model": args.model, "split": args.split}, None
 

@@ -27,7 +27,7 @@ JSONL_FIELDS = ("id", "video_id", *SEQ_FIELDS, "face", "y", "z", "split")
 
 FACE_DIM = 512
 SPLITS = ("train", "val", "test")
-MAX_FLOATS = 10 ** 8     # most sequence, face and direction floats gen may draw
+MAX_FLOATS = 10 ** 8     # most floats gen may draw and load_jsonl may read
 
 
 @dataclass
@@ -343,9 +343,10 @@ def load_jsonl(path) -> list[InterviewSample]:
     given to the stdlib ``json``, which accepts it or words the error.  So
     every row the stdlib parser accepts loads to the same float64 values,
     except that orjson reads an integer outside the 64-bit range as a
-    float.
+    float.  Reading stops at the row whose sequence and face floats take the
+    running count past MAX_FLOATS.
     """
-    samples, seq_shapes, id_lines = [], None, {}
+    samples, seq_shapes, id_lines, floats = [], None, {}, 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(_text_mode_lines(fh), start=1):
             where = f"{path}:{lineno}"
@@ -388,6 +389,10 @@ def load_jsonl(path) -> list[InterviewSample]:
                 if seq.shape != seq_shapes[f]:
                     raise ContractError(f"{where}: {f} has shape {seq.shape}, but the "
                                         f"first row's is {seq_shapes[f]}")
+            floats += face.size + sum(seq.size for seq in seqs.values())
+            if floats > MAX_FLOATS:
+                raise ContractError(f"{where}: the sequence and face floats read so far "
+                                    f"pass the limit of {MAX_FLOATS:,}")
             y, z = doc["y"], doc["z"]
             if type(y) is not int or y not in (0, 1):
                 raise ContractError(f"{where}: y must be 0 or 1, got {y!r}")

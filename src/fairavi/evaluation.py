@@ -17,8 +17,8 @@ import numpy as np
 
 from .autodiff import logistic
 from .errors import ContractError
-from .fileio import atomic_write
-from .model import HireabilityModel, predict
+from .fileio import write_csv
+from .model import PROTECTED_CLASSES, HireabilityModel, predict
 
 THRESHOLD = 0.5                # a score at or above it predicts the positive class
 PENALTIES = ("l2", "l1")       # the probes' penalty norms, in selection order
@@ -259,23 +259,15 @@ class MetricsReport:
     di_predictions: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        cols = ["model", "hire_acc", "hire_auc",
-                "diag_auc_gender", "diag_auc_ethnicity",
-                "diag_acc_gender", "diag_acc_ethnicity",
-                "di_pred_gender", "di_pred_ethnicity",
-                "di_label_gender", "di_label_ethnicity",
-                "threshold", "di_convention", "probe_note"]
-        get = lambda d, k: "" if k not in d else repr(float(d[k]))
-        row = [self.model_name, repr(float(self.hire_acc)), repr(float(self.hire_auc)),
-               get(self.diag_auc, "gender"), get(self.diag_auc, "ethnicity"),
-               get(self.diag_acc, "gender"), get(self.diag_acc, "ethnicity"),
-               get(self.di_predictions, "gender"), get(self.di_predictions, "ethnicity"),
-               get(self.di_labels, "gender"), get(self.di_labels, "ethnicity"),
-               repr(THRESHOLD), "min-rate/max-rate",
-               "test AUC of the validation-selected probe over the l2/l1 x strength grid"]
-        with atomic_write(path) as fh:
-            fh.write(",".join(cols) + "\n")
-            fh.write(",".join(row) + "\n")
+        per_target = {"diag_auc": self.diag_auc, "diag_acc": self.diag_acc,
+                      "di_pred": self.di_predictions, "di_label": self.di_labels}
+        cols = {"model": self.model_name, "hire_acc": self.hire_acc, "hire_auc": self.hire_auc,
+                **{f"{name}_{t}": d.get(t) for name, d in per_target.items()
+                   for t in PROTECTED_CLASSES},
+                "threshold": THRESHOLD, "di_convention": "min-rate/max-rate",
+                "probe_note": "test AUC of the validation-selected probe over the l2/l1 x "
+                              "strength grid"}
+        write_csv(path, [cols.keys(), cols.values()])
 
     def to_markdown(self) -> str:
         def cell(d, k):

@@ -1,5 +1,6 @@
 """JSON input that refuses a repeated key, and atomic file output (JSON
-documents included): readers see the old file or the whole new one."""
+documents by `write_json`, CSV tables by `write_csv`): readers see the old
+file or the whole new one."""
 
 from __future__ import annotations
 
@@ -55,3 +56,14 @@ def write_json(path, doc) -> None:
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_csv(path, rows) -> None:
+    """Write `rows` atomically to `path`, one comma-joined line per row.  One cell
+    rule: None is empty, an int or str is str(v), anything else repr(float(v)).
+    Cells are not quoted, so none may hold a comma or a newline."""
+    def cell(v):
+        return "" if v is None else str(v) if isinstance(v, (int, str)) else repr(float(v))
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(",".join(map(cell, row)) + "\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .autodiff import Node
 from .data import apply_compressor, blind, fit_compressor, load_face_targets
 from .errors import (AtLeastTwoInt, ConfigError, ContractError, FaceDim, Fraction, Modality,
                      NonNegative, NonNegativeInt, Positive, PositiveInt, Variant, check_fields)
-from .fileio import atomic_write
+from .fileio import write_csv
 from .model import CHUNK, HireabilityModel, batch_sequences, predict, protected_labels
 
 LAMBDA_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
@@ -166,15 +166,15 @@ class Adam:
 class LogRow:
     epoch: int
     phase: str
-    seconds: float
     l_t_train: float | None = None
     l_t_val: float | None = None
     l_a_train: float | None = None
     l_a_val: float | None = None
     objective_val: float | None = None
+    seconds: float = 0.0
 
 
-CSV_HEADER = "epoch,phase,l_t_train,l_t_val,l_a_train,l_a_val,objective_val,seconds"
+CSV_HEADER = ",".join(f.name for f in fields(LogRow))
 
 
 @dataclass
@@ -186,20 +186,13 @@ class TrainLog:
     def add(self, phase: str, t0: float, **losses) -> None:
         """Record an epoch of `phase` that began at `time.perf_counter()` reading
         `t0`, with the LogRow loss fields given in `losses` (the rest None)."""
-        self.rows.append(LogRow(len(self.rows), phase, time.perf_counter() - t0, **losses))
+        self.rows.append(LogRow(len(self.rows), phase, **losses, seconds=time.perf_counter() - t0))
 
     def phases(self) -> list[str]:
         return [r.phase for r in self.rows]
 
     def to_csv(self, path) -> None:
-        def fmt(v):
-            return "" if v is None else repr(float(v))
-        with atomic_write(path) as fh:
-            fh.write(CSV_HEADER + "\n")
-            for r in self.rows:
-                fh.write(",".join([str(r.epoch), r.phase, fmt(r.l_t_train),
-                                   fmt(r.l_t_val), fmt(r.l_a_train), fmt(r.l_a_val),
-                                   fmt(r.objective_val), repr(float(r.seconds))]) + "\n")
+        write_csv(path, [CSV_HEADER.split(","), *map(astuple, self.rows)])
 
 
 # ------------------------------------------------------- adversarial targets

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fairavi import cli
+from fairavi import data as dt
 from fairavi import evaluation as ev
 from fairavi import training as tr
 from fairavi.data import generate_synthetic, load_jsonl, save_jsonl, split_group_disjoint
@@ -571,6 +572,24 @@ def test_malformed_row_exits_3_leaving_no_listed_output(tmp_path, dataset_path, 
     assert [p for p in listed if os.path.exists(p)] == []
 
 
+@pytest.mark.parametrize("command", ["train", "audit"])
+def test_corpus_past_max_floats_exits_3_naming_the_line(tmp_path, dataset_path, monkeypatch,
+                                                        capsys, command):
+    """load_jsonl counts the sequence and face floats it reads and stops at the
+    row that takes the count past MAX_FLOATS: three rows reach the limit, the
+    fourth passes it.  Nothing is written."""
+    first = load_jsonl(dataset_path)[0]
+    per_row = first.face.size + sum(getattr(first, f).size for f in dt.SEQ_FIELDS)
+    monkeypatch.setattr(dt, "MAX_FLOATS", 3 * per_row)
+    argv = [command, "--data", str(dataset_path), "--out", str(tmp_path / f"out.{command}")]
+    listed = [path for _, path in cli._outputs(cli.build_parser().parse_args(argv))]
+    capsys.readouterr()
+    assert cli.main(argv) == 3
+    assert (f"{dataset_path}:4: the sequence and face floats read so far pass the limit "
+            f"of {3 * per_row:,}") in capsys.readouterr().err
+    assert [p for p in listed if os.path.exists(p)] == []
+
+
 class TestInputFiles:
     """An input file that cannot be opened exits 3 (--data, --model,
     --face-targets) or 2 (--config), naming the flag and the path."""
@@ -700,6 +719,35 @@ class TestOutputPaths:
                   f"{tmp_path}/sweep": f"{tmp_path}/sweep/model_lambda1.json is written twice",
                   str(dataset_path): f"{dataset_path} is also the --data input"}
         assert bad not in reused or f"{flag} {bad}: {reused[bad]}" in err
+        assert worked == [] and tree() == before
+
+    @pytest.mark.parametrize("command, output, named", [
+        ("train", ["--out", "m.json", "--log", "faces.json"], "faces.json"),
+        ("train", ["--out", "faces.json"], "faces.json"),
+        ("train", ["--out", "m.json", "--log", "faces.json"], "sub/../faces.json"),
+        ("sweep", ["--grid", "1,4", "--out-dir", "sweep"], "sweep/model_lambda4.json.log.csv"),
+    ], ids=["train-log", "train-out", "train-log-unresolved", "sweep-log"])
+    def test_face_targets_named_by_config_refused(self, tmp_path, dataset_path, monkeypatch,
+                                                  capsys, command, output, named):
+        """A face-targets file that only the --config file names is an input too: an
+        output at its path exits 1 once the config is read, before any data is read."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        targets = tmp_path / os.path.normpath(named)
+        targets.parent.mkdir(exist_ok=True)
+        targets.write_text('{"a face": "file"}')
+        cfg = write_train_config(tmp_path / "t.json", face_targets=named)
+        worked = []
+        monkeypatch.setattr(cli, "load_jsonl", lambda *a: worked.append(a))
+        tree = lambda: {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+        before = tree()
+        argv = [command, "--data", str(dataset_path), "--variant", "static-faces",
+                "--face-dim", "2", "--config", str(cfg), *output]
+        assert cli.main(argv) == 1
+        flag, value = output[-2:]
+        written = os.path.join(value, os.path.basename(named)) if command == "sweep" else value
+        assert (f"{flag} {value}: {written} is also the face_targets input of --config {cfg}"
+                in capsys.readouterr().err)
         assert worked == [] and tree() == before
 
 

@@ -7,8 +7,9 @@
 # Runs the checkout at <repo-root> (its src/ on PYTHONPATH) inside
 # <workdir>.  The first row, `corpora`, holds the first 8 hex digits of
 # the sha256 of the `gen` outputs binary.jsonl and ternary.jsonl; the
-# second, `audit`, the same of each corpus's `audit --out` CSV.  Then one
-# row per config.  Columns: config, then the first 8 hex digits of the
+# second, `audit`, the same of each corpus's `audit --out` CSV, then of
+# the binary corpus's with every `z` set to null, whose CSV holds only the
+# overlap row.  Then one row per config.  Columns: config, then the first 8 hex digits of the
 # sha256 of the saved model, its epoch log without the seconds column,
 # the probe's metrics.csv and report.md, the train command's stdout and
 # the model's `contributions` CSV over the test split (`-` for a
@@ -63,10 +64,16 @@ for corpus in binary ternary; do
     fairavi gen --config "gen-$corpus.json" --out "$corpus.jsonl" > /dev/null
 done
 printf '%-22s %s %s\n' corpora "$(h8 < binary.jsonl)" "$(h8 < ternary.jsonl)"
-for corpus in binary ternary; do
+python3 - binary.jsonl > no-z.jsonl <<'PY'
+import json, sys
+for line in open(sys.argv[1]):
+    print(json.dumps({**json.loads(line), "z": None}))
+PY
+for corpus in binary ternary no-z; do
     fairavi audit --data "$corpus.jsonl" --out "audit-$corpus.csv" > /dev/null
 done
-printf '%-22s %s %s\n' audit "$(h8 < audit-binary.csv)" "$(h8 < audit-ternary.csv)"
+printf '%-22s %s %s %s\n' audit \
+    "$(h8 < audit-binary.csv)" "$(h8 < audit-ternary.csv)" "$(h8 < audit-no-z.csv)"
 python3 - binary.jsonl > faces-q2.json <<'PY'
 import json, sys
 rows = (json.loads(line) for line in open(sys.argv[1]))
