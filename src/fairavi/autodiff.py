@@ -10,7 +10,8 @@ Inside ``with no_tape():`` nothing is recorded: a node keeps its value
 but no parents and no backward rule, so the arrays a backward would read
 die with the op that made them.  Inference runs this way.  The mode is a
 ``contextvars.ContextVar``, so it holds only for the thread (or context)
-that entered it: another thread keeps recording.
+that entered it: another thread keeps recording.  ``recording()`` reads
+it, for a layer that keeps what only its backward would read.
 
 The op set covers what the network needs: the affine map ``linear``,
 (broadcast) add, subtract, Hadamard product, tanh, sigmoid, softmax over
@@ -28,6 +29,7 @@ from contextlib import contextmanager
 import numpy as np
 
 _recording = contextvars.ContextVar("fairavi_autodiff_recording", default=True)
+recording = _recording.get     # recording() is False inside no_tape, else True
 
 
 class ShapeMismatch(ValueError):
@@ -55,7 +57,7 @@ class Node:
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
         self.op = op
-        if not _recording.get():
+        if not recording():
             self.parents, self.requires_grad, self._backward = (), bool(requires_grad), None
             return
         self.parents = parents if type(parents) is tuple else tuple(parents)

@@ -210,11 +210,11 @@ def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
         raise ContractError(f"fit_compressor: need at least q+1={q + 1} face rows")
     mean = faces.mean(axis=0)
     centered = faces - mean
-    cov = centered.T @ centered / (faces.shape[0] - 1)
-    scale = float(np.trace(cov)) / faces.shape[1]
+    work = centered.T @ centered        # the covariance, deflated in place below
+    work /= faces.shape[0] - 1
+    scale = float(np.trace(work)) / faces.shape[1]
     rng = np.random.default_rng(seed)
     components = []
-    work = cov.copy()
     for comp in range(q):
         v = _unit(rng.standard_normal(faces.shape[1]))
         for _ in range(1000):
@@ -234,7 +234,7 @@ def fit_compressor(faces: np.ndarray, q: int, seed: int = 0) -> FaceProjection:
                 f"fit_compressor: data rank below q (component {comp} has "
                 f"negligible variance)")
         components.append(v)
-        work = work - lam * np.outer(v, v)
+        work -= lam * np.outer(v, v)
     return FaceProjection(mean=mean, components=np.stack(components))
 
 

@@ -86,34 +86,33 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
     """Both directions' hidden states as one (B, T, 2h) tape node.
 
     Its parents are flat, the six W, the six b and the six U, in (gate,
-    direction) order.  The node computes the input projections W x + b
-    itself: one stacked matmul over x's time-major rows, then the bias
-    add while the products are copied into a (T, gate, direction, B, h)
-    stack, the backward direction reversed in time.  Step s advances the
-    forward direction at t = s and the backward one at t = T-1-s, with r
-    and z from one matmul and one sigmoid: r = sig(W_r x + U_r h + b_r),
-    z likewise, hhat = tanh(W_h x + U_h (r*h) + b_h), h <- h + z*(hhat - h).
-    The backward adds the W, b and x gradients of the projections too.
-    Each gradient buffer gets its terms in the order a tape of linear
-    projections and one GRU cell per step (tests/test_layers.py's gru_mix)
-    adds them, so values and gradients match that tape bit for bit."""
+    direction) order.  It computes the projections W x + b itself, one
+    (gate, direction) at a time: a matmul over x's time-major rows, then
+    the bias add into a (T, gate, direction, B, h) stack, the backward
+    direction reversed in time.  Step s advances the forward direction at
+    t = s and the backward one at t = T-1-s, r and z from one matmul and
+    one sigmoid: r = sig(W_r x + U_r h + b_r), z likewise,
+    hhat = tanh(W_h x + U_h (r*h) + b_h), h <- h + z*(hhat - h).  Only a
+    taped node keeps each step's state, r, z and hhat; its backward adds
+    the W, b and x gradients too, each buffer's terms in the order a tape
+    of linear projections and one GRU cell per step (tests/test_layers.py's
+    gru_mix) adds them, so values and gradients match that tape bit for bit."""
     h, d = fwd.U_r.value.shape[0], flat.value.shape[1]
     W, b, U = ([getattr(p, f"{kind}_{g}") for g in "rzh" for p in (fwd, bwd)]
                for kind in "WbU")
     Ws = np.stack([w.value for w in W])                     # (6, h, d)
-    proj = np.matmul(flat.value.reshape(B, T, d).transpose(1, 0, 2).reshape(T * B, d),
-                     Ws.transpose(0, 2, 1)).reshape(3, 2, T, B * h)
-    bias = np.tile(np.stack([v.value for v in b]), B).reshape(3, 2, B * h)
+    xt = flat.value.reshape(B, T, d).transpose(1, 0, 2).reshape(T * B, d)
     P = np.empty((T, 3, 2, B, h))
     wide = P.reshape(T, 3, 2, B * h)        # the bias add runs B*h wide, not h
-    np.add(proj[:, 0].transpose(1, 0, 2), bias[:, 0], out=wide[:, :, 0])
-    np.add(proj[:, 1, ::-1].transpose(1, 0, 2), bias[:, 1], out=wide[:, :, 1])
-    del proj            # the steps' saved arrays can then reuse its pages
+    proj = np.empty((T, B * h))         # one (gate, direction) product at a time
+    for i, v in enumerate(b):
+        np.matmul(xt, Ws[i].T, out=proj.reshape(T * B, h))
+        np.add(proj[::-1] if i % 2 else proj, np.tile(v.value, B), out=wide[:, i // 2, i % 2])
+    del xt, proj        # the steps then run beside P and the output only
     Us = np.stack([u.value for u in U]).reshape(3, 2, h, h)
     UT = Us.transpose(0, 1, 3, 2).copy()     # contiguous: matmul on a transposed view is slower
-    # saved per step, not in (T, 2, B, h) buffers: at inference batch sizes
-    # those would be fresh pages on every call
     state, value, saved = np.zeros((2, B, h)), np.empty((B, T, 2 * h)), []
+    keep = saved.append if ad.recording() else lambda step: None   # only a backward reads them
     with np.errstate(over="ignore"):   # exp overflow saturates a gate to exactly 0.0
         for s in range(T):
             rz = np.matmul(state, UT[:2])
@@ -125,7 +124,7 @@ def _bigru(fwd: GruParams, bwd: GruParams, flat: Node, B: int, T: int) -> Node:
             hhat = np.matmul(rz[0] * state, UT[2])
             hhat += P[s, 2]
             np.tanh(hhat, out=hhat)
-            saved.append((state, rz, hhat))
+            keep((state, rz, hhat))
             state = state + rz[1] * (hhat - state)
             value[:, s, :h], value[:, T - 1 - s, h:] = state
 

@@ -257,7 +257,8 @@ class _AdversaryTask:
         rng = np.random.default_rng(seed)
         faces, owner = self.tables[split]
         pos = rng.integers(0, self.k, size=owner.size)
-        others = np.array([rng.permutation(faces.shape[0] - 1)[: self.k - 1] for _ in owner])
+        others = np.fromiter((rng.permutation(faces.shape[0] - 1)[: self.k - 1] for _ in owner),
+                             (int, self.k - 1), owner.size)     # row by row, no list of views
         others += others >= owner[:, None]  # skip the anchor's own slot
         impostor = np.arange(self.k) != pos[:, None]   # row i's own face sits at pos[i]
         choice = np.empty(impostor.shape, dtype=int)

@@ -311,6 +311,8 @@ class TestNoTape:
         with ad.no_tape():
             untaped = self._loss(w, x)
             leaf = ad.parameter(np.zeros(2))
+            assert not ad.recording()
+        assert ad.recording()
         assert recorded.parents and recorded.requires_grad
         assert untaped.parents == () and untaped._backward is None
         assert not untaped.requires_grad

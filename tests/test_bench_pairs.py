@@ -98,3 +98,24 @@ def test_one_printed_line_per_metric():
     assert lines[0].startswith("sweep setup_s: parent 0.316 ")
     assert lines[0].endswith("0/10 pairs better, median +38.6%: worse")
     assert lines[1].endswith(": not worse")
+
+
+@pytest.mark.parametrize("failing, status", [(None, 0), ("probe", 1), ("sweep", 1)])
+def test_exit_status_counts_every_workloads_failed_runs(tmp_path, monkeypatch, failing, status):
+    (tmp_path / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+
+    def run_pairs(parent, change, workload, seeds, seconds):
+        side = lambda: {"result": {"metrics": {m["name"]: {"value": 1.0} for m in END_TO_END}}}
+        runs = [{"seed": s, "parent": side(), "change": side()} for s in seeds]
+        if workload == failing:
+            runs[0]["change"]["result"] = None
+        return runs
+
+    monkeypatch.setattr(bp, "run_pairs", run_pairs)
+    monkeypatch.setattr(bp, "revision", lambda checkout: "0" * 40)
+    out = tmp_path / "record.json"
+    argv = [str(tmp_path), str(tmp_path), "--workload", "probe", "--seeds", "1-3",
+            "--check", "sweep:1-3", "--out", str(out)]
+    assert bp.main(argv) == status
+    record = json.loads(out.read_text())
+    assert record["no_regression"]["sweep"]["result"]["failed_runs"] == (failing == "sweep")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ class TestCompressor:
         a = dt.fit_compressor(train, q=2, seed=0)
         b = dt.fit_compressor(np.vstack([train, extra]), q=2, seed=0)
         assert not np.allclose(a.components, b.components)
+
+    def test_peak_is_the_centered_faces_and_two_covariances(self, rng):
+        # the default corpus's train candidates: 470 faces of 512 floats; the
+        # covariance is scaled and deflated in place, so beside the centered
+        # faces only it and one deflation term are alive
+        faces = rng.standard_normal((470, dt.FACE_DIM))
+        tracemalloc.start()
+        try:
+            dt.fit_compressor(faces, q=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cov = faces.shape[1] ** 2 * faces.itemsize
+        assert peak <= faces.nbytes + 2.5 * cov, (peak - faces.nbytes) / cov
 
 
 class TestJsonl:

@@ -320,6 +320,26 @@ class TestInfer:
         one, three = peak(CHUNK), peak(2 * CHUNK + 1)
         assert three <= 1.2 * one, (one, three)
 
+    def test_tape_free_bigru_peak_is_its_stack_and_output(self):
+        # one 512-clip audio chunk at the default corpus's 25 steps: without a
+        # tape no step's (state, rz, hhat) and no second (6, T*B, h) product
+        # may stay alive beside the (T, 3, 2, B, h) stack P and the output
+        m = HireabilityModel("multimodal", "unprotected", seed=32)
+        fwd, bwd = m.encoders["audio"]
+        x = np.random.default_rng(33).standard_normal((CHUNK, 25, m.dims.input_dims["audio"]))
+        taped = ly.bigru_encode(fwd, bwd, x)
+        with ad.no_tape():
+            ly.bigru_encode(fwd, bwd, x)
+            tracemalloc.start()
+            try:
+                out = ly.bigru_encode(fwd, bwd, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.value.tobytes() == taped.value.tobytes()
+        both = 4 * out.value.nbytes     # P (T, 3, 2, B, h) is three (B, T, 2h) outputs
+        assert peak <= 1.5 * both, peak / both
+
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):

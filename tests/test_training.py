@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -613,6 +615,24 @@ class TestAdversaryTargets:
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert np.array_equal(a, b)
+
+    def test_negative_sampler_draw_peak_is_a_few_times_its_result(self):
+        # the default corpus's train split: 1,401 anchors over 470 candidates;
+        # the draw's full permutations (469 ints each) must not stay alive
+        # together, which would read about 5 MB against a 0.06 MB choice
+        rng = np.random.default_rng(34)
+        samples = [SimpleNamespace(video_id=f"v{i % 470}", face=rng.standard_normal(4))
+                   for i in range(1401)]
+        task = tr._AdversaryTask(short_cfg(variant="negative-sampling", k=5), samples,
+                                 samples[:5], seed=0)
+        tracemalloc.start()
+        try:
+            _, choice, _ = task.draw("train", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert choice.shape == (1401, 5)
+        assert peak <= 5 * choice.nbytes, peak / choice.nbytes
 
     def test_negative_sampler_needs_k_candidates(self, tiny_dataset):
         train = [s for s in tiny_dataset if s.split == "train"]

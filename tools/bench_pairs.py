@@ -19,7 +19,8 @@ metric's verdict is ``better``.  Each --check runs another workload's
 pairs the same way and files them under ``no_regression``.  The record
 goes to BENCH_<W>.json in the change checkout unless --out names a file.
 Nothing but perfbench/run.py is invoked, and no machine setting is
-changed.
+changed.  The exit status is 1 if a run of any workload, claimed or
+checked, failed, else 0.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def main(argv=None) -> int:
         print("\n".join(verdict_lines(workload, res, spec["end_to_end"])))
     if "claim_met" in result:
         print(f"claim_met: {result['claim_met']}")
-    return 0 if result["failed_runs"] == 0 else 1
+    return 0 if all(res["failed_runs"] == 0 for res in results.values()) else 1
 
 
 if __name__ == "__main__":
